@@ -4,7 +4,7 @@ Given a fully parameterized state-space triple known only up to a change of
 state coordinates, recover the physical parameters of an affine gray-box
 structure together with the similarity transform linking the two, by either
 a null-space search or a direct least-squares fit (or the former polished by
-the latter).
+the latter), all behind :func:`solve`.
 """
 
 from .model import (
@@ -12,23 +12,17 @@ from .model import (
     Dims,
     Instance,
     Residuals,
+    Solution,
     StateSpace,
     apply_similarity,
     eval_structure,
     generate_instance,
-    kron,
     residuals,
     unvec,
     vec,
 )
-from .nullspace import (
-    BasePointError,
-    EmptyNullspaceError,
-    NullspaceSolution,
-    SingularTransformError,
-    solve_nullspace,
-)
-from .lsq import LsqSolution, solve_lsq
+from .nullspace import BasePointError, EmptyNullspaceError, SingularTransformError
+from .solver import solve
 from .optim import (
     GradientCheck,
     InfeasibleStartError,
@@ -47,21 +41,18 @@ __all__ = [
     "Dims",
     "Instance",
     "Residuals",
+    "Solution",
     "StateSpace",
     "apply_similarity",
     "eval_structure",
     "generate_instance",
-    "kron",
     "residuals",
     "unvec",
     "vec",
     "BasePointError",
     "EmptyNullspaceError",
-    "NullspaceSolution",
     "SingularTransformError",
-    "solve_nullspace",
-    "LsqSolution",
-    "solve_lsq",
+    "solve",
     "GradientCheck",
     "InfeasibleStartError",
     "LineSearchError",

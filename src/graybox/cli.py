@@ -16,12 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lsq, nullspace, optim
+from . import lsq, nullspace, optim, solver
 from .model import (
+    SINGULAR_RTOL,
     AffineStructure,
     StateSpace,
+    check_dims,
     eval_structure,
     generate_instance,
+    rcond,
     residuals,
     unvec,
 )
@@ -142,59 +145,44 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _load_pair(path: str, what: str, keys: tuple[str, str]) -> tuple:
+    """Values of the two required ``keys`` of a JSON document."""
+    doc = _load_json(path)
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} file {path}: missing key {key!r}")
+    return doc[keys[0]], doc[keys[1]]
+
+
 def cmd_solve(args) -> int:
     blackbox = _load_blackbox(args.blackbox)
     structure = _load_structure(args.structure)
     truth = _load_json(args.truth) if args.truth else None
     cfg = _load_config(args)
+    if args.init and args.method != "lsq":
+        raise ValueError("--init applies to --method lsq only")
     started = time.perf_counter()
-
-    degenerate = False
-    if args.method == "nullspace":
-        sol = nullspace.solve_nullspace(blackbox, structure, cfg, jobs=args.jobs)
-        theta_hat, t_hat, status = sol.theta, sol.T, sol.result.status
-        objective = sol.result.f_best
-        diagnostics = sol.diagnostics
-    elif args.method == "lsq":
-        init = None
-        if args.init:
-            doc = _load_json(args.init)
-            for key in ("theta", "T"):
-                if key not in doc:
-                    raise ValueError(f"init file {args.init}: missing key {key!r}")
-            init = (np.asarray(doc["theta"], dtype=float), np.asarray(doc["T"], dtype=float))
-        sol = lsq.solve_lsq(blackbox, structure, init=init, config=cfg)
-        theta_hat, t_hat, status = sol.theta, sol.T, sol.result.status
-        objective = sol.result.f_best
-        diagnostics = sol.diagnostics
-        degenerate = sol.diagnostics["degenerate_transform"]
-    else:  # pipeline: null-space solve initializes the least-squares polish
-        first = nullspace.solve_nullspace(blackbox, structure, cfg, jobs=args.jobs)
-        polish = lsq.solve_lsq(blackbox, structure, init=(first.theta, first.T), config=cfg)
-        theta_hat, t_hat, status = polish.theta, polish.T, polish.result.status
-        objective = polish.result.f_best
-        diagnostics = {"nullspace": first.diagnostics, "polish": polish.diagnostics}
-        degenerate = polish.diagnostics["degenerate_transform"]
-
-    res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
+    init = _load_pair(args.init, "init", ("theta", "T")) if args.init else None
+    sol = solver.solve(blackbox, structure, args.method, cfg, init)
+    res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
     report = {
         "method": args.method,
-        "status": status,
-        "theta_hat": theta_hat.tolist(),
-        "T_hat": t_hat.tolist(),
+        "status": sol.result.status,
+        "theta_hat": sol.theta.tolist(),
+        "T_hat": sol.T.tolist(),
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
-        "objective_final": objective,
+        "objective_final": sol.result.f_best,
         "timing_ms": (time.perf_counter() - started) * 1e3,
-        "diagnostics": diagnostics,
+        "diagnostics": sol.diagnostics,
     }
     if truth is not None:
-        report["theta_error"] = _theta_error(theta_hat, truth)
+        report["theta_error"] = _theta_error(sol.theta, truth)
     _write_report(report, args.out)
-    if degenerate:
+    if rcond(sol.T) < SINGULAR_RTOL:
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
-    if status not in CONVERGED:
-        print(f"solver did not converge (status: {status})", file=sys.stderr)
+    if sol.result.status not in CONVERGED:
+        print(f"solver did not converge (status: {sol.result.status})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -220,8 +208,6 @@ def _point_error(args, blackbox, structure, rng, space, proj) -> float | None:
     n_x = dims.n_x
     if args.which == "hbar":
         alpha = rng.standard_normal(space.n_free)
-        if not math.isfinite(nullspace.reduced_distance(alpha, space, proj)):
-            return None
         sv = np.linalg.svd(
             nullspace.extract_realization(space.point(alpha), dims).T, compute_uv=False
         )
@@ -261,10 +247,7 @@ def _point_error(args, blackbox, structure, rng, space, proj) -> float | None:
 def cmd_check_grad(args) -> int:
     blackbox = _load_blackbox(args.blackbox)
     structure = _load_structure(args.structure)
-    if structure.dims != blackbox.dims:
-        raise ValueError(
-            f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
-        )
+    check_dims(blackbox, structure)
     rng = np.random.default_rng(args.seed)
     space = proj = None
     if args.which == "hbar":
@@ -293,14 +276,11 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    result = _load_json(args.result)
-    for key in ("theta_hat", "T_hat"):
-        if key not in result:
-            raise ValueError(f"result file {args.result}: missing key {key!r}")
+    theta_hat, t_hat = _load_pair(args.result, "result", ("theta_hat", "T_hat"))
     blackbox = _load_blackbox(args.blackbox)
     structure = _load_structure(args.structure)
-    theta_hat = np.asarray(result["theta_hat"], dtype=float)
-    t_hat = np.asarray(result["T_hat"], dtype=float)
+    theta_hat = np.asarray(theta_hat, dtype=float)
+    t_hat = np.asarray(t_hat, dtype=float)
     res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
     worst = max(res)
     report = {
@@ -334,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     solve = sub.add_parser("solve", help="recover parameters and transform")
-    solve.add_argument("--method", choices=("nullspace", "lsq", "pipeline"),
-                       default="pipeline")
+    solve.add_argument("--method", choices=solver.METHODS, default="pipeline")
     solve.add_argument("--blackbox", required=True)
     solve.add_argument("--structure", required=True)
     solve.add_argument("--truth", help="truth JSON; adds theta_error to the report")
@@ -345,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--restarts", type=int, default=None,
                        help="extra random starts for the null-space search")
     solve.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for multistart")
+                       help="accepted and ignored; starts run serially")
     solve.add_argument("--out", help="report path (default: stdout)")
     solve.set_defaults(func=cmd_solve)
 

@@ -10,16 +10,15 @@ attractor; the solver only reports that degeneracy, it does not prevent it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineStructure, StateSpace, eval_structure, unvec, vec
+from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, eval_structure,
+                    rcond, residuals, structured_matrices, unvec, vec)
 from .nullspace import extract_theta, structure_projector
-from .optim import OptimConfig, OptimResult, bfgs
+from .optim import OptimConfig, bfgs
 
 __all__ = [
-    "LsqSolution",
     "cost",
     "grad_theta",
     "grad_t",
@@ -27,33 +26,10 @@ __all__ = [
     "solve_lsq",
 ]
 
-# Transform singular-value ratio below which the solution is flagged degenerate.
-DEGENERATE_RTOL = 1e-8
-
-
-def _check_point(
-    theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
-) -> tuple[np.ndarray, np.ndarray]:
-    if structure.dims != blackbox.dims:
-        raise ValueError(
-            f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
-        )
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != structure.n_theta:
-        raise ValueError(f"theta must have length {structure.n_theta}, got {theta.size}")
-    n_x = blackbox.dims.n_x
-    t = np.asarray(t, dtype=float)
-    if t.shape != (n_x, n_x):
-        raise ValueError(f"T must have shape ({n_x}, {n_x}), got {t.shape}")
-    return theta, t
-
-
 def _residual_matrices(theta, t, blackbox, structure):
-    structured = eval_structure(structure, theta)
-    r_a = blackbox.A @ t - t @ structured.A
-    r_b = blackbox.B - t @ structured.B
-    r_c = blackbox.C @ t - structured.C
-    return structured, r_a, r_b, r_c
+    """Structured A, B at ``theta`` and the residual matrices; trusts its inputs."""
+    a, b, c = structured_matrices(structure, theta)
+    return a, b, blackbox.A @ t - t @ a, blackbox.B - t @ b, blackbox.C @ t - c
 
 
 def cost(
@@ -64,8 +40,7 @@ def cost(
     Zero exactly when ``(theta, t)`` solves the similarity equations; the
     transform need not be invertible for evaluation.
     """
-    theta, t = _check_point(theta, t, blackbox, structure)
-    _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
+    _, _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
     return float(np.sum(r_a * r_a) + np.sum(r_b * r_b) + np.sum(r_c * r_c))
 
 
@@ -77,8 +52,7 @@ def grad_theta(
     The residuals are pulled back through the transform onto the stacked
     (A, B, C) entries and then contracted with the transposed parameter map.
     """
-    theta, t = _check_point(theta, t, blackbox, structure)
-    _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
+    _, _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
     pullback = np.concatenate([vec(t.T @ r_a), vec(t.T @ r_b), vec(r_c)])
     return -2.0 * (structure.K.T @ pullback)
 
@@ -87,14 +61,8 @@ def grad_t(
     theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
 ) -> np.ndarray:
     """Gradient of :func:`cost` in the transform, as an n_x by n_x matrix."""
-    theta, t = _check_point(theta, t, blackbox, structure)
-    structured, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
-    return 2.0 * (
-        blackbox.A.T @ r_a
-        - r_a @ structured.A.T
-        - r_b @ structured.B.T
-        + blackbox.C.T @ r_c
-    )
+    a, b, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
+    return 2.0 * (blackbox.A.T @ r_a - r_a @ a.T - r_b @ b.T + blackbox.C.T @ r_c)
 
 
 def default_init(
@@ -105,22 +73,8 @@ def default_init(
     Exact when the black-box is already in structured coordinates; cheap and
     deterministic otherwise.
     """
-    if structure.dims != blackbox.dims:
-        raise ValueError(
-            f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
-        )
     theta0 = extract_theta(blackbox.stacked(), structure_projector(structure))
     return theta0, np.eye(blackbox.dims.n_x)
-
-
-@dataclass
-class LsqSolution:
-    """Result of :func:`solve_lsq` with solver diagnostics."""
-
-    theta: np.ndarray
-    T: np.ndarray
-    result: OptimResult
-    diagnostics: dict
 
 
 def solve_lsq(
@@ -128,17 +82,17 @@ def solve_lsq(
     structure: AffineStructure,
     init: tuple[np.ndarray, np.ndarray] | None = None,
     config: OptimConfig | None = None,
-) -> LsqSolution:
+) -> Solution:
     """Minimize :func:`cost` over the stacked variable [theta; vec(T)] with BFGS.
 
     Non-convergence is reported through ``result.status`` with the best point
     still returned.  The diagnostics flag ``degenerate_transform`` marks a
-    final transform whose singular-value ratio falls below 1e-8, the spurious
-    minimum where the transform collapses.
+    final transform whose reciprocal condition number falls below
+    ``SINGULAR_RTOL``, the spurious minimum where the transform collapses.
+    ``init`` is trusted; :func:`graybox.solve` validates one from outside.
     """
     cfg = config if config is not None else OptimConfig()
     theta0, t0 = init if init is not None else default_init(blackbox, structure)
-    theta0, t0 = _check_point(theta0, t0, blackbox, structure)
     n_theta = structure.n_theta
     n_x = blackbox.dims.n_x
     started = time.perf_counter()
@@ -157,16 +111,18 @@ def solve_lsq(
             vec(grad_t(theta, t, blackbox, structure)),
         ])
 
-    result = bfgs(fun, jac, np.concatenate([theta0, vec(t0)]), cfg)
+    result = bfgs(fun, jac, np.concatenate([np.ravel(theta0), vec(t0)]), cfg)
     theta_hat, t_hat = split(result.x_best)
-    sv = np.linalg.svd(t_hat, compute_uv=False)
-    degenerate = bool(sv[0] == 0.0 or sv[-1] < DEGENERATE_RTOL * sv[0])
+    rc = rcond(t_hat)
+    degenerate = rc < SINGULAR_RTOL
+    res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
     diagnostics = {
         "objective_final": result.f_best,
         "grad_norm": result.grad_norm,
+        "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "degenerate_transform": degenerate,
-        "cond_T": float(sv[0] / sv[-1]) if not degenerate else None,
+        "cond_T": 1.0 / rc if not degenerate else None,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in result.trace],
     }
-    return LsqSolution(theta=theta_hat, T=t_hat.copy(), result=result, diagnostics=diagnostics)
+    return Solution(theta=theta_hat, T=t_hat.copy(), result=result, diagnostics=diagnostics)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy import kron  # standard Kronecker product; re-exported as part of the API
+
+from .optim import OptimResult
 
 __all__ = [
     "Dims",
@@ -19,10 +20,14 @@ __all__ = [
     "AffineStructure",
     "Instance",
     "Residuals",
+    "Solution",
+    "SINGULAR_RTOL",
     "vec",
     "unvec",
-    "kron",
     "block_slices",
+    "check_dims",
+    "rcond",
+    "structured_matrices",
     "eval_structure",
     "apply_similarity",
     "random_similarity",
@@ -30,8 +35,9 @@ __all__ = [
     "residuals",
 ]
 
-# Relative singular-value floor below which a transform is treated as singular.
-SINGULAR_RTOL = 1e-12
+# Transforms with rcond below this are singular: apply_similarity rejects them,
+# realization extraction excludes them, and a solve ending on one is degenerate.
+SINGULAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,16 @@ class Residuals(NamedTuple):
     r_c: float
 
 
+@dataclass
+class Solution:
+    """Recovered parameters and transform of a solve, with solver diagnostics."""
+
+    theta: np.ndarray
+    T: np.ndarray
+    result: OptimResult
+    diagnostics: dict
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Stack the columns of ``m`` into one vector."""
     return np.asarray(m, dtype=float).reshape(-1, order="F")
@@ -221,6 +237,34 @@ def block_slices(dims: Dims) -> tuple[slice, slice, slice]:
     return (slice(0, n_a), slice(n_a, n_a + n_b), slice(n_a + n_b, n_a + n_b + n_c))
 
 
+def check_dims(blackbox: StateSpace, structure) -> None:
+    """Raise ``ValueError`` unless ``structure`` (anything with ``dims``) matches the black box."""
+    if structure.dims != blackbox.dims:
+        raise ValueError(
+            f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
+        )
+
+
+def rcond(t: np.ndarray) -> float:
+    """Smallest over largest singular value of ``t`` (0 for the zero matrix)."""
+    sv = np.linalg.svd(t, compute_uv=False)
+    return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+
+
+def structured_matrices(
+    structure: AffineStructure, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of the structured model at ``theta``, without input validation."""
+    stacked = structure.kappa0 + structure.K @ theta
+    d = structure.dims
+    sl_a, sl_b, sl_c = block_slices(d)
+    return (
+        unvec(stacked[sl_a], d.n_x, d.n_x),
+        unvec(stacked[sl_b], d.n_x, d.n_u),
+        unvec(stacked[sl_c], d.n_y, d.n_x),
+    )
+
+
 def eval_structure(structure: AffineStructure, theta: np.ndarray) -> StateSpace:
     """Evaluate the structured model at a parameter point."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -228,14 +272,8 @@ def eval_structure(structure: AffineStructure, theta: np.ndarray) -> StateSpace:
         raise ValueError(
             f"theta must have length {structure.n_theta}, got {theta.size}"
         )
-    stacked = structure.kappa0 + structure.K @ theta
-    d = structure.dims
-    sl_a, sl_b, sl_c = block_slices(d)
-    return StateSpace(
-        A=unvec(stacked[sl_a], d.n_x, d.n_x),
-        B=unvec(stacked[sl_b], d.n_x, d.n_u),
-        C=unvec(stacked[sl_c], d.n_y, d.n_x),
-    )
+    a, b, c = structured_matrices(structure, theta)
+    return StateSpace(A=a, B=b, C=c)
 
 
 def apply_similarity(model: StateSpace, t: np.ndarray) -> StateSpace:
@@ -246,8 +284,7 @@ def apply_similarity(model: StateSpace, t: np.ndarray) -> StateSpace:
     """
     n_x = model.dims.n_x
     t = _as_matrix(t, n_x, n_x, "T")
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
+    if rcond(t) < SINGULAR_RTOL:
         raise ValueError("similarity transform is numerically singular")
     # X = M T^-1 solved as T' X' = M'
     a_bb = np.linalg.solve(t.T, (t @ model.A).T).T
@@ -295,10 +332,7 @@ def residuals(blackbox: StateSpace, t: np.ndarray, structured: StateSpace) -> Re
     """
     n_x = blackbox.dims.n_x
     t = _as_matrix(t, n_x, n_x, "T")
-    if structured.dims != blackbox.dims:
-        raise ValueError(
-            f"dimension mismatch: black-box {blackbox.dims} vs structured {structured.dims}"
-        )
+    check_dims(blackbox, structured)
     r_a = np.linalg.norm(blackbox.A @ t - t @ structured.A)
     r_b = np.linalg.norm(blackbox.B - t @ structured.B)
     r_c = np.linalg.norm(blackbox.C @ t - structured.C)

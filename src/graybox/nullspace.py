@@ -16,23 +16,26 @@ admissible structured set with BFGS.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
+    SINGULAR_RTOL,
     AffineStructure,
     Dims,
+    Solution,
     StateSpace,
     block_slices,
+    check_dims,
     eval_structure,
+    rcond,
     residuals,
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, OptimResult, bfgs
+from .optim import InfeasibleStartError, OptimConfig, bfgs
 
 __all__ = [
     "EmptyNullspaceError",
@@ -41,7 +44,6 @@ __all__ = [
     "Realization",
     "SolutionSpace",
     "StructureProjector",
-    "NullspaceSolution",
     "build_constraint_matrix",
     "nullspace_basis",
     "base_point_coeffs",
@@ -58,11 +60,6 @@ __all__ = [
     "reduced_distance_grad",
     "solve_nullspace",
 ]
-
-# A transform block whose smallest singular value falls below this fraction of
-# the largest is treated as singular (the excluded region of the search).
-SINGULAR_RTOL = 1e-10
-
 
 class EmptyNullspaceError(RuntimeError):
     """The constraint matrix has no null space: no admissible solution exists."""
@@ -239,19 +236,17 @@ def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
     """Unpack a stacked vector into (T, A, B, C) with A = T^-1 (TA), B = T^-1 (TB).
 
     Raises:
-        SingularTransformError: when the transform block's smallest singular
-            value is below ``SINGULAR_RTOL`` times its largest.
+        SingularTransformError: when the transform block's reciprocal condition
+            number is below ``SINGULAR_RTOL`` (the excluded region of the search).
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != dims.n_unknowns:
         raise ValueError(f"stacked vector must have length {dims.n_unknowns}, got {v.size}")
     sl_t, sl_ta, sl_tb, sl_c = _solution_slices(dims)
     t = unvec(v[sl_t], dims.n_x, dims.n_x)
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < SINGULAR_RTOL * sv[0]:
-        raise SingularTransformError(
-            f"transform block is numerically singular (singular values {sv[-1]:.3e}..{sv[0]:.3e})"
-        )
+    r = rcond(t)
+    if r < SINGULAR_RTOL:
+        raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
     ta = unvec(v[sl_ta], dims.n_x, dims.n_x)
     tb = unvec(v[sl_tb], dims.n_x, dims.n_u)
     c = unvec(v[sl_c], dims.n_y, dims.n_x)
@@ -327,7 +322,13 @@ def realization_jacobians(
     Raises:
         SingularTransformError: propagated from :func:`extract_realization`.
     """
-    r = extract_realization(v, dims)
+    return _jacobians_at(extract_realization(v, dims), dims)
+
+
+def _jacobians_at(
+    r: Realization, dims: Dims
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`realization_jacobians` at an already extracted realization."""
     n_x, n_u = dims.n_x, dims.n_u
     nx2 = n_x**2
     sl_t, sl_ta, sl_tb, sl_c = _solution_slices(dims)
@@ -355,8 +356,8 @@ def structure_distance_grad(
     Raises:
         SingularTransformError: propagated from :func:`extract_realization`.
     """
-    j_a, j_b, j_c = realization_jacobians(v, dims)
     r = extract_realization(v, dims)
+    j_a, j_b, j_c = _jacobians_at(r, dims)
     stacked = np.concatenate([vec(r.A), vec(r.B), vec(r.C)])
     residual = proj.residual_op.T @ (proj.residual_op @ (proj.offset - stacked))
     sl_a, sl_b, sl_c = block_slices(dims)
@@ -389,23 +390,12 @@ def reduced_distance_grad(
     return space.free_map().T @ structure_distance_grad(v, proj, space.dims)
 
 
-@dataclass
-class NullspaceSolution:
-    """Result of :func:`solve_nullspace` with solver diagnostics."""
-
-    theta: np.ndarray
-    T: np.ndarray
-    result: OptimResult
-    diagnostics: dict
-
-
 def solve_nullspace(
     blackbox: StateSpace,
     structure: AffineStructure,
     config: OptimConfig | None = None,
     seed: int | None = None,
-    jobs: int = 1,
-) -> NullspaceSolution:
+) -> Solution:
     """Recover parameters and transform through the null-space formulation.
 
     Parameterizes the admissible solution set, minimizes the structure
@@ -422,15 +412,11 @@ def solve_nullspace(
         structure: affine gray-box parameterization with matching dimensions.
         config: optimizer settings; defaults to :class:`OptimConfig`.
         seed: overrides ``config.seed`` for the base point and restart draws.
-        jobs: number of worker threads used to run independent starts.
     """
     cfg = config if config is not None else OptimConfig()
     if seed is None:
         seed = cfg.seed
-    if structure.dims != blackbox.dims:
-        raise ValueError(
-            f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
-        )
+    check_dims(blackbox, structure)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     space = solution_space(blackbox, seed=rng)
@@ -450,19 +436,12 @@ def solve_nullspace(
     starts = [np.zeros(space.n_free)]
     starts += [spread * rng.standard_normal(space.n_free) for _ in range(cfg.restarts)]
 
-    def run(x0: np.ndarray) -> OptimResult | None:
+    completed = []
+    for x0 in starts:
         try:
-            return bfgs(fun, jac, x0, cfg)
+            completed.append(bfgs(fun, jac, x0, cfg))
         except InfeasibleStartError:
-            return None
-
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, starts))
-    else:
-        outcomes = [run(x0) for x0 in starts]
-
-    completed = [r for r in outcomes if r is not None]
+            pass
     if not completed:
         raise InfeasibleStartError(
             f"all {len(starts)} starts began at singular transform points"
@@ -474,16 +453,15 @@ def solve_nullspace(
     stacked = np.concatenate([vec(real.A), vec(real.B), vec(real.C)])
     theta = extract_theta(stacked, proj)
     res = residuals(blackbox, real.T, eval_structure(structure, theta))
-    sv = np.linalg.svd(real.T, compute_uv=False)
     diagnostics = {
         "objective_final": best.f_best,
         "grad_norm": best.grad_norm,
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "nullspace_dim": space.n_basis,
-        "cond_T": float(sv[0] / sv[-1]),
+        "cond_T": 1.0 / rcond(real.T),
         "starts": len(starts),
         "infeasible_starts": len(starts) - len(completed),
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in best.trace],
     }
-    return NullspaceSolution(theta=theta, T=real.T, result=best, diagnostics=diagnostics)
+    return Solution(theta=theta, T=real.T, result=best, diagnostics=diagnostics)

@@ -119,9 +119,11 @@ def line_search_wolfe(
     config: OptimConfig | None = None,
     f0: float | None = None,
     g0: np.ndarray | None = None,
-) -> float:
+) -> tuple[float, float, np.ndarray]:
     """Step length along ``d`` satisfying the strong Wolfe conditions.
 
+    Returns ``(step, f(x + step*d), grad(x + step*d))``; the search has
+    evaluated both at the accepted step, so callers need not repeat them.
     ``d`` must be a descent direction.  A non-finite objective value at a
     trial point counts as a sufficient-decrease failure, which shrinks the
     step, so the returned step always has a finite objective.
@@ -143,8 +145,9 @@ def line_search_wolfe(
     def phi(a: float) -> float:
         return float(f(x + a * d))
 
-    def dphi(a: float) -> float:
-        return float(np.asarray(grad(x + a * d), dtype=float) @ d)
+    def dphi(a: float) -> tuple[float, np.ndarray]:
+        g_a = np.asarray(grad(x + a * d), dtype=float)
+        return float(g_a @ d), g_a
 
     a_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     a = 1.0
@@ -154,9 +157,9 @@ def line_search_wolfe(
         if armijo_fail or (trial > 0 and phi_a >= phi_prev):
             return _zoom(phi, dphi, a_prev, a, phi_prev, dphi_prev, phi_a,
                          phi0, dphi0, c1, c2, cfg.max_line_search)
-        dphi_a = dphi(a)
+        dphi_a, g_a = dphi(a)
         if abs(dphi_a) <= -c2 * dphi0:
-            return a
+            return a, phi_a, g_a
         if dphi_a >= 0.0:
             return _zoom(phi, dphi, a, a_prev, phi_a, dphi_a, phi_prev,
                          phi0, dphi0, c1, c2, cfg.max_line_search)
@@ -166,7 +169,7 @@ def line_search_wolfe(
 
 
 def _zoom(phi, dphi, a_lo, a_hi, phi_lo, dphi_lo, phi_hi,
-          phi0, dphi0, c1, c2, max_iter) -> float:
+          phi0, dphi0, c1, c2, max_iter) -> tuple[float, float, np.ndarray]:
     """Refine a bracketing interval until strong Wolfe holds at the low end."""
     for _ in range(max_iter):
         a = _interpolate(a_lo, a_hi, phi_lo, dphi_lo, phi_hi)
@@ -174,9 +177,9 @@ def _zoom(phi, dphi, a_lo, a_hi, phi_lo, dphi_lo, phi_hi,
         if not math.isfinite(phi_a) or phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
             a_hi, phi_hi = a, phi_a
         else:
-            dphi_a = dphi(a)
+            dphi_a, g_a = dphi(a)
             if abs(dphi_a) <= -c2 * dphi0:
-                return a
+                return a, phi_a, g_a
             if dphi_a * (a_hi - a_lo) >= 0.0:
                 a_hi, phi_hi = a_lo, phi_lo
             a_lo, phi_lo, dphi_lo = a, phi_a, dphi_a
@@ -240,14 +243,11 @@ def bfgs(
             h = identity.copy()
             d = -g
         try:
-            step = line_search_wolfe(f, grad, x, d, cfg, f0=fx, g0=g)
+            step, f_new, g_new = line_search_wolfe(f, grad, x, d, cfg, f0=fx, g0=g)
         except LineSearchError:
             status = "line-search-failed"
             break
         s = step * d
-        x_new = x + s
-        f_new = float(f(x_new))
-        g_new = np.asarray(grad(x_new), dtype=float).reshape(-1)
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -255,7 +255,7 @@ def bfgs(
             left = identity - rho * np.outer(s, y)
             h = left @ h @ left.T + rho * np.outer(s, s)
         f_prev = fx
-        x, fx, g = x_new, f_new, g_new
+        x, fx, g = x + s, f_new, g_new
         g_inf = float(np.max(np.abs(g)))
         iterations += 1
         trace.append((iterations, fx, g_inf))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graybox import solve
 from graybox.cli import main
 from graybox.model import AffineStructure, Dims, StateSpace
 from graybox.structures import bundled_structure
@@ -82,6 +83,67 @@ def test_solve_lsq_with_init_file(tmp_path):
                "--init", init, "--out", report_path)
     assert code == 0
     assert np.allclose(json.load(open(report_path))["theta_hat"], [3.0, 2.0], atol=1e-5)
+
+
+@pytest.mark.parametrize("method", ["nullspace", "lsq", "pipeline"])
+def test_library_solve_matches_cli_report(tmp_path, method):
+    bb, _ = generate(tmp_path, seed=12)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 0
+    report = json.load(open(report_path))
+    sol = solve(StateSpace.from_dict(json.load(open(bb))), bundled_structure("mass-spring")[0],
+                method)
+    assert np.array_equal(sol.theta, report["theta_hat"])
+    assert np.array_equal(sol.T, report["T_hat"])
+    assert sol.result.status == report["status"]
+
+
+def test_solve_jobs_flag_matches_serial(tmp_path):
+    bb, _ = generate(tmp_path, seed=10)
+    reports = []
+    for jobs in (1, 4):
+        report_path = tmp_path / f"report{jobs}.json"
+        assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--seed", 1,
+                   "--jobs", jobs, "--out", report_path) == 0
+        reports.append(json.load(open(report_path)))
+
+    def untimed(value):
+        if isinstance(value, dict):
+            return {k: untimed(v) for k, v in value.items()
+                    if k not in ("timing_ms", "wall_time_ms")}
+        return value
+
+    assert untimed(reports[0]) == untimed(reports[1])
+
+
+@pytest.mark.parametrize("theta, t", [
+    ([float("nan"), 2.0], [[1.0]]),
+    ([3.0, 2.0], [[float("nan")]]),
+    ([3.0], [[1.0]]),
+    ([3.0, 2.0], [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_solve_malformed_init_exits_2(tmp_path, capsys, theta, t):
+    bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=2)
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"theta": theta, "T": t}))
+    report_path = tmp_path / "report.json"
+    code = run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "scalar",
+               "--init", init, "--out", report_path)
+    assert code == 2
+    assert "error: init " in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("method", ["nullspace", "pipeline"])
+def test_solve_init_with_other_method_exits_2(tmp_path, capsys, method):
+    bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=2)
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"theta": [3.0, 2.0], "T": [[1.0]]}))
+    code = run("solve", "--method", method, "--blackbox", bb, "--structure", "scalar",
+               "--init", init)
+    assert code == 2
+    assert "--init applies to --method lsq only" in capsys.readouterr().err
 
 
 def test_solve_dimension_mismatch_exits_2(tmp_path):

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from graybox.lsq import solve_lsq
 from graybox.model import (
+    SINGULAR_RTOL,
     AffineStructure,
     Dims,
     StateSpace,
     apply_similarity,
     eval_structure,
     generate_instance,
-    kron,
+    rcond,
     residuals,
     unvec,
     vec,
 )
+from graybox.nullspace import SingularTransformError, extract_realization
 from graybox.structures import mass_spring_damper, scalar
 
 from helpers import dims_grid, random_structure
@@ -28,7 +31,7 @@ def test_vec_product_identity():
     for _ in range(20):
         m, n, p = (rng.standard_normal((2, 2)) for _ in range(3))
         lhs = vec(m @ n @ p)
-        rhs = kron(p.T, m) @ vec(n)
+        rhs = np.kron(p.T, m) @ vec(n)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -36,7 +39,7 @@ def test_vec_product_identity_up_to_4x4():
     rng = np.random.default_rng(12)
     for size in (1, 2, 3, 4):
         m, n, p = (rng.standard_normal((size, size)) for _ in range(3))
-        assert np.allclose(vec(m @ n @ p), kron(p.T, m) @ vec(n), atol=1e-12)
+        assert np.allclose(vec(m @ n @ p), np.kron(p.T, m) @ vec(n), atol=1e-12)
 
 
 def test_unvec_examples():
@@ -57,15 +60,15 @@ def test_unvec_length_mismatch():
 
 def test_kron_examples():
     a = 2.5
-    assert np.array_equal(kron(np.eye(2), [[a]]), [[a, 0.0], [0.0, a]])
-    assert np.array_equal(kron([[1.0, 2.0]], [[3.0], [4.0]]), [[3.0, 6.0], [4.0, 8.0]])
+    assert np.array_equal(np.kron(np.eye(2), [[a]]), [[a, 0.0], [0.0, a]])
+    assert np.array_equal(np.kron([[1.0, 2.0]], [[3.0], [4.0]]), [[3.0, 6.0], [4.0, 8.0]])
 
 
 def test_kron_vec_identity():
     rng = np.random.default_rng(4)
     for _ in range(10):
         m, n, x = (rng.standard_normal((2, 2)) for _ in range(3))
-        assert np.allclose(kron(m, n) @ vec(x), vec(n @ x @ m.T), atol=1e-12)
+        assert np.allclose(np.kron(m, n) @ vec(x), vec(n @ x @ m.T), atol=1e-12)
 
 
 def test_dims_validation():
@@ -152,6 +155,39 @@ def test_apply_similarity_singular_raises():
     truth = eval_structure(structure, theta)
     with pytest.raises(ValueError, match="singular"):
         apply_similarity(truth, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+NEAR_SINGULAR_T = np.diag([1.0, 1e-9])  # rcond 1e-9, just below SINGULAR_RTOL
+
+
+def _near_singular_in_lsq():
+    # a stationary point: any diagonal transform reconciles this pair
+    blackbox = StateSpace(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
+    structure = AffineStructure(kappa0=blackbox.stacked(), K=np.zeros((8, 1)), dims=Dims(2, 1, 1))
+    sol = solve_lsq(blackbox, structure, init=(np.zeros(1), NEAR_SINGULAR_T))
+    assert np.array_equal(sol.T, NEAR_SINGULAR_T)
+    assert sol.diagnostics["degenerate_transform"]
+
+
+def _near_singular_in_extraction():
+    v = np.zeros(Dims(2, 1, 1).n_unknowns)
+    v[:4] = vec(NEAR_SINGULAR_T)
+    v[-1] = 1.0
+    with pytest.raises(SingularTransformError):
+        extract_realization(v, Dims(2, 1, 1))
+
+
+def _near_singular_in_similarity():
+    structure, theta = mass_spring_damper()
+    with pytest.raises(ValueError, match="singular"):
+        apply_similarity(eval_structure(structure, theta), NEAR_SINGULAR_T)
+
+
+@pytest.mark.parametrize("check", [_near_singular_in_similarity, _near_singular_in_extraction,
+                                   _near_singular_in_lsq])
+def test_one_singular_threshold_everywhere(check):
+    assert rcond(NEAR_SINGULAR_T) == pytest.approx(1e-9) and 1e-9 < SINGULAR_RTOL
+    check()
 
 
 def test_generate_instance_deterministic():

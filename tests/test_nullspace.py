@@ -508,15 +508,6 @@ def test_solve_dimension_mismatch():
         solve_nullspace(SCALAR_BLACKBOX, structure)
 
 
-def test_solve_multistart_matches_serial(monkeypatch):
-    structure, theta = mass_spring_damper()
-    instance = generate_instance(structure, theta, seed=10, cond_max=20.0)
-    serial = solve_nullspace(instance.blackbox, structure, seed=1, jobs=1)
-    threaded = solve_nullspace(instance.blackbox, structure, seed=1, jobs=4)
-    assert np.array_equal(serial.theta, threaded.theta)
-    assert serial.result.f_best == threaded.result.f_best
-
-
 def test_solve_all_starts_infeasible(monkeypatch):
     structure, theta = scalar()
     blackbox = apply_similarity(eval_structure(structure, theta), np.array([[2.0]]))

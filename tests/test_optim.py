@@ -96,8 +96,10 @@ def test_bfgs_infeasible_start():
 def test_line_search_quadratic_unit_step():
     f = lambda x: float((x[0] - 1.0) ** 2)
     g = lambda x: np.array([2.0 * (x[0] - 1.0)])
-    step = line_search_wolfe(f, g, np.array([0.0]), np.array([1.0]))
+    step, f_step, g_step = line_search_wolfe(f, g, np.array([0.0]), np.array([1.0]))
     assert 0.9 <= step <= 1.1
+    assert f_step == f(np.array([step]))
+    assert np.array_equal(g_step, g(np.array([step])))
 
 
 def test_line_search_rejects_ascent():
@@ -112,9 +114,12 @@ def test_line_search_shrinks_on_steep_function():
     f = lambda x: float(50.0 * x[0] ** 2)
     g = lambda x: np.array([100.0 * x[0]])
     x = np.array([0.1])
-    step = line_search_wolfe(f, g, x, -g(x))
+    step, f_step, g_step = line_search_wolfe(f, g, x, -g(x))
     assert step < 1.0
     assert f(x - step * g(x)) < f(x)
+    # the returned values are those at the accepted step, bit for bit
+    assert f_step == f(x + step * -g(x))
+    assert np.array_equal(g_step, g(x + step * -g(x)))
 
 
 def test_line_search_exhaustion():

@@ -21,7 +21,7 @@ from .model import (
     unvec,
     vec,
 )
-from .nullspace import BasePointError, EmptyNullspaceError, SingularTransformError
+from .nullspace import EmptyNullspaceError, SingularTransformError
 from .solver import solve
 from .optim import (
     GradientCheck,
@@ -49,7 +49,6 @@ __all__ = [
     "residuals",
     "unvec",
     "vec",
-    "BasePointError",
     "EmptyNullspaceError",
     "SingularTransformError",
     "solve",

@@ -6,11 +6,17 @@ model become linear in the stacked unknown
     v = [vec(T); vec(T A); vec(T B); vec(C); 1],
 
 so every candidate solution lives in the null space of one constant
-coefficient matrix built from the black-box matrices.  This module builds
-that matrix, parameterizes the admissible affine slice of its null space
-(points with unit last component), extracts realizations and their analytic
-Jacobians, and minimizes the distance of the extracted realization to the
-admissible structured set with BFGS.
+coefficient matrix built from the black-box matrices.  Each block row of that
+matrix carries its own identity block, so the null space has the closed form
+
+    {[vec(T); vec(A_bb T); s vec(B_bb); vec(C_bb T); s]},
+
+and its admissible slice s = 1 is parameterized by vec(T) alone
+(:func:`nullspace_point`).  The search minimizes, over T, the distance of the
+extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the admissible
+structured set with BFGS, using a matrix-form gradient.  The constraint
+matrix, its SVD null-space basis and the dense extraction Jacobians of the
+paper are kept as test oracles; the solve path uses none of them.
 """
 
 from __future__ import annotations
@@ -39,16 +45,12 @@ from .optim import InfeasibleStartError, OptimConfig, bfgs
 
 __all__ = [
     "EmptyNullspaceError",
-    "BasePointError",
     "SingularTransformError",
     "Realization",
-    "SolutionSpace",
     "StructureProjector",
     "build_constraint_matrix",
     "nullspace_basis",
-    "base_point_coeffs",
-    "last_row_nullspace",
-    "solution_space",
+    "nullspace_point",
     "extract_realization",
     "realization_vector",
     "structure_projector",
@@ -63,10 +65,6 @@ __all__ = [
 
 class EmptyNullspaceError(RuntimeError):
     """The constraint matrix has no null space: no admissible solution exists."""
-
-
-class BasePointError(RuntimeError):
-    """No basis combination with unit last component could be found."""
 
 
 class SingularTransformError(RuntimeError):
@@ -131,92 +129,16 @@ def nullspace_basis(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
-def base_point_coeffs(
-    basis: np.ndarray,
-    seed: int | np.random.Generator = 0,
-    min_last: float = 1e-8,
-    max_redraws: int = 20,
-) -> np.ndarray:
-    """Coefficients whose basis combination has last component exactly 1.
+def nullspace_point(blackbox: StateSpace, t: np.ndarray) -> np.ndarray:
+    """Closed-form null-space point [vec(T); vec(A_bb T); vec(B_bb); vec(C_bb T); 1].
 
-    Draws Gaussian coefficient vectors until the induced last component is
-    safely away from zero, then rescales.  Deterministic for a given seed.
-
-    Raises:
-        BasePointError: if every draw lands below ``min_last`` in magnitude,
-            which happens when the last row of the basis is (numerically) zero.
+    Every point of :func:`build_constraint_matrix`'s null space with unit last
+    component has this form, so ``t`` is a complete coordinate system for
+    the admissible solution set.
     """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    rng = np.random.default_rng(seed)
-    for _ in range(max_redraws):
-        coeffs = rng.standard_normal(basis.shape[1])
-        last = float(basis[-1] @ coeffs)
-        if abs(last) >= min_last:
-            return coeffs / last
-    raise BasePointError(
-        f"normalization failed: last component below {min_last} after {max_redraws} draws"
-    )
-
-
-def last_row_nullspace(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal coefficient directions that zero out the basis' last row.
-
-    Returns an (n, n-1) matrix for an n-column basis; combinations of its
-    columns leave the last component of any induced vector unchanged.  For a
-    single-column basis the result is empty (the admissible set is a point).
-    """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    n = basis.shape[1]
-    if n < 2:
-        return np.zeros((n, 0))
-    _, _, vh = np.linalg.svd(basis[-1:, :])
-    return vh[1:].T.copy()
-
-
-@dataclass(frozen=True)
-class SolutionSpace:
-    """Affine parameterization of all stacked similarity solutions.
-
-    Points are ``basis @ (base_coeffs + free_dirs @ alpha)``; every point lies
-    in the constraint matrix' null space and keeps its last component at 1.
-    """
-
-    basis: np.ndarray
-    base_coeffs: np.ndarray
-    free_dirs: np.ndarray
-    dims: Dims
-
-    @property
-    def n_basis(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def n_free(self) -> int:
-        return self.free_dirs.shape[1]
-
-    def point(self, alpha: np.ndarray) -> np.ndarray:
-        alpha = np.asarray(alpha, dtype=float).reshape(-1)
-        if alpha.size != self.n_free:
-            raise ValueError(f"alpha must have length {self.n_free}, got {alpha.size}")
-        return self.basis @ (self.base_coeffs + self.free_dirs @ alpha)
-
-    def free_map(self) -> np.ndarray:
-        """Dense map from free coordinates to stacked-vector offsets."""
-        return self.basis @ self.free_dirs
-
-
-def solution_space(
-    blackbox: StateSpace,
-    seed: int | np.random.Generator = 0,
-    rank_tol: float | None = None,
-) -> SolutionSpace:
-    """Build the admissible solution-set parameterization for a black-box triple."""
-    basis = nullspace_basis(build_constraint_matrix(blackbox), rank_tol=rank_tol)
-    return SolutionSpace(
-        basis=basis,
-        base_coeffs=base_point_coeffs(basis, seed=seed),
-        free_dirs=last_row_nullspace(basis),
-        dims=blackbox.dims,
+    t = np.asarray(t, dtype=float)
+    return np.concatenate(
+        [vec(t), vec(blackbox.A @ t), vec(blackbox.B), vec(blackbox.C @ t), [1.0]]
     )
 
 
@@ -242,15 +164,16 @@ def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != dims.n_unknowns:
         raise ValueError(f"stacked vector must have length {dims.n_unknowns}, got {v.size}")
+    n_x = dims.n_x
     sl_t, sl_ta, sl_tb, sl_c = _solution_slices(dims)
-    t = unvec(v[sl_t], dims.n_x, dims.n_x)
+    t = unvec(v[sl_t], n_x, n_x)
     r = rcond(t)
     if r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
-    ta = unvec(v[sl_ta], dims.n_x, dims.n_x)
-    tb = unvec(v[sl_tb], dims.n_x, dims.n_u)
-    c = unvec(v[sl_c], dims.n_y, dims.n_x)
-    return Realization(T=t, A=np.linalg.solve(t, ta), B=np.linalg.solve(t, tb), C=c)
+    # vec(TA) and vec(TB) are adjacent, so together they are vec([TA, TB])
+    ab = np.linalg.solve(t, unvec(v[sl_ta.start:sl_tb.stop], n_x, n_x + dims.n_u))
+    c = unvec(v[sl_c], dims.n_y, n_x)
+    return Realization(T=t, A=ab[:, :n_x], B=ab[:, n_x:], C=c)
 
 
 def realization_vector(v: np.ndarray, dims: Dims) -> np.ndarray:
@@ -316,28 +239,22 @@ def realization_jacobians(
 
     Differentiates A = T^-1 (TA) and B = T^-1 (TB) through the inverse, so
     only the T block and the matching raw block carry nonzero columns; the C
-    block passes through unchanged.  Selection happens by column slicing, no
-    dense selection matrices are formed.
+    block passes through unchanged.  These dense Kronecker-product Jacobians
+    are the paper's form of the derivative and serve as the oracle for
+    :func:`structure_distance_grad`.
 
     Raises:
         SingularTransformError: propagated from :func:`extract_realization`.
     """
-    return _jacobians_at(extract_realization(v, dims), dims)
-
-
-def _jacobians_at(
-    r: Realization, dims: Dims
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`realization_jacobians` at an already extracted realization."""
+    r = extract_realization(v, dims)
     n_x, n_u = dims.n_x, dims.n_u
     nx2 = n_x**2
     sl_t, sl_ta, sl_tb, sl_c = _solution_slices(dims)
     t_inv = np.linalg.inv(r.T)
-    eye_x = np.eye(n_x)
 
     j_a = np.zeros((nx2, dims.n_unknowns))
     j_a[:, sl_t] = -np.kron(r.A.T, t_inv)
-    j_a[:, sl_ta] = np.kron(eye_x, t_inv)
+    j_a[:, sl_ta] = np.kron(np.eye(n_x), t_inv)
 
     j_b = np.zeros((n_x * n_u, dims.n_unknowns))
     j_b[:, sl_t] = -np.kron(r.B.T, t_inv)
@@ -353,41 +270,62 @@ def structure_distance_grad(
 ) -> np.ndarray:
     """Gradient of :func:`structure_distance` composed with realization extraction.
 
+    Matrix form of the chain rule through A = T^-1 (TA) and B = T^-1 (TB),
+    O(n_x^3) per call: with W = -2 P^T P (kappa0 - s) split into W_A, W_B and
+    W_C, the T block is -T^-T (W_A A^T + W_B B^T), the TA and TB blocks are
+    T^-T W_A and T^-T W_B, and the C block is W_C.
+
     Raises:
         SingularTransformError: propagated from :func:`extract_realization`.
     """
     r = extract_realization(v, dims)
-    j_a, j_b, j_c = _jacobians_at(r, dims)
     stacked = np.concatenate([vec(r.A), vec(r.B), vec(r.C)])
-    residual = proj.residual_op.T @ (proj.residual_op @ (proj.offset - stacked))
-    sl_a, sl_b, sl_c = block_slices(dims)
-    return -2.0 * (
-        j_a.T @ residual[sl_a] + j_b.T @ residual[sl_b] + j_c.T @ residual[sl_c]
-    )
+    w = -2.0 * (proj.residual_op.T @ (proj.residual_op @ (proj.offset - stacked)))
+    n_x = dims.n_x
+    _, sl_b, sl_c = block_slices(dims)
+    # vec(W_A) and vec(W_B) are adjacent, so together they are vec([W_A, W_B]),
+    # and likewise the TA and TB blocks of the result are vec(T^-T [W_A, W_B])
+    x = np.linalg.solve(r.T.T, unvec(w[: sl_b.stop], n_x, n_x + dims.n_u))
+    g_t = -(x[:, :n_x] @ r.A.T + x[:, n_x:] @ r.B.T)
+    return np.concatenate([vec(g_t), vec(x), w[sl_c], [0.0]])
 
 
 def reduced_distance(
-    alpha: np.ndarray, space: SolutionSpace, proj: StructureProjector
+    t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
 ) -> float:
-    """Structure distance as a function of the free coordinates.
+    """Structure distance at the null-space point of the transform ``unvec(t_vec)``.
 
-    Returns ``+inf`` where the transform block is singular, so optimizers
-    reject steps into the excluded region.
+    Returns ``+inf`` where ``rcond(T) < SINGULAR_RTOL``, so optimizers reject
+    steps into the excluded region.
     """
-    v = space.point(alpha)
+    n_x = blackbox.dims.n_x
+    v = nullspace_point(blackbox, unvec(t_vec, n_x, n_x))
     try:
-        stacked = realization_vector(v, space.dims)
+        stacked = realization_vector(v, blackbox.dims)
     except SingularTransformError:
         return float("inf")
     return structure_distance(stacked, proj)
 
 
 def reduced_distance_grad(
-    alpha: np.ndarray, space: SolutionSpace, proj: StructureProjector
+    t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
 ) -> np.ndarray:
-    """Gradient of :func:`reduced_distance`; chain rule through the affine map."""
-    v = space.point(alpha)
-    return space.free_map().T @ structure_distance_grad(v, proj, space.dims)
+    """Gradient of :func:`reduced_distance`: the stacked gradient pulled back
+    through :func:`nullspace_point` as g_T + A_bb^T g_TA + C_bb^T g_C.
+
+    Raises:
+        SingularTransformError: propagated from :func:`extract_realization`.
+    """
+    d = blackbox.dims
+    n_x = d.n_x
+    g = structure_distance_grad(nullspace_point(blackbox, unvec(t_vec, n_x, n_x)), proj, d)
+    sl_t, sl_ta, _, sl_c = _solution_slices(d)
+    g_t = (
+        unvec(g[sl_t], n_x, n_x)
+        + blackbox.A.T @ unvec(g[sl_ta], n_x, n_x)
+        + blackbox.C.T @ unvec(g[sl_c], d.n_y, n_x)
+    )
+    return vec(g_t)
 
 
 def solve_nullspace(
@@ -398,43 +336,38 @@ def solve_nullspace(
 ) -> Solution:
     """Recover parameters and transform through the null-space formulation.
 
-    Parameterizes the admissible solution set, minimizes the structure
-    distance over its free coordinates with BFGS (one start at the origin
-    plus ``config.restarts`` seeded Gaussian starts, best objective wins),
-    and extracts the parameter vector and transform at the optimum.
+    Minimizes the structure distance over the transform T of the closed-form
+    null-space point with BFGS (one start at T = I plus ``config.restarts``
+    seeded Gaussian starts, best objective wins), and extracts the parameter
+    vector and transform at the optimum.
 
-    Non-convergence is reported through ``result.status``; structural
-    failures (no null space, no admissible base point, every start inside the
-    excluded region) raise.
+    Non-convergence is reported through ``result.status``; a search whose
+    every start lies inside the excluded region raises.
 
     Args:
         blackbox: the fully parameterized realization to re-structure.
         structure: affine gray-box parameterization with matching dimensions.
         config: optimizer settings; defaults to :class:`OptimConfig`.
-        seed: overrides ``config.seed`` for the base point and restart draws.
+        seed: overrides ``config.seed`` for the restart draws.
     """
     cfg = config if config is not None else OptimConfig()
     if seed is None:
         seed = cfg.seed
     check_dims(blackbox, structure)
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    space = solution_space(blackbox, seed=rng)
+    dims = blackbox.dims
+    n_x = dims.n_x
     proj = structure_projector(structure)
-    free_map = space.free_map()
 
-    def fun(alpha: np.ndarray) -> float:
-        return reduced_distance(alpha, space, proj)
+    def fun(t_vec: np.ndarray) -> float:
+        return reduced_distance(t_vec, blackbox, proj)
 
-    def jac(alpha: np.ndarray) -> np.ndarray:
-        return free_map.T @ structure_distance_grad(space.point(alpha), proj, space.dims)
+    def jac(t_vec: np.ndarray) -> np.ndarray:
+        return reduced_distance_grad(t_vec, blackbox, proj)
 
-    # Restart draws are scaled to the base point's coefficient norm: the
-    # solution slice sits O(|base|) away from the origin in free coordinates,
-    # so unit draws would all explore the same basin.
-    spread = 1.0 + float(np.linalg.norm(space.base_coeffs))
-    starts = [np.zeros(space.n_free)]
-    starts += [spread * rng.standard_normal(space.n_free) for _ in range(cfg.restarts)]
+    rng = np.random.default_rng(seed)
+    starts = [vec(np.eye(n_x))]
+    starts += [vec(rng.standard_normal((n_x, n_x))) for _ in range(cfg.restarts)]
 
     completed = []
     for x0 in starts:
@@ -448,8 +381,7 @@ def solve_nullspace(
         )
     best = min(completed, key=lambda r: r.f_best)
 
-    v_hat = space.point(best.x_best)
-    real = extract_realization(v_hat, space.dims)
+    real = extract_realization(nullspace_point(blackbox, unvec(best.x_best, n_x, n_x)), dims)
     stacked = np.concatenate([vec(real.A), vec(real.B), vec(real.C)])
     theta = extract_theta(stacked, proj)
     res = residuals(blackbox, real.T, eval_structure(structure, theta))
@@ -457,7 +389,7 @@ def solve_nullspace(
         "objective_final": best.f_best,
         "grad_norm": best.grad_norm,
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
-        "nullspace_dim": space.n_basis,
+        "nullspace_dim": n_x**2 + 1,
         "cond_T": 1.0 / rcond(real.T),
         "starts": len(starts),
         "infeasible_starts": len(starts) - len(completed),

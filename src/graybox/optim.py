@@ -9,6 +9,7 @@ so accepted iterates never leave the feasible region.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,12 +66,16 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("max_iters", "max_line_search", "restarts", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
             raise ValueError(
                 f"need 0 < wolfe_c1 < wolfe_c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
             )
-        if self.grad_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1 or self.max_line_search < 1:
             raise ValueError("iteration limits must be at least 1")
         if self.restarts < 0:

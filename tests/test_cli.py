@@ -159,6 +159,27 @@ def test_solve_invalid_json_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("options", [
+    {"max_line_search": 2.5},
+    {"restarts": 1.5},
+    {"seed": 1.5},
+    {"max_iters": True},
+    {"grad_tol": float("nan")},
+    {"f_tol": float("inf")},
+    {"max_iters": float("inf")},
+])
+def test_solve_bad_config_exits_2(tmp_path, capsys, options):
+    bb, _ = generate(tmp_path, seed=4)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(options))  # NaN and Infinity are Python-JSON extensions
+    report_path = tmp_path / "report.json"
+    code = run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--config", config, "--out", report_path)
+    assert code == 2
+    assert "config file" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_solve_non_convergence_exits_3(tmp_path):
     bb, _ = generate(tmp_path, seed=4)
     config = tmp_path / "config.json"
@@ -232,10 +253,12 @@ def test_check_grad_lsq_t(tmp_path):
     assert code == 0
 
 
-def test_check_grad_hbar_scalar(tmp_path):
-    bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=9)
+@pytest.mark.parametrize("structure", ["scalar", "mass-spring", "compartment3"])
+def test_check_grad_hbar(tmp_path, structure):
+    theta = ",".join(str(x) for x in bundled_structure(structure)[1])
+    bb, _ = generate(tmp_path, structure=structure, theta=theta, seed=9)
     code = run("check-grad", "--which", "hbar", "--blackbox", bb,
-               "--structure", "scalar", "--points", 20)
+               "--structure", structure, "--points", 20)
     assert code == 0
 
 

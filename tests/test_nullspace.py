@@ -15,20 +15,17 @@ from graybox.model import (
     vec,
 )
 from graybox.nullspace import (
-    BasePointError,
     EmptyNullspaceError,
     SingularTransformError,
-    base_point_coeffs,
     build_constraint_matrix,
     extract_realization,
     extract_theta,
-    last_row_nullspace,
     nullspace_basis,
+    nullspace_point,
     realization_jacobians,
     realization_vector,
     reduced_distance,
     reduced_distance_grad,
-    solution_space,
     solve_nullspace,
     structure_distance,
     structure_distance_grad,
@@ -109,63 +106,45 @@ def test_nullspace_basis_empty_raises():
 
 
 # ---------------------------------------------------------------------------
-# base point and free directions
+# closed-form null space against the SVD oracle
 # ---------------------------------------------------------------------------
 
-def test_base_point_unit_last_component():
-    basis = nullspace_basis(build_constraint_matrix(SCALAR_BLACKBOX))
-    coeffs = base_point_coeffs(basis, seed=0)
-    assert abs((basis @ coeffs)[-1] - 1.0) <= 1e-12
-    assert np.array_equal(coeffs, base_point_coeffs(basis, seed=0))
+def closed_form_map(blackbox: StateSpace) -> np.ndarray:
+    """Dense linear map (vec(T), s) -> [vec(T); vec(A_bb T); s vec(B_bb); vec(C_bb T); s]."""
+    d = blackbox.dims
+    nx2 = d.n_x**2
+    off_c = 2 * nx2 + d.n_x * d.n_u
+    eye_x = np.eye(d.n_x)
+    n = np.zeros((d.n_unknowns, nx2 + 1))
+    n[:nx2, :nx2] = np.eye(nx2)
+    n[nx2:2 * nx2, :nx2] = np.kron(eye_x, blackbox.A)
+    n[2 * nx2:off_c, -1] = vec(blackbox.B)
+    n[off_c:-1, :nx2] = np.kron(eye_x, blackbox.C)
+    n[-1, -1] = 1.0
+    return n
 
 
-def test_base_point_redraws_until_above_threshold():
-    # seed 0 on the identity basis: the first draw has |last| = 0.13, so a
-    # min_last of 1.0 forces the redraw loop before a later draw clears it
-    coeffs = base_point_coeffs(np.eye(2), seed=0, min_last=1.0)
-    assert abs(coeffs[-1] - 1.0) <= 1e-12
-    first_draw = np.random.default_rng(0).standard_normal(2)
-    assert abs(first_draw[1]) < 1.0
-    assert not np.allclose(coeffs, first_draw / first_draw[1])
-
-
-def test_base_point_zero_last_row_fails():
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(BasePointError, match="normalization failed"):
-        base_point_coeffs(basis, seed=1)
-
-
-def test_last_row_nullspace_axis_aligned():
-    dirs = last_row_nullspace(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert dirs.shape == (2, 1)
-    assert np.allclose(np.abs(dirs[:, 0]), [1.0, 0.0])
-
-
-def test_last_row_nullspace_properties():
-    rng = np.random.default_rng(24)
-    basis = rng.standard_normal((9, 5))
-    dirs = last_row_nullspace(basis)
-    assert dirs.shape == (5, 4)
-    assert np.allclose(dirs.T @ dirs, np.eye(4), atol=1e-12)
-    assert np.linalg.norm(basis[-1] @ dirs) <= 1e-12 * (1.0 + np.linalg.norm(basis))
-
-
-def test_last_row_nullspace_single_column():
-    assert last_row_nullspace(np.ones((4, 1))).shape == (1, 0)
-
-
-def test_solution_space_points():
+def test_nullspace_point_is_the_closed_form_map_at_unit_s():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=3, cond_max=10.0)
-    space = solution_space(instance.blackbox, seed=0)
-    m = build_constraint_matrix(instance.blackbox)
-    assert np.allclose(space.point(np.zeros(space.n_free)),
-                       space.basis @ space.base_coeffs)
+    t = np.random.default_rng(25).standard_normal((2, 2))
+    expected = closed_form_map(instance.blackbox) @ np.append(vec(t), 1.0)
+    assert np.allclose(nullspace_point(instance.blackbox, t), expected, atol=1e-12)
+    assert np.allclose(nullspace_point(instance.blackbox, instance.T), stacked_solution(instance))
+
+
+def test_closed_form_spans_svd_nullspace():
     rng = np.random.default_rng(25)
-    for _ in range(100):
-        v = space.point(rng.standard_normal(space.n_free))
-        assert abs(v[-1] - 1.0) <= 1e-12 * (1.0 + np.linalg.norm(v))
-        assert np.linalg.norm(m @ v) <= 1e-10 * (1.0 + np.linalg.norm(v))
+    for dims in dims_grid():
+        structure = random_structure(dims, rng)
+        instance = generate_instance(structure, rng.standard_normal(structure.n_theta),
+                                     seed=int(rng.integers(1 << 16)))
+        m = build_constraint_matrix(instance.blackbox)
+        n = closed_form_map(instance.blackbox)
+        assert np.linalg.norm(m @ n) <= 1e-12 * (1.0 + np.linalg.norm(m)) * (1.0 + np.linalg.norm(n))
+        q, _ = np.linalg.qr(n)
+        basis = nullspace_basis(m)
+        assert np.max(np.abs(q @ q.T - basis @ basis.T)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +179,12 @@ def test_extract_realization_singular_raises():
 def test_extracted_realization_satisfies_similarity():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=4, cond_max=10.0)
-    space = solution_space(instance.blackbox, seed=0)
     rng = np.random.default_rng(26)
     scale = 1.0 + np.linalg.norm(instance.blackbox.A)
     for _ in range(20):
-        v = space.point(rng.standard_normal(space.n_free))
+        v = nullspace_point(instance.blackbox, rng.standard_normal((2, 2)))
         try:
-            r = extract_realization(v, space.dims)
+            r = extract_realization(v, structure.dims)
         except SingularTransformError:
             continue
         structured = StateSpace(A=r.A, B=r.B, C=r.C)
@@ -398,17 +376,33 @@ def test_distance_grad_scales_with_offset():
     assert np.allclose(g2, 2.0 * g1, atol=1e-9 * (1.0 + np.linalg.norm(g1)))
 
 
+def test_distance_grad_equals_jacobian_oracle():
+    # the matrix-form gradient against -2 [J_A; J_B; J_C]^T P^T P (kappa0 - s)
+    # built from the paper's dense Kronecker-product Jacobians
+    rng = np.random.default_rng(40)
+    for dims in dims_grid():
+        structure = random_structure(dims, rng)
+        proj = structure_projector(structure)
+        for _ in range(5):
+            v = _well_conditioned_stacked(dims, rng)
+            jac = np.vstack(realization_jacobians(v, dims))
+            p = proj.residual_op
+            oracle = -2.0 * jac.T @ (p.T @ (p @ (proj.offset - realization_vector(v, dims))))
+            g = structure_distance_grad(v, proj, dims)
+            assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
 def test_reduced_grad_is_chain_rule():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=6, cond_max=10.0)
-    space = solution_space(instance.blackbox, seed=0)
     proj = structure_projector(structure)
+    dv_dt = closed_form_map(instance.blackbox)[:, :-1]
     rng = np.random.default_rng(37)
     for _ in range(10):
-        alpha = rng.standard_normal(space.n_free)
-        direct = reduced_distance_grad(alpha, space, proj)
-        chained = space.free_dirs.T @ (
-            space.basis.T @ structure_distance_grad(space.point(alpha), proj, space.dims)
+        t = rng.standard_normal((2, 2))
+        direct = reduced_distance_grad(vec(t), instance.blackbox, proj)
+        chained = dv_dt.T @ structure_distance_grad(
+            nullspace_point(instance.blackbox, t), proj, structure.dims
         )
         assert np.allclose(direct, chained, atol=1e-12 * (1.0 + np.linalg.norm(direct)))
 
@@ -416,48 +410,39 @@ def test_reduced_grad_is_chain_rule():
 def test_reduced_grad_matches_finite_differences():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=10.0)
-    space = solution_space(instance.blackbox, seed=0)
     proj = structure_projector(structure)
+    fun = lambda tv: reduced_distance(tv, instance.blackbox, proj)
     rng = np.random.default_rng(38)
     checked = 0
     while checked < 10:
-        alpha = rng.standard_normal(space.n_free)
-        if not np.isfinite(reduced_distance(alpha, space, proj)):
+        t_vec = rng.standard_normal(4)
+        if not np.isfinite(fun(t_vec)):
             continue
-        analytic = reduced_distance_grad(alpha, space, proj)
-        approx = fd_gradient(lambda a: reduced_distance(a, space, proj), alpha)
+        analytic = reduced_distance_grad(t_vec, instance.blackbox, proj)
+        approx = fd_gradient(fun, t_vec)
         assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
         checked += 1
 
 
 def test_reduced_grad_zero_at_recovering_alpha():
+    # the recovering point of the T coordinates is the hidden transform
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=8, cond_max=10.0)
-    space = solution_space(instance.blackbox, seed=0)
     proj = structure_projector(structure)
-    truth_vector = stacked_solution(instance)
-    alpha_star = space.free_dirs.T @ (space.basis.T @ truth_vector - space.base_coeffs)
-    assert reduced_distance(alpha_star, space, proj) <= 1e-16
-    assert np.linalg.norm(reduced_distance_grad(alpha_star, space, proj)) <= 1e-8
+    t_star = vec(instance.T)
+    assert reduced_distance(t_star, instance.blackbox, proj) <= 1e-16
+    assert np.linalg.norm(reduced_distance_grad(t_star, instance.blackbox, proj)) <= 1e-8
 
 
 def test_reduced_distance_infinite_when_singular():
-    # synthetic one-direction space whose transform block is diag(1, 1-a):
-    # rank-deficient exactly at a = 1
+    # transform diag(1, 1-a): rank-deficient exactly at a = 1
     dims = Dims(2, 1, 1)
     rng = np.random.default_rng(39)
-    v0 = np.concatenate([vec(np.eye(2)), rng.standard_normal(8), [1.0]])
-    v1 = np.zeros(dims.n_unknowns)
-    v1[3] = -1.0  # lowers the (2, 2) entry of the transform block
-    space = ns.SolutionSpace(
-        basis=np.column_stack([v0, v1]),
-        base_coeffs=np.array([1.0, 0.0]),
-        free_dirs=np.array([[0.0], [1.0]]),
-        dims=dims,
-    )
+    blackbox = StateSpace(A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 1)),
+                          C=rng.standard_normal((1, 2)))
     proj = structure_projector(random_structure(dims, rng, n_theta=2))
-    assert np.isfinite(reduced_distance(np.array([0.5]), space, proj))
-    assert reduced_distance(np.array([1.0]), space, proj) == np.inf
+    assert np.isfinite(reduced_distance(vec(np.diag([1.0, 0.5])), blackbox, proj))
+    assert reduced_distance(vec(np.diag([1.0, 0.0])), blackbox, proj) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +461,22 @@ def test_solve_scalar_instance():
 
 
 def test_solve_mass_spring_instance():
+    structure, theta = mass_spring_damper()
+    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    sol = solve_nullspace(instance.blackbox, structure, seed=0)
+    assert sol.result.converged
+    assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
+    res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
+    assert max(res) <= 1e-8
+
+
+def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
+    def oracle_only(*args, **kwargs):
+        raise AssertionError("the solve path must not build the SVD null space")
+
+    monkeypatch.setattr(ns, "build_constraint_matrix", oracle_only)
+    monkeypatch.setattr(ns, "nullspace_basis", oracle_only)
+    monkeypatch.setattr(np, "kron", oracle_only)
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure, seed=0)

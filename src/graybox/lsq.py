@@ -1,10 +1,11 @@
 """Least-squares solution of the similarity re-parameterization problem.
 
 Minimizes the summed squared Frobenius residuals of the similarity equations
-jointly over the parameter vector and the transform, with analytic gradients
-for both blocks.  Unlike the null-space path nothing here requires the
-transform to be invertible, so a vanishing transform is a genuine (spurious)
-attractor; the solver only reports that degeneracy, it does not prevent it.
+jointly over the parameter vector and the transform.  :func:`cost` returns
+the value and the analytic gradients of both blocks from one set of residual
+matrices.  Unlike the null-space path nothing here requires the transform to
+be invertible, so a vanishing transform is a genuine (spurious) attractor;
+the solver only reports that degeneracy, it does not prevent it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .optim import OptimConfig, bfgs
 
 __all__ = [
     "cost",
-    "grad_theta",
-    "grad_t",
     "default_init",
     "solve_lsq",
 ]
@@ -34,34 +33,34 @@ def _residual_matrices(theta, t, blackbox, structure):
 
 def cost(
     theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
-) -> float:
-    """Sum of squared Frobenius norms of the three similarity residuals.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Sum of squared Frobenius norms of the three similarity residuals, and its gradients.
 
-    Zero exactly when ``(theta, t)`` solves the similarity equations; the
-    transform need not be invertible for evaluation.
+    Returns ``(f, g_theta, g_T)``, with ``g_T`` an n_x by n_x matrix; all
+    three come from one set of residual matrices.  ``f`` is zero exactly
+    when ``(theta, t)`` solves the similarity equations; the transform need
+    not be invertible for evaluation.
     """
-    _, _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
-    return float(np.sum(r_a * r_a) + np.sum(r_b * r_b) + np.sum(r_c * r_c))
+    res = _residual_matrices(theta, t, blackbox, structure)
+    _, _, r_a, r_b, r_c = res
+    f = float(np.sum(r_a * r_a) + np.sum(r_b * r_b) + np.sum(r_c * r_c))
+    return f, grad_theta(t, res, structure), grad_t(res, blackbox)
 
 
-def grad_theta(
-    theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
-) -> np.ndarray:
-    """Gradient of :func:`cost` in the parameter vector.
+def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndarray:
+    """Gradient of :func:`cost` in the parameter vector, from its residual matrices.
 
     The residuals are pulled back through the transform onto the stacked
     (A, B, C) entries and then contracted with the transposed parameter map.
     """
-    _, _, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
+    _, _, r_a, r_b, r_c = res
     pullback = np.concatenate([vec(t.T @ r_a), vec(t.T @ r_b), vec(r_c)])
     return -2.0 * (structure.K.T @ pullback)
 
 
-def grad_t(
-    theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
-) -> np.ndarray:
-    """Gradient of :func:`cost` in the transform, as an n_x by n_x matrix."""
-    a, b, r_a, r_b, r_c = _residual_matrices(theta, t, blackbox, structure)
+def grad_t(res: tuple, blackbox: StateSpace) -> np.ndarray:
+    """Gradient of :func:`cost` in the transform, from its residual matrices."""
+    a, b, r_a, r_b, r_c = res
     return 2.0 * (blackbox.A.T @ r_a - r_a @ a.T - r_b @ b.T + blackbox.C.T @ r_c)
 
 
@@ -100,18 +99,11 @@ def solve_lsq(
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return z[:n_theta], unvec(z[n_theta:], n_x, n_x)
 
-    def fun(z: np.ndarray) -> float:
-        theta, t = split(z)
-        return cost(theta, t, blackbox, structure)
+    def fg(z: np.ndarray) -> tuple[float, np.ndarray]:
+        f, g_theta, g_t = cost(*split(z), blackbox, structure)
+        return f, np.concatenate([g_theta, vec(g_t)])
 
-    def jac(z: np.ndarray) -> np.ndarray:
-        theta, t = split(z)
-        return np.concatenate([
-            grad_theta(theta, t, blackbox, structure),
-            vec(grad_t(theta, t, blackbox, structure)),
-        ])
-
-    result = bfgs(fun, jac, np.concatenate([np.ravel(theta0), vec(t0)]), cfg)
+    result = bfgs(fg, np.concatenate([np.ravel(theta0), vec(t0)]), cfg)
     theta_hat, t_hat = split(result.x_best)
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL

@@ -14,13 +14,15 @@ matrix carries its own identity block, so the null space has the closed form
 and its admissible slice s = 1 is parameterized by vec(T) alone
 (:func:`nullspace_point`).  The search minimizes, over T, the distance of the
 extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the admissible
-structured set with BFGS, using a matrix-form gradient.  The constraint
-matrix, its SVD null-space basis and the dense extraction Jacobians of the
-paper are kept as test oracles; the solve path uses none of them.
+structured set with BFGS.  :func:`reduced_distance` returns that distance
+and its matrix-form gradient from one extraction.  The constraint matrix,
+its SVD null-space basis and the dense extraction Jacobians of the paper are
+kept as test oracles; the solve path uses none of them.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,9 +59,7 @@ __all__ = [
     "structure_distance",
     "extract_theta",
     "realization_jacobians",
-    "structure_distance_grad",
     "reduced_distance",
-    "reduced_distance_grad",
     "solve_nullspace",
 ]
 
@@ -241,7 +241,7 @@ def realization_jacobians(
     only the T block and the matching raw block carry nonzero columns; the C
     block passes through unchanged.  These dense Kronecker-product Jacobians
     are the paper's form of the derivative and serve as the oracle for
-    :func:`structure_distance_grad`.
+    the gradient of :func:`reduced_distance`.
 
     Raises:
         SingularTransformError: propagated from :func:`extract_realization`.
@@ -266,73 +266,53 @@ def realization_jacobians(
 
 
 def structure_distance_grad(
-    v: np.ndarray, proj: StructureProjector, dims: Dims
+    real: Realization, w: np.ndarray, blackbox: StateSpace
 ) -> np.ndarray:
-    """Gradient of :func:`structure_distance` composed with realization extraction.
+    """Gradient in vec(T) of the structure distance at the null-space point of T.
 
-    Matrix form of the chain rule through A = T^-1 (TA) and B = T^-1 (TB),
-    O(n_x^3) per call: with W = -2 P^T P (kappa0 - s) split into W_A, W_B and
-    W_C, the T block is -T^-T (W_A A^T + W_B B^T), the TA and TB blocks are
-    T^-T W_A and T^-T W_B, and the C block is W_C.
-
-    Raises:
-        SingularTransformError: propagated from :func:`extract_realization`.
+    ``real`` is the extraction at that point and ``w`` = -2 P^T P (kappa0 - s)
+    the residual pulled back onto the stacked entries s, split into W_A, W_B
+    and W_C.  Matrix form of the chain rule through A = T^-1 A_bb T and
+    B = T^-1 B_bb, O(n_x^3): with X = T^-T [W_A, W_B] the gradient is
+    -(X_A A^T + X_B B^T) + A_bb^T X_A + C_bb^T W_C.
     """
-    r = extract_realization(v, dims)
-    stacked = np.concatenate([vec(r.A), vec(r.B), vec(r.C)])
-    w = -2.0 * (proj.residual_op.T @ (proj.residual_op @ (proj.offset - stacked)))
-    n_x = dims.n_x
-    _, sl_b, sl_c = block_slices(dims)
-    # vec(W_A) and vec(W_B) are adjacent, so together they are vec([W_A, W_B]),
-    # and likewise the TA and TB blocks of the result are vec(T^-T [W_A, W_B])
-    x = np.linalg.solve(r.T.T, unvec(w[: sl_b.stop], n_x, n_x + dims.n_u))
-    g_t = -(x[:, :n_x] @ r.A.T + x[:, n_x:] @ r.B.T)
-    return np.concatenate([vec(g_t), vec(x), w[sl_c], [0.0]])
+    d = blackbox.dims
+    n_x = d.n_x
+    _, sl_b, sl_c = block_slices(d)
+    # vec(W_A) and vec(W_B) are adjacent, so together they are vec([W_A, W_B])
+    x = np.linalg.solve(real.T.T, unvec(w[: sl_b.stop], n_x, n_x + d.n_u))
+    x_a = x[:, :n_x]
+    return vec(
+        -(x_a @ real.A.T + x[:, n_x:] @ real.B.T)
+        + blackbox.A.T @ x_a
+        + blackbox.C.T @ unvec(w[sl_c], d.n_y, n_x)
+    )
 
 
 def reduced_distance(
     t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
-) -> float:
-    """Structure distance at the null-space point of the transform ``unvec(t_vec)``.
+) -> tuple[float, np.ndarray | None]:
+    """Structure distance at the null-space point of ``unvec(t_vec)``, and its gradient.
 
-    Returns ``+inf`` where ``rcond(T) < SINGULAR_RTOL``, so optimizers reject
-    steps into the excluded region.
-    """
-    n_x = blackbox.dims.n_x
-    v = nullspace_point(blackbox, unvec(t_vec, n_x, n_x))
-    try:
-        stacked = realization_vector(v, blackbox.dims)
-    except SingularTransformError:
-        return float("inf")
-    return structure_distance(stacked, proj)
-
-
-def reduced_distance_grad(
-    t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
-) -> np.ndarray:
-    """Gradient of :func:`reduced_distance`: the stacked gradient pulled back
-    through :func:`nullspace_point` as g_T + A_bb^T g_TA + C_bb^T g_C.
-
-    Raises:
-        SingularTransformError: propagated from :func:`extract_realization`.
+    One extraction serves the value and the gradient.  Returns ``(+inf,
+    None)`` where ``rcond(T) < SINGULAR_RTOL``, so optimizers reject steps
+    into the excluded region.
     """
     d = blackbox.dims
-    n_x = d.n_x
-    g = structure_distance_grad(nullspace_point(blackbox, unvec(t_vec, n_x, n_x)), proj, d)
-    sl_t, sl_ta, _, sl_c = _solution_slices(d)
-    g_t = (
-        unvec(g[sl_t], n_x, n_x)
-        + blackbox.A.T @ unvec(g[sl_ta], n_x, n_x)
-        + blackbox.C.T @ unvec(g[sl_c], d.n_y, n_x)
-    )
-    return vec(g_t)
+    try:
+        real = extract_realization(nullspace_point(blackbox, unvec(t_vec, d.n_x, d.n_x)), d)
+    except SingularTransformError:
+        return math.inf, None
+    stacked = np.concatenate([vec(real.A), vec(real.B), vec(real.C)])
+    r = proj.residual_op @ (proj.offset - stacked)
+    w = -2.0 * (proj.residual_op.T @ r)
+    return float(r @ r), structure_distance_grad(real, w, blackbox)
 
 
 def solve_nullspace(
     blackbox: StateSpace,
     structure: AffineStructure,
     config: OptimConfig | None = None,
-    seed: int | None = None,
 ) -> Solution:
     """Recover parameters and transform through the null-space formulation.
 
@@ -347,32 +327,27 @@ def solve_nullspace(
     Args:
         blackbox: the fully parameterized realization to re-structure.
         structure: affine gray-box parameterization with matching dimensions.
-        config: optimizer settings; defaults to :class:`OptimConfig`.
-        seed: overrides ``config.seed`` for the restart draws.
+        config: optimizer settings; defaults to :class:`OptimConfig`;
+            ``config.seed`` seeds the restart draws.
     """
     cfg = config if config is not None else OptimConfig()
-    if seed is None:
-        seed = cfg.seed
     check_dims(blackbox, structure)
     started = time.perf_counter()
     dims = blackbox.dims
     n_x = dims.n_x
     proj = structure_projector(structure)
 
-    def fun(t_vec: np.ndarray) -> float:
+    def fg(t_vec: np.ndarray) -> tuple[float, np.ndarray | None]:
         return reduced_distance(t_vec, blackbox, proj)
 
-    def jac(t_vec: np.ndarray) -> np.ndarray:
-        return reduced_distance_grad(t_vec, blackbox, proj)
-
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     starts = [vec(np.eye(n_x))]
     starts += [vec(rng.standard_normal((n_x, n_x))) for _ in range(cfg.restarts)]
 
     completed = []
     for x0 in starts:
         try:
-            completed.append(bfgs(fun, jac, x0, cfg))
+            completed.append(bfgs(fg, x0, cfg))
         except InfeasibleStartError:
             pass
     if not completed:

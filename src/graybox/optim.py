@@ -1,9 +1,14 @@
 """Self-contained BFGS minimizer with a strong-Wolfe line search.
 
+The minimizer and the line search take one callable ``fg(x) -> (f, g)`` that
+returns the objective and its gradient together, so every point is evaluated
+once.  Objectives may return ``(+inf, None)`` to mark a point infeasible; the
+line search treats that as a failed sufficient-decrease test, so accepted
+iterates never leave the feasible region.
+
 Also hosts the finite-difference oracles used throughout the test suite to
-validate analytic gradients.  Objectives may return ``+inf`` to mark a point
-infeasible; the line search treats that as a failed sufficient-decrease test,
-so accepted iterates never leave the feasible region.
+validate analytic gradients; those take the objective and the gradient as
+separate callables.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ __all__ = [
 
 Objective = Callable[[np.ndarray], float]
 Gradient = Callable[[np.ndarray], np.ndarray]
+# value and gradient at one point; the gradient may be None where f is not finite
+ValueAndGradient = Callable[[np.ndarray], tuple[float, np.ndarray | None]]
 
 
 class LineSearchError(RuntimeError):
@@ -110,15 +117,9 @@ class OptimResult:
     def converged(self) -> bool:
         return self.status in ("converged-grad", "converged-ftol")
 
-    def trace_csv(self) -> str:
-        lines = ["iter,f,grad_norm"]
-        lines += [f"{k},{f:.17g},{g:.17g}" for k, f, g in self.trace]
-        return "\n".join(lines) + "\n"
-
 
 def line_search_wolfe(
-    f: Objective,
-    grad: Gradient,
+    fg: ValueAndGradient,
     x: np.ndarray,
     d: np.ndarray,
     config: OptimConfig | None = None,
@@ -127,11 +128,11 @@ def line_search_wolfe(
 ) -> tuple[float, float, np.ndarray]:
     """Step length along ``d`` satisfying the strong Wolfe conditions.
 
-    Returns ``(step, f(x + step*d), grad(x + step*d))``; the search has
-    evaluated both at the accepted step, so callers need not repeat them.
-    ``d`` must be a descent direction.  A non-finite objective value at a
-    trial point counts as a sufficient-decrease failure, which shrinks the
-    step, so the returned step always has a finite objective.
+    Returns ``(step, f, g)`` at ``x + step*d``.  Each trial point costs one
+    ``fg`` call; ``f0`` and ``g0`` are the values at ``x`` when the caller
+    has them.  ``d`` must be a descent direction.  A non-finite objective
+    value at a trial point counts as a sufficient-decrease failure, which
+    shrinks the step, so the returned step always has a finite objective.
 
     Raises:
         ValueError: if ``d`` is not a descent direction.
@@ -140,49 +141,49 @@ def line_search_wolfe(
     cfg = config if config is not None else OptimConfig()
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    phi0 = float(f(x)) if f0 is None else float(f0)
-    g_start = np.asarray(grad(x) if g0 is None else g0, dtype=float)
-    dphi0 = float(g_start @ d)
+    if f0 is None or g0 is None:
+        f0, g0 = fg(x)
+    phi0 = float(f0)
+    dphi0 = float(np.asarray(g0, dtype=float) @ d)
     if dphi0 >= 0.0:
         raise ValueError(f"not a descent direction (directional derivative {dphi0:g})")
     c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
 
-    def phi(a: float) -> float:
-        return float(f(x + a * d))
-
-    def dphi(a: float) -> tuple[float, np.ndarray]:
-        g_a = np.asarray(grad(x + a * d), dtype=float)
-        return float(g_a @ d), g_a
+    def phi(a: float) -> tuple[float, float, np.ndarray | None]:
+        f_a, g_a = fg(x + a * d)
+        f_a = float(f_a)
+        if not math.isfinite(f_a):
+            return f_a, math.nan, None
+        g_a = np.asarray(g_a, dtype=float)
+        return f_a, float(g_a @ d), g_a
 
     a_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     a = 1.0
     for trial in range(cfg.max_line_search):
-        phi_a = phi(a)
+        phi_a, dphi_a, g_a = phi(a)
         armijo_fail = not math.isfinite(phi_a) or phi_a > phi0 + c1 * a * dphi0
         if armijo_fail or (trial > 0 and phi_a >= phi_prev):
-            return _zoom(phi, dphi, a_prev, a, phi_prev, dphi_prev, phi_a,
+            return _zoom(phi, a_prev, a, phi_prev, dphi_prev, phi_a,
                          phi0, dphi0, c1, c2, cfg.max_line_search)
-        dphi_a, g_a = dphi(a)
         if abs(dphi_a) <= -c2 * dphi0:
             return a, phi_a, g_a
         if dphi_a >= 0.0:
-            return _zoom(phi, dphi, a, a_prev, phi_a, dphi_a, phi_prev,
+            return _zoom(phi, a, a_prev, phi_a, dphi_a, phi_prev,
                          phi0, dphi0, c1, c2, cfg.max_line_search)
         a_prev, phi_prev, dphi_prev = a, phi_a, dphi_a
         a *= 2.0
     raise LineSearchError(f"no bracket after {cfg.max_line_search} expansion trials")
 
 
-def _zoom(phi, dphi, a_lo, a_hi, phi_lo, dphi_lo, phi_hi,
+def _zoom(phi, a_lo, a_hi, phi_lo, dphi_lo, phi_hi,
           phi0, dphi0, c1, c2, max_iter) -> tuple[float, float, np.ndarray]:
     """Refine a bracketing interval until strong Wolfe holds at the low end."""
     for _ in range(max_iter):
         a = _interpolate(a_lo, a_hi, phi_lo, dphi_lo, phi_hi)
-        phi_a = phi(a)
+        phi_a, dphi_a, g_a = phi(a)
         if not math.isfinite(phi_a) or phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
             a_hi, phi_hi = a, phi_a
         else:
-            dphi_a, g_a = dphi(a)
             if abs(dphi_a) <= -c2 * dphi0:
                 return a, phi_a, g_a
             if dphi_a * (a_hi - a_lo) >= 0.0:
@@ -207,27 +208,27 @@ def _interpolate(a_lo, a_hi, phi_lo, dphi_lo, phi_hi) -> float:
 
 
 def bfgs(
-    f: Objective,
-    grad: Gradient,
+    fg: ValueAndGradient,
     x0: np.ndarray,
     config: OptimConfig | None = None,
 ) -> OptimResult:
-    """Minimize ``f`` by BFGS with an inverse-Hessian approximation.
+    """Minimize the objective of ``fg`` by BFGS with an inverse-Hessian approximation.
 
     The approximation starts at the identity and the curvature update is
     skipped whenever s'y <= 1e-10 ||s|| ||y||, which keeps it positive
     definite.  A failed line search ends the run with the best point found.
 
     Raises:
-        InfeasibleStartError: if ``f(x0)`` is not finite.
+        InfeasibleStartError: if the objective is not finite at ``x0``.
     """
     cfg = config if config is not None else OptimConfig()
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     n = x.size
-    fx = float(f(x))
+    fx, g = fg(x)
+    fx = float(fx)
     if not math.isfinite(fx):
         raise InfeasibleStartError("objective is not finite at the starting point")
-    g = np.asarray(grad(x), dtype=float).reshape(-1)
+    g = np.asarray(g, dtype=float).reshape(-1)
     g_inf = float(np.max(np.abs(g))) if n else 0.0
 
     identity = np.eye(n)
@@ -248,7 +249,7 @@ def bfgs(
             h = identity.copy()
             d = -g
         try:
-            step, f_new, g_new = line_search_wolfe(f, grad, x, d, cfg, f0=fx, g0=g)
+            step, f_new, g_new = line_search_wolfe(fg, x, d, cfg, f0=fx, g0=g)
         except LineSearchError:
             status = "line-search-failed"
             break

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from graybox.cli import main as cli_main
-from graybox.lsq import cost, grad_t, grad_theta, solve_lsq
+from graybox.lsq import cost, solve_lsq
 from graybox.model import (
     Dims,
     StateSpace,
@@ -28,7 +28,6 @@ from graybox.nullspace import (
     realization_jacobians,
     realization_vector,
     reduced_distance,
-    reduced_distance_grad,
     solve_nullspace,
     structure_distance,
     structure_projector,
@@ -93,19 +92,18 @@ def test_criterion_1_gradient_correctness():
                 blackbox = instance.blackbox
                 proj = structure_projector(structure)
                 anchor = vec(instance.T)
-                fun = lambda d: reduced_distance(anchor + d, blackbox, proj)
-                grad = lambda d: reduced_distance_grad(anchor + d, blackbox, proj)
+                fun = lambda d: reduced_distance(anchor + d, blackbox, proj)[0]
                 checked = 0
                 while checked < 25:
                     delta = 0.3 * rng.standard_normal(n_x**2)
-                    value = fun(delta)
+                    value, grad = reduced_distance(anchor + delta, blackbox, proj)
                     if not np.isfinite(value) or value > 1e3:
                         continue
                     sv = np.linalg.svd(unvec(anchor + delta, n_x, n_x), compute_uv=False)
                     if sv[-1] < 1e-2 * max(1.0, sv[0]):
                         continue
                     worst["reduced"] = max(worst["reduced"], float(np.max(
-                        relative_errors(grad(delta), fd_gradient(fun, delta)))))
+                        relative_errors(grad, fd_gradient(fun, delta)))))
                     checked += 1
 
             # least-squares gradients: 100 points each around the truth pair
@@ -116,13 +114,14 @@ def test_criterion_1_gradient_correctness():
             for _ in range(100):
                 theta = theta_true + 0.1 * rng.standard_normal(structure.n_theta)
                 t = instance.T + 0.1 * rng.standard_normal((n_x, n_x))
-                approx = fd_gradient(lambda th: cost(th, t, blackbox, structure), theta)
+                _, g_theta, g_t = cost(theta, t, blackbox, structure)
+                approx = fd_gradient(lambda th: cost(th, t, blackbox, structure)[0], theta)
                 worst["lsq_theta"] = max(worst["lsq_theta"], float(np.max(
-                    relative_errors(grad_theta(theta, t, blackbox, structure), approx))))
+                    relative_errors(g_theta, approx))))
                 approx_t = fd_gradient(
-                    lambda tv: cost(theta, unvec(tv, n_x, n_x), blackbox, structure), vec(t))
+                    lambda tv: cost(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t))
                 worst["lsq_t"] = max(worst["lsq_t"], float(np.max(
-                    relative_errors(vec(grad_t(theta, t, blackbox, structure)), approx_t))))
+                    relative_errors(vec(g_t), approx_t))))
 
         elapsed = time.perf_counter() - started
         print(f"\n  worst relative errors: {worst}; elapsed {elapsed:.1f}s")
@@ -135,10 +134,10 @@ def test_criterion_2_hand_verified_anchors():
         structure, _ = scalar()
         t = np.array([[1.0]])
         theta = np.array([3.0, 2.0])
-        assert abs(cost(theta, t, SCALAR_BLACKBOX, structure) - 4.0625) <= 1e-10
-        assert np.max(np.abs(grad_theta(theta, t, SCALAR_BLACKBOX, structure)
-                             - np.array([0.0, -4.0]))) <= 1e-10
-        assert abs(grad_t(theta, t, SCALAR_BLACKBOX, structure).item() - (-8.125)) <= 1e-10
+        f, g_theta, g_t = cost(theta, t, SCALAR_BLACKBOX, structure)
+        assert abs(f - 4.0625) <= 1e-10
+        assert np.max(np.abs(g_theta - np.array([0.0, -4.0]))) <= 1e-10
+        assert abs(g_t.item() - (-8.125)) <= 1e-10
         # one-dimensional calculus oracle for the transform derivative:
         # d/dT [(3T-3T)^2 + (4-2T)^2 + (0.25T-0.5)^2] = -4(4-2T) + 0.5(0.25T-0.5)
         oracle = -4.0 * (4.0 - 2.0) + 0.5 * (0.25 - 0.5)
@@ -206,7 +205,7 @@ def test_criterion_5_nullspace_recovery():
     with criterion(5, "null-space recovery: theta within 1e-4 relative, residuals <= 1e-8"):
         for name, structure, theta, instance in _recovery_cases():
             started = time.perf_counter()
-            sol = solve_nullspace(instance.blackbox, structure, seed=0)
+            sol = solve_nullspace(instance.blackbox, structure)
             elapsed = time.perf_counter() - started
             rel = np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta)
             res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
@@ -225,8 +224,8 @@ def test_criterion_6_lsq_recovery_and_pipeline_polish():
             assert max(res) <= 1e-8, (name, max(res))
             ACCEPTANCE_TRACES.append([f for _, f, _ in sol.result.trace])
 
-            first = solve_nullspace(instance.blackbox, structure, seed=0)
-            start_cost = cost(first.theta, first.T, instance.blackbox, structure)
+            first = solve_nullspace(instance.blackbox, structure)
+            start_cost, _, _ = cost(first.theta, first.T, instance.blackbox, structure)
             polish = solve_lsq(instance.blackbox, structure, init=(first.theta, first.T))
             assert polish.result.f_best <= start_cost + 1e-12
             ACCEPTANCE_TRACES.append([f for _, f, _ in polish.result.trace])
@@ -234,12 +233,11 @@ def test_criterion_6_lsq_recovery_and_pipeline_polish():
 
 def test_criterion_7_optimizer_soundness():
     with criterion(7, "Rosenbrock in <= 200 iterations; objective traces non-increasing"):
-        rosen = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-        rosen_grad = lambda x: np.array([
+        rosen = lambda x: (float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2), np.array([
             -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
             200 * (x[1] - x[0] ** 2),
-        ])
-        result = bfgs(rosen, rosen_grad, np.array([-1.2, 1.0]))
+        ]))
+        result = bfgs(rosen, np.array([-1.2, 1.0]))
         assert result.iterations <= 200
         assert np.allclose(result.x_best, [1.0, 1.0], atol=1e-6)
         traces = ACCEPTANCE_TRACES + [[f for _, f, _ in result.trace]]

@@ -89,9 +89,11 @@ def test_solve_lsq_with_init_file(tmp_path):
 def test_library_solve_matches_cli_report(tmp_path, method):
     bb, _ = generate(tmp_path, seed=12)
     report_path = tmp_path / "report.json"
-    assert run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
-               "--out", report_path) == 0
+    code = run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path)
     report = json.load(open(report_path))
+    # a converged solve succeeds only if its residual passes verify's default tolerance
+    assert code == (0 if max(report["residuals"].values()) <= 1e-8 else 3)
     sol = solve(StateSpace.from_dict(json.load(open(bb))), bundled_structure("mass-spring")[0],
                 method)
     assert np.array_equal(sol.theta, report["theta_hat"])
@@ -190,6 +192,24 @@ def test_solve_non_convergence_exits_3(tmp_path):
     assert code == 3
     assert report_path.exists()  # report written despite non-convergence
     assert json.load(open(report_path))["status"] == "max-iters"
+
+
+def test_solve_converged_above_residual_tol_exits_3(tmp_path, capsys):
+    # a loose grad_tol stops the search early: converged, but verify rejects it
+    bb, _ = generate(tmp_path, seed=3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grad_tol": 1e-2}))
+    report_path = tmp_path / "report.json"
+    code = run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--config", config, "--out", report_path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "max residual" in err and "tolerance 1e-08" in err
+    report = json.load(open(report_path))  # report written despite the failure
+    assert report["status"] == "converged-grad"
+    assert max(report["residuals"].values()) > 1e-8
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "mass-spring", "--out", tmp_path / "verify.json") == 1
 
 
 def test_solve_degenerate_transform_exits_4(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graybox.lsq import cost, default_init, grad_t, grad_theta, solve_lsq
+from graybox.lsq import cost, default_init, solve_lsq
 from graybox.model import (
     AffineStructure,
     Dims,
@@ -23,12 +23,12 @@ SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 def test_cost_zero_at_truth():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=1, cond_max=10.0)
-    assert cost(theta, instance.T, instance.blackbox, structure) <= 1e-12
+    assert cost(theta, instance.T, instance.blackbox, structure)[0] <= 1e-12
 
 
 def test_cost_scalar_anchor():
     structure, _ = scalar()
-    value = cost([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    value, _, _ = cost([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
     assert value == pytest.approx(4.0625, abs=1e-12)
 
 
@@ -41,18 +41,18 @@ def test_cost_equals_squared_residuals():
         t = rng.standard_normal((3, 3))
         r = residuals(instance.blackbox, t, eval_structure(structure, theta))
         total = r.r_a**2 + r.r_b**2 + r.r_c**2
-        assert cost(theta, t, instance.blackbox, structure) == pytest.approx(total, abs=1e-12)
+        assert cost(theta, t, instance.blackbox, structure)[0] == pytest.approx(total, abs=1e-12)
 
 
 def test_grad_theta_scalar_anchor():
     structure, _ = scalar()
-    g = grad_theta([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    _, g, _ = cost([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
     assert np.allclose(g, [0.0, -4.0], atol=1e-12)
 
 
 def test_grad_t_scalar_anchor():
     structure, _ = scalar()
-    g = grad_t([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    _, _, g = cost([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
     # calculus oracle: d/dT [(3T - 3T)^2 + (4 - 2T)^2 + (0.25T - 0.5)^2] at T=1
     oracle = -2.0 * 2.0 * (4.0 - 2.0) + 2.0 * 0.25 * (0.25 - 0.5)
     assert g == pytest.approx(oracle, abs=1e-12)
@@ -62,8 +62,7 @@ def test_grad_t_scalar_anchor():
 def test_gradients_zero_at_truth():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=3, cond_max=10.0)
-    g_theta = grad_theta(theta, instance.T, instance.blackbox, structure)
-    g_t = grad_t(theta, instance.T, instance.blackbox, structure)
+    _, g_theta, g_t = cost(theta, instance.T, instance.blackbox, structure)
     assert np.linalg.norm(g_theta) <= 1e-10
     assert np.linalg.norm(g_t) <= 1e-10
 
@@ -81,13 +80,13 @@ def test_gradients_match_finite_differences():
             theta = rng.standard_normal(structure.n_theta)
             t = rng.standard_normal((n_x, n_x))
 
-            analytic = grad_theta(theta, t, blackbox, structure)
-            approx = fd_gradient(lambda th: cost(th, t, blackbox, structure), theta)
+            _, analytic, g_t = cost(theta, t, blackbox, structure)
+            approx = fd_gradient(lambda th: cost(th, t, blackbox, structure)[0], theta)
             assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
-            analytic_t = vec(grad_t(theta, t, blackbox, structure))
+            analytic_t = vec(g_t)
             approx_t = fd_gradient(
-                lambda tv: cost(theta, tv.reshape(n_x, n_x, order="F"), blackbox, structure),
+                lambda tv: cost(theta, tv.reshape(n_x, n_x, order="F"), blackbox, structure)[0],
                 vec(t),
             )
             assert float(np.max(relative_errors(analytic_t, approx_t))) <= 1e-6
@@ -125,14 +124,14 @@ def test_default_init_exact_on_structured_blackbox():
     blackbox = eval_structure(structure, theta)
     theta0, t0 = default_init(blackbox, structure)
     assert np.allclose(theta0, theta, atol=1e-12)
-    assert cost(theta0, t0, blackbox, structure) <= 1e-12
+    assert cost(theta0, t0, blackbox, structure)[0] <= 1e-12
 
 
 def test_polish_never_increases_cost():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=5, cond_max=20.0)
-    first = solve_nullspace(instance.blackbox, structure, seed=0)
-    start_cost = cost(first.theta, first.T, instance.blackbox, structure)
+    first = solve_nullspace(instance.blackbox, structure)
+    start_cost, _, _ = cost(first.theta, first.T, instance.blackbox, structure)
     polish = solve_lsq(instance.blackbox, structure, init=(first.theta, first.T))
     assert polish.result.f_best <= start_cost + 1e-12
 

@@ -25,10 +25,8 @@ from graybox.nullspace import (
     realization_jacobians,
     realization_vector,
     reduced_distance,
-    reduced_distance_grad,
     solve_nullspace,
     structure_distance,
-    structure_distance_grad,
     structure_projector,
 )
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_gradient, fd_jacobian, relative_errors
@@ -341,11 +339,19 @@ def test_jacobians_match_finite_differences():
             assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
 
+def _random_blackbox_and_t(dims, rng):
+    """Random black-box triple and a well-conditioned transform, as vec(T)."""
+    blackbox = StateSpace(A=rng.standard_normal((dims.n_x, dims.n_x)),
+                          B=rng.standard_normal((dims.n_x, dims.n_u)),
+                          C=rng.standard_normal((dims.n_y, dims.n_x)))
+    return blackbox, _well_conditioned_stacked(dims, rng)[: dims.n_x**2]
+
+
 def test_distance_grad_zero_at_truth():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=5, cond_max=10.0)
     proj = structure_projector(structure)
-    g = structure_distance_grad(stacked_solution(instance), proj, structure.dims)
+    _, g = reduced_distance(vec(instance.T), instance.blackbox, proj)
     assert np.linalg.norm(g) <= 1e-10
 
 
@@ -354,11 +360,9 @@ def test_distance_grad_matches_finite_differences():
     for dims in [d for d in dims_grid() if d.n_x <= 3]:
         structure = random_structure(dims, rng)
         proj = structure_projector(structure)
-        v = _well_conditioned_stacked(dims, rng)
-        analytic = structure_distance_grad(v, proj, dims)
-        approx = fd_gradient(
-            lambda w: structure_distance(realization_vector(w, dims), proj), v
-        )
+        blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+        _, analytic = reduced_distance(t_vec, blackbox, proj)
+        approx = fd_gradient(lambda tv: reduced_distance(tv, blackbox, proj)[0], t_vec)
         assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
 
@@ -368,58 +372,45 @@ def test_distance_grad_scales_with_offset():
     dims = Dims(2, 1, 1)
     structure = random_structure(dims, rng, n_theta=2)
     proj = structure_projector(structure)
-    v = _well_conditioned_stacked(dims, rng)
-    stacked = realization_vector(v, dims)
+    blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+    stacked = realization_vector(nullspace_point(blackbox, unvec(t_vec, 2, 2)), dims)
     doubled = make_projector(structure.K, 2.0 * structure.kappa0 - stacked)
-    g1 = structure_distance_grad(v, proj, dims)
-    g2 = structure_distance_grad(v, doubled, dims)
+    _, g1 = reduced_distance(t_vec, blackbox, proj)
+    _, g2 = reduced_distance(t_vec, blackbox, doubled)
     assert np.allclose(g2, 2.0 * g1, atol=1e-9 * (1.0 + np.linalg.norm(g1)))
 
 
 def test_distance_grad_equals_jacobian_oracle():
-    # the matrix-form gradient against -2 [J_A; J_B; J_C]^T P^T P (kappa0 - s)
-    # built from the paper's dense Kronecker-product Jacobians
+    # the matrix-form gradient against N^T (-2 [J_A; J_B; J_C]^T P^T P (kappa0 - s)):
+    # the paper's dense Kronecker-product Jacobians of the stacked point,
+    # pulled back through the dense closed-form map N of vec(T)
     rng = np.random.default_rng(40)
     for dims in dims_grid():
         structure = random_structure(dims, rng)
         proj = structure_projector(structure)
         for _ in range(5):
-            v = _well_conditioned_stacked(dims, rng)
+            blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+            v = nullspace_point(blackbox, unvec(t_vec, dims.n_x, dims.n_x))
             jac = np.vstack(realization_jacobians(v, dims))
             p = proj.residual_op
-            oracle = -2.0 * jac.T @ (p.T @ (p @ (proj.offset - realization_vector(v, dims))))
-            g = structure_distance_grad(v, proj, dims)
+            stacked_grad = -2.0 * jac.T @ (p.T @ (p @ (proj.offset - realization_vector(v, dims))))
+            oracle = closed_form_map(blackbox)[:, :-1].T @ stacked_grad
+            _, g = reduced_distance(t_vec, blackbox, proj)
             assert np.linalg.norm(g - oracle) <= 1e-10 * np.linalg.norm(oracle)
-
-
-def test_reduced_grad_is_chain_rule():
-    structure, theta = mass_spring_damper()
-    instance = generate_instance(structure, theta, seed=6, cond_max=10.0)
-    proj = structure_projector(structure)
-    dv_dt = closed_form_map(instance.blackbox)[:, :-1]
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        t = rng.standard_normal((2, 2))
-        direct = reduced_distance_grad(vec(t), instance.blackbox, proj)
-        chained = dv_dt.T @ structure_distance_grad(
-            nullspace_point(instance.blackbox, t), proj, structure.dims
-        )
-        assert np.allclose(direct, chained, atol=1e-12 * (1.0 + np.linalg.norm(direct)))
 
 
 def test_reduced_grad_matches_finite_differences():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=10.0)
     proj = structure_projector(structure)
-    fun = lambda tv: reduced_distance(tv, instance.blackbox, proj)
     rng = np.random.default_rng(38)
     checked = 0
     while checked < 10:
         t_vec = rng.standard_normal(4)
-        if not np.isfinite(fun(t_vec)):
+        value, analytic = reduced_distance(t_vec, instance.blackbox, proj)
+        if not np.isfinite(value):
             continue
-        analytic = reduced_distance_grad(t_vec, instance.blackbox, proj)
-        approx = fd_gradient(fun, t_vec)
+        approx = fd_gradient(lambda tv: reduced_distance(tv, instance.blackbox, proj)[0], t_vec)
         assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
         checked += 1
 
@@ -429,9 +420,9 @@ def test_reduced_grad_zero_at_recovering_alpha():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=8, cond_max=10.0)
     proj = structure_projector(structure)
-    t_star = vec(instance.T)
-    assert reduced_distance(t_star, instance.blackbox, proj) <= 1e-16
-    assert np.linalg.norm(reduced_distance_grad(t_star, instance.blackbox, proj)) <= 1e-8
+    value, g = reduced_distance(vec(instance.T), instance.blackbox, proj)
+    assert value <= 1e-16
+    assert np.linalg.norm(g) <= 1e-8
 
 
 def test_reduced_distance_infinite_when_singular():
@@ -441,8 +432,8 @@ def test_reduced_distance_infinite_when_singular():
     blackbox = StateSpace(A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 1)),
                           C=rng.standard_normal((1, 2)))
     proj = structure_projector(random_structure(dims, rng, n_theta=2))
-    assert np.isfinite(reduced_distance(vec(np.diag([1.0, 0.5])), blackbox, proj))
-    assert reduced_distance(vec(np.diag([1.0, 0.0])), blackbox, proj) == np.inf
+    assert np.isfinite(reduced_distance(vec(np.diag([1.0, 0.5])), blackbox, proj)[0])
+    assert reduced_distance(vec(np.diag([1.0, 0.0])), blackbox, proj) == (np.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +443,7 @@ def test_reduced_distance_infinite_when_singular():
 def test_solve_scalar_instance():
     structure, theta = scalar()
     blackbox = apply_similarity(eval_structure(structure, theta), np.array([[2.0]]))
-    sol = solve_nullspace(blackbox, structure, seed=0)
+    sol = solve_nullspace(blackbox, structure)
     assert sol.result.converged
     assert np.allclose(sol.theta, [3.0, 2.0], atol=1e-6)
     res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
@@ -463,7 +454,7 @@ def test_solve_scalar_instance():
 def test_solve_mass_spring_instance():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
-    sol = solve_nullspace(instance.blackbox, structure, seed=0)
+    sol = solve_nullspace(instance.blackbox, structure)
     assert sol.result.converged
     assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
@@ -479,17 +470,38 @@ def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
     monkeypatch.setattr(np, "kron", oracle_only)
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
-    sol = solve_nullspace(instance.blackbox, structure, seed=0)
+    sol = solve_nullspace(instance.blackbox, structure)
     assert sol.result.converged
     assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
 
 
+def test_solve_extracts_each_point_once(monkeypatch):
+    # value and gradient share one extraction, so the search never extracts
+    # a point twice; the one repeat allowed is the read-out of the winner
+    extracted = []
+    extract = ns.extract_realization
+
+    def recorder(v, dims):
+        extracted.append(np.asarray(v).tobytes())
+        return extract(v, dims)
+
+    monkeypatch.setattr(ns, "extract_realization", recorder)
+    structure, theta = mass_spring_damper()
+    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    sol = solve_nullspace(instance.blackbox, structure)
+    assert sol.result.converged
+    search, readout = extracted[:-1], extracted[-1]
+    assert len(search) > 100
+    assert len(set(search)) == len(search)
+    assert readout == nullspace_point(instance.blackbox, sol.T).tobytes()
+
+
 def test_solve_already_structured_blackbox():
     structure, theta = mass_spring_damper()
     blackbox = eval_structure(structure, theta)  # transform is the identity
-    sol = solve_nullspace(blackbox, structure, seed=0)
+    sol = solve_nullspace(blackbox, structure)
     assert sol.result.f_best <= 1e-12
     res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
@@ -498,7 +510,7 @@ def test_solve_already_structured_blackbox():
 def test_solve_objective_trace_non_increasing():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=9, cond_max=20.0)
-    sol = solve_nullspace(instance.blackbox, structure, seed=0)
+    sol = solve_nullspace(instance.blackbox, structure)
     values = [f for _, f, _ in sol.result.trace]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -518,4 +530,4 @@ def test_solve_all_starts_infeasible(monkeypatch):
 
     monkeypatch.setattr(ns, "bfgs", always_infeasible)
     with pytest.raises(InfeasibleStartError, match="starts"):
-        solve_nullspace(blackbox, structure, seed=0)
+        solve_nullspace(blackbox, structure)

@@ -24,6 +24,15 @@ def rosenbrock_grad(x):
     ])
 
 
+def rosenbrock_fg(x):
+    return rosenbrock(x), rosenbrock_grad(x)
+
+
+def fused(f, g):
+    """The (f, g) callable of a separate objective and gradient."""
+    return lambda x: (f(x), g(x))
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="wolfe"):
         OptimConfig(wolfe_c1=0.5, wolfe_c2=0.1)
@@ -42,7 +51,7 @@ def test_config_from_partial_dict():
 
 def test_bfgs_quadratic():
     c = np.array([1.5, -2.0, 0.25])
-    result = bfgs(lambda x: float((x - c) @ (x - c)), lambda x: 2.0 * (x - c), np.zeros(3))
+    result = bfgs(lambda x: (float((x - c) @ (x - c)), 2.0 * (x - c)), np.zeros(3))
     assert result.status == "converged-grad"
     assert result.iterations <= 3
     assert result.grad_norm <= 1e-10
@@ -50,53 +59,52 @@ def test_bfgs_quadratic():
 
 
 def test_bfgs_rosenbrock():
-    result = bfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]))
+    result = bfgs(rosenbrock_fg, np.array([-1.2, 1.0]))
     assert result.converged
     assert result.iterations <= 200
     assert np.allclose(result.x_best, [1.0, 1.0], atol=1e-6)
 
 
 def test_bfgs_trace_monotone():
-    result = bfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]))
+    result = bfgs(rosenbrock_fg, np.array([-1.2, 1.0]))
     values = [f for _, f, _ in result.trace]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_bfgs_deterministic():
-    first = bfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]))
-    second = bfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]))
+    first = bfgs(rosenbrock_fg, np.array([-1.2, 1.0]))
+    second = bfgs(rosenbrock_fg, np.array([-1.2, 1.0]))
     assert first.trace == second.trace
     assert np.array_equal(first.x_best, second.x_best)
 
 
 def test_bfgs_infeasible_region_never_entered():
     # minimum of the smooth part sits at x0=2, behind the wall at x0=1
-    def f(x):
+    probed = []
+
+    def fg(x):
+        probed.append(x.copy())
         if x[0] > 1.0:
-            return float("inf")
-        return float((x[0] - 2.0) ** 2 + x[1] ** 2)
+            return float("inf"), None
+        return float((x[0] - 2.0) ** 2 + x[1] ** 2), np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]])
 
-    seen = []
-
-    def g(x):
-        seen.append(x.copy())
-        return np.array([2.0 * (x[0] - 2.0), 2.0 * x[1]])
-
-    result = bfgs(f, g, np.array([0.0, 1.0]))
+    result = bfgs(fg, np.array([0.0, 1.0]))
     assert result.x_best[0] <= 1.0 + 1e-12
     assert np.isfinite(result.f_best)
-    assert all(point[0] <= 1.0 + 1e-12 for point in seen)
+    # the search did probe behind the wall, yet every accepted iterate is feasible
+    assert any(point[0] > 1.0 for point in probed)
+    assert all(np.isfinite(f) for _, f, _ in result.trace)
 
 
 def test_bfgs_infeasible_start():
     with pytest.raises(InfeasibleStartError):
-        bfgs(lambda x: float("inf"), lambda x: x, np.zeros(2))
+        bfgs(lambda x: (float("inf"), None), np.zeros(2))
 
 
 def test_line_search_quadratic_unit_step():
     f = lambda x: float((x[0] - 1.0) ** 2)
     g = lambda x: np.array([2.0 * (x[0] - 1.0)])
-    step, f_step, g_step = line_search_wolfe(f, g, np.array([0.0]), np.array([1.0]))
+    step, f_step, g_step = line_search_wolfe(fused(f, g), np.array([0.0]), np.array([1.0]))
     assert 0.9 <= step <= 1.1
     assert f_step == f(np.array([step]))
     assert np.array_equal(g_step, g(np.array([step])))
@@ -106,7 +114,7 @@ def test_line_search_rejects_ascent():
     f = lambda x: float(x @ x)
     g = lambda x: 2.0 * x
     with pytest.raises(ValueError, match="descent"):
-        line_search_wolfe(f, g, np.array([1.0]), np.array([1.0]))
+        line_search_wolfe(fused(f, g), np.array([1.0]), np.array([1.0]))
 
 
 def test_line_search_shrinks_on_steep_function():
@@ -114,7 +122,7 @@ def test_line_search_shrinks_on_steep_function():
     f = lambda x: float(50.0 * x[0] ** 2)
     g = lambda x: np.array([100.0 * x[0]])
     x = np.array([0.1])
-    step, f_step, g_step = line_search_wolfe(f, g, x, -g(x))
+    step, f_step, g_step = line_search_wolfe(fused(f, g), x, -g(x))
     assert step < 1.0
     assert f(x - step * g(x)) < f(x)
     # the returned values are those at the accepted step, bit for bit
@@ -122,12 +130,35 @@ def test_line_search_shrinks_on_steep_function():
     assert np.array_equal(g_step, g(x + step * -g(x)))
 
 
+def test_line_search_one_call_per_trial():
+    # step 1 overshoots by 100x, so the zoom shrinks it over several trials;
+    # every trial step is new, so a repeated step would be a second call
+    x, d = np.array([0.1]), np.array([-10.0])
+    steps = []
+
+    def fg(p):
+        steps.append(float((p[0] - x[0]) / d[0]))
+        return float(50.0 * p[0] ** 2), np.array([100.0 * p[0]])
+
+    f0, g0 = fg(x)
+    steps.clear()
+    step, _, _ = line_search_wolfe(fg, x, d, f0=f0, g0=g0)
+    assert len(steps) > 2
+    assert steps[0] == 1.0 and steps[-1] == step
+    assert len(set(steps)) == len(steps)
+    # without the caller's values the start point costs exactly one more call
+    trials = list(steps)
+    steps.clear()
+    assert line_search_wolfe(fg, x, d)[0] == step
+    assert steps == [0.0] + trials
+
+
 def test_line_search_exhaustion():
     # unbounded descent: the curvature condition can never be met
     f = lambda x: float(-x[0])
     g = lambda x: np.array([-1.0])
     with pytest.raises(LineSearchError):
-        line_search_wolfe(f, g, np.array([0.0]), np.array([1.0]),
+        line_search_wolfe(fused(f, g), np.array([0.0]), np.array([1.0]),
                           OptimConfig(max_line_search=5))
 
 
@@ -176,10 +207,3 @@ def test_check_gradient_against_itself():
     assert report.passed
     assert report.max_rel_err <= 1e-10
 
-
-def test_trace_csv_format():
-    result = bfgs(lambda x: float(x @ x), lambda x: 2.0 * x, np.array([1.0]))
-    lines = result.trace_csv().strip().splitlines()
-    assert lines[0] == "iter,f,grad_norm"
-    assert lines[1].startswith("0,")
-    assert len(lines) == len(result.trace) + 1

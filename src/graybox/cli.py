@@ -18,6 +18,7 @@ import numpy as np
 
 from . import lsq, nullspace, optim, solver
 from .model import (
+    RESIDUAL_TOL,
     SINGULAR_RTOL,
     AffineStructure,
     StateSpace,
@@ -36,9 +37,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
-
-# largest similarity residual a successful solve may leave; verify's default --tol
-RESIDUAL_TOL = 1e-8
 
 
 def _load_json(path: str) -> dict:

@@ -22,6 +22,7 @@ __all__ = [
     "Residuals",
     "Solution",
     "SINGULAR_RTOL",
+    "RESIDUAL_TOL",
     "vec",
     "unvec",
     "block_slices",
@@ -38,6 +39,11 @@ __all__ = [
 # Transforms with rcond below this are singular: apply_similarity rejects them,
 # realization extraction excludes them, and a solve ending on one is degenerate.
 SINGULAR_RTOL = 1e-8
+
+# Largest similarity residual a solution may leave: solve exits 0 only below
+# it, it is verify's default --tol, and the null-space multistart stops at the
+# first start whose read-out meets it.
+RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)

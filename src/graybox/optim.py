@@ -59,7 +59,8 @@ class OptimConfig:
         wolfe_c1: sufficient-decrease constant (Armijo).
         wolfe_c2: curvature constant; must satisfy 0 < c1 < c2 < 1.
         max_line_search: trial cap for each of the bracket and zoom phases.
-        restarts: extra random starts used by multistart solvers.
+        restarts: extra random starts of the null-space multistart; they run
+            only while no earlier start has passed the residual tolerance.
         seed: seed for any randomized choices made by callers.
     """
 

@@ -101,6 +101,29 @@ def test_library_solve_matches_cli_report(tmp_path, method):
     assert sol.result.status == report["status"]
 
 
+@pytest.mark.parametrize("method", ["nullspace", "pipeline"])
+def test_solve_reports_each_start_outcome(tmp_path, method):
+    # the T = I start of this instance stops short of the tolerance, the next passes
+    bb, _ = generate(tmp_path, seed=7)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 0
+    diagnostics = json.load(open(report_path))["diagnostics"]
+    if method == "pipeline":
+        diagnostics = diagnostics["nullspace"]
+    outcomes = diagnostics["start_outcomes"]
+    assert 2 <= len(outcomes) <= diagnostics["starts"]
+    for outcome in outcomes:
+        if outcome["status"] != "infeasible":
+            assert set(outcome) == {"iterations", "status", "objective_final", "max_residual"}
+        else:
+            assert outcome == {"status": "infeasible"}
+    assert diagnostics["infeasible_starts"] == sum(o["status"] == "infeasible" for o in outcomes)
+    # only the last start may pass, and the search ended on it
+    passed = [o.get("max_residual", float("inf")) <= 1e-8 for o in outcomes]
+    assert passed[-1] and not any(passed[:-1])
+
+
 def test_solve_jobs_flag_matches_serial(tmp_path):
     bb, _ = generate(tmp_path, seed=10)
     reports = []

@@ -30,7 +30,7 @@ from graybox.nullspace import (
     structure_projector,
 )
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_gradient, fd_jacobian, relative_errors
-from graybox.structures import mass_spring_damper, scalar
+from graybox.structures import compartment3, mass_spring_damper, scalar
 
 from helpers import dims_grid, random_structure, stacked_solution
 
@@ -479,7 +479,8 @@ def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
 
 def test_solve_extracts_each_point_once(monkeypatch):
     # value and gradient share one extraction, so the search never extracts
-    # a point twice; the one repeat allowed is the read-out of the winner
+    # a point twice; the one repeat allowed is the read-out of the winner,
+    # here the first and only start
     extracted = []
     extract = ns.extract_realization
 
@@ -488,14 +489,87 @@ def test_solve_extracts_each_point_once(monkeypatch):
         return extract(v, dims)
 
     monkeypatch.setattr(ns, "extract_realization", recorder)
-    structure, theta = mass_spring_damper()
+    structure, theta = compartment3()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
     assert sol.result.converged
+    assert len(sol.diagnostics["start_outcomes"]) == 1
     search, readout = extracted[:-1], extracted[-1]
     assert len(search) > 100
     assert len(set(search)) == len(search)
     assert readout == nullspace_point(instance.blackbox, sol.T).tobytes()
+
+
+def test_solve_stops_at_first_start_that_recovers(monkeypatch):
+    calls = []
+    bfgs = ns.bfgs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bfgs(*args, **kwargs)
+
+    monkeypatch.setattr(ns, "bfgs", counting)
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    sol = solve_nullspace(instance.blackbox, structure)
+    assert len(calls) == 1
+    assert sol.diagnostics["starts"] == 5
+    res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
+    assert max(res) <= 1e-8
+    assert sol.diagnostics["start_outcomes"] == [{
+        "iterations": sol.result.iterations,
+        "status": sol.result.status,
+        "objective_final": sol.result.f_best,
+        "max_residual": max(res),
+    }]
+
+
+def test_solve_without_passing_start_keeps_lowest_objective():
+    # one iteration per start leaves every read-out far from the structured set
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=6, cond_max=20.0)
+    cfg = OptimConfig(max_iters=1)
+    sol = solve_nullspace(instance.blackbox, structure, cfg)
+    outcomes = sol.diagnostics["start_outcomes"]
+    assert len(outcomes) == 1 + cfg.restarts
+    assert all(o["max_residual"] > 1e-8 for o in outcomes)
+
+    # bfgs from the same starts: T = I, then the seeded draws
+    proj = structure_projector(structure)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [vec(np.eye(3))] + [vec(rng.standard_normal((3, 3))) for _ in range(cfg.restarts)]
+    runs = [ns.bfgs(lambda t: reduced_distance(t, instance.blackbox, proj), x0, cfg)
+            for x0 in starts]
+    assert [o["objective_final"] for o in outcomes] == [r.f_best for r in runs]
+    best = min(runs, key=lambda r: r.f_best)
+    assert best is not runs[0]  # the winner is not simply the first start
+    t_best = unvec(best.x_best, 3, 3)
+    stacked = realization_vector(nullspace_point(instance.blackbox, t_best), instance.blackbox.dims)
+    assert np.array_equal(sol.T, t_best)
+    assert np.array_equal(sol.theta, extract_theta(stacked, proj))
+    assert sol.result.f_best == best.f_best
+
+
+def test_solve_counts_infeasible_start_and_stops_at_next(monkeypatch):
+    calls = []
+    bfgs = ns.bfgs
+
+    def first_infeasible(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise InfeasibleStartError("forced")
+        return bfgs(*args, **kwargs)
+
+    monkeypatch.setattr(ns, "bfgs", first_infeasible)
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    sol = solve_nullspace(instance.blackbox, structure)
+    assert len(calls) == 2
+    assert sol.diagnostics["infeasible_starts"] == 1
+    outcomes = sol.diagnostics["start_outcomes"]
+    assert len(outcomes) == 2
+    assert outcomes[0] == {"status": "infeasible"}
+    assert outcomes[1]["max_residual"] <= 1e-8
 
 
 def test_solve_already_structured_blackbox():

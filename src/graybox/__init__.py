@@ -3,8 +3,9 @@
 Given a fully parameterized state-space triple known only up to a change of
 state coordinates, recover the physical parameters of an affine gray-box
 structure together with the similarity transform linking the two, by either
-a null-space search or a direct least-squares fit (or the former polished by
-the latter), all behind :func:`solve`.
+a null-space search or a direct least-squares fit (or the former, polished by
+the latter when it falls short of the residual tolerance), all behind
+:func:`solve`.
 """
 
 from .model import (

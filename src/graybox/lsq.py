@@ -111,6 +111,7 @@ def solve_lsq(
     diagnostics = {
         "objective_final": result.f_best,
         "grad_norm": result.grad_norm,
+        "n_evals": result.n_evals,
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "degenerate_transform": degenerate,
         "cond_T": 1.0 / rc if not degenerate else None,

@@ -41,8 +41,8 @@ __all__ = [
 SINGULAR_RTOL = 1e-8
 
 # Largest similarity residual a solution may leave: solve exits 0 only below
-# it, it is verify's default --tol, and the null-space multistart stops at the
-# first start whose read-out meets it.
+# it, it is verify's default --tol, the null-space multistart stops at the
+# first start whose read-out meets it, and the pipeline skips its polish then.
 RESIDUAL_TOL = 1e-8
 
 

@@ -12,12 +12,14 @@ matrix carries its own identity block, so the null space has the closed form
     {[vec(T); vec(A_bb T); s vec(B_bb); vec(C_bb T); s]},
 
 and its admissible slice s = 1 is parameterized by vec(T) alone
-(:func:`nullspace_point`).  The search minimizes, over T, the distance of the
-extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the admissible
-structured set with BFGS.  :func:`reduced_distance` returns that distance
-and its matrix-form gradient from one extraction.  The constraint matrix,
-its SVD null-space basis and the dense extraction Jacobians of the paper are
-kept as test oracles; the solve path uses none of them.
+(:func:`nullspace_point`).  The search minimizes, over T, the squared
+distance of the extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the
+admissible structured set by Levenberg-Marquardt: :func:`reduced_residual`
+returns that distance's residual vector and its Jacobian in vec(T) from one
+extraction, and :func:`reduced_distance` the distance and its matrix-form
+gradient.  The constraint matrix, its SVD null-space basis and the dense
+extraction Jacobians of the paper are kept as test oracles; the solve path
+uses none of them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, bfgs
+from .optim import InfeasibleStartError, OptimConfig, lm
+# bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
+from .optim import bfgs  # noqa: F401
 
 __all__ = [
     "EmptyNullspaceError",
@@ -61,6 +65,7 @@ __all__ = [
     "extract_theta",
     "realization_jacobians",
     "reduced_distance",
+    "reduced_residual",
     "solve_nullspace",
 ]
 
@@ -73,12 +78,17 @@ class SingularTransformError(RuntimeError):
 
 
 class Realization(NamedTuple):
-    """State-space triple plus the transform extracted from a stacked vector."""
+    """State-space triple plus the transform extracted from a stacked vector, and its inverse."""
 
     T: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    T_inv: np.ndarray
+
+    def stacked(self) -> np.ndarray:
+        """Column-major stacking [vec(A); vec(B); vec(C)]."""
+        return np.concatenate([vec(self.A), vec(self.B), vec(self.C)])
 
 
 def build_constraint_matrix(blackbox: StateSpace) -> np.ndarray:
@@ -158,6 +168,9 @@ def _solution_slices(dims: Dims) -> tuple[slice, slice, slice, slice]:
 def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
     """Unpack a stacked vector into (T, A, B, C) with A = T^-1 (TA), B = T^-1 (TB).
 
+    The one inverse of T computed here is returned as ``T_inv`` for the
+    derivatives at the same point.
+
     Raises:
         SingularTransformError: when the transform block's reciprocal condition
             number is below ``SINGULAR_RTOL`` (the excluded region of the search).
@@ -171,16 +184,16 @@ def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
     r = rcond(t)
     if r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
+    t_inv = np.linalg.inv(t)
     # vec(TA) and vec(TB) are adjacent, so together they are vec([TA, TB])
-    ab = np.linalg.solve(t, unvec(v[sl_ta.start:sl_tb.stop], n_x, n_x + dims.n_u))
+    ab = t_inv @ unvec(v[sl_ta.start:sl_tb.stop], n_x, n_x + dims.n_u)
     c = unvec(v[sl_c], dims.n_y, n_x)
-    return Realization(T=t, A=ab[:, :n_x], B=ab[:, n_x:], C=c)
+    return Realization(T=t, A=ab[:, :n_x], B=ab[:, n_x:], C=c, T_inv=t_inv)
 
 
 def realization_vector(v: np.ndarray, dims: Dims) -> np.ndarray:
     """Stacked entries [vec(A); vec(B); vec(C)] of the extracted realization."""
-    r = extract_realization(v, dims)
-    return np.concatenate([vec(r.A), vec(r.B), vec(r.C)])
+    return extract_realization(v, dims).stacked()
 
 
 @dataclass(frozen=True)
@@ -251,7 +264,7 @@ def realization_jacobians(
     n_x, n_u = dims.n_x, dims.n_u
     nx2 = n_x**2
     sl_t, sl_ta, sl_tb, sl_c = _solution_slices(dims)
-    t_inv = np.linalg.inv(r.T)
+    t_inv = r.T_inv
 
     j_a = np.zeros((nx2, dims.n_unknowns))
     j_a[:, sl_t] = -np.kron(r.A.T, t_inv)
@@ -281,7 +294,7 @@ def structure_distance_grad(
     n_x = d.n_x
     _, sl_b, sl_c = block_slices(d)
     # vec(W_A) and vec(W_B) are adjacent, so together they are vec([W_A, W_B])
-    x = np.linalg.solve(real.T.T, unvec(w[: sl_b.stop], n_x, n_x + d.n_u))
+    x = real.T_inv.T @ unvec(w[: sl_b.stop], n_x, n_x + d.n_u)
     x_a = x[:, :n_x]
     return vec(
         -(x_a @ real.A.T + x[:, n_x:] @ real.B.T)
@@ -304,10 +317,43 @@ def reduced_distance(
         real = extract_realization(nullspace_point(blackbox, unvec(t_vec, d.n_x, d.n_x)), d)
     except SingularTransformError:
         return math.inf, None
-    stacked = np.concatenate([vec(real.A), vec(real.B), vec(real.C)])
-    r = proj.residual_op @ (proj.offset - stacked)
+    r = proj.residual_op @ (proj.offset - real.stacked())
     w = -2.0 * (proj.residual_op.T @ r)
     return float(r @ r), structure_distance_grad(real, w, blackbox)
+
+
+def _kron_t(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Kronecker product m^T (x) n, assembled by einsum."""
+    return np.einsum("lj,ik->jilk", m, n).reshape(
+        m.shape[1] * n.shape[0], m.shape[0] * n.shape[1]
+    )
+
+
+def reduced_residual(
+    t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Residual r = P (kappa0 - s) at the null-space point of ``unvec(t_vec)``, and its Jacobian.
+
+    ``s`` is the extracted realization [vec(T^-1 A_bb T); vec(T^-1 B_bb);
+    vec(C_bb T)] and P is ``proj.residual_op``, so ``r @ r`` is the value of
+    :func:`reduced_distance` and ``2 J^T r`` its gradient.  J = -P ds/dvec(T),
+    where ds/dvec(T) stacks the blocks I (x) T^-1 A_bb - A^T (x) T^-1,
+    -B^T (x) T^-1 and I (x) C_bb; the extraction's T^-1 serves them all.
+    Returns ``(None, None)`` where ``rcond(T) < SINGULAR_RTOL``.
+    """
+    d = blackbox.dims
+    try:
+        real = extract_realization(nullspace_point(blackbox, unvec(t_vec, d.n_x, d.n_x)), d)
+    except SingularTransformError:
+        return None, None
+    eye = np.eye(d.n_x)
+    ds = np.vstack([
+        _kron_t(eye, real.T_inv @ blackbox.A) - _kron_t(real.A, real.T_inv),
+        -_kron_t(real.B, real.T_inv),
+        _kron_t(eye, blackbox.C),
+    ])
+    p = proj.residual_op
+    return p @ (proj.offset - real.stacked()), -(p @ ds)
 
 
 def solve_nullspace(
@@ -318,12 +364,13 @@ def solve_nullspace(
     """Recover parameters and transform through the null-space formulation.
 
     Minimizes the structure distance over the transform T of the closed-form
-    null-space point with BFGS, from T = I and then from ``config.restarts``
-    seeded Gaussian draws, and reads the parameter vector and transform out
-    of each completed start.  The first start whose read-out leaves a max
-    similarity residual <= ``RESIDUAL_TOL`` wins and ends the search: the
-    cost is zero at the truth, so no later start can do better.  If none
-    does, the start with the lowest objective wins.
+    null-space point by Levenberg-Marquardt on :func:`reduced_residual`, from
+    T = I and then from ``config.restarts`` seeded Gaussian draws, and reads
+    the parameter vector and transform out of each completed start.  The
+    first start whose read-out leaves a max similarity residual <=
+    ``RESIDUAL_TOL`` wins and ends the search: the cost is zero at the truth,
+    so no later start can do better.  If none does, the start with the
+    lowest objective wins.
 
     Non-convergence is reported through ``result.status``; a search whose
     every start lies inside the excluded region raises.
@@ -341,28 +388,28 @@ def solve_nullspace(
     n_x = dims.n_x
     proj = structure_projector(structure)
 
-    def fg(t_vec: np.ndarray) -> tuple[float, np.ndarray | None]:
-        return reduced_distance(t_vec, blackbox, proj)
+    def rj(t_vec: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        return reduced_residual(t_vec, blackbox, proj)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [vec(np.eye(n_x))]
     starts += [vec(rng.standard_normal((n_x, n_x))) for _ in range(cfg.restarts)]
 
     outcomes = []
-    winner = None  # (bfgs result, realization, theta, residuals) of the winning start
+    winner = None  # (lm result, realization, theta, residuals) of the winning start
     for x0 in starts:
         try:
-            result = bfgs(fg, x0, cfg)
+            result = lm(rj, x0, cfg)
         except InfeasibleStartError:
             outcomes.append({"status": "infeasible"})
             continue
         real = extract_realization(nullspace_point(blackbox, unvec(result.x_best, n_x, n_x)), dims)
-        stacked = np.concatenate([vec(real.A), vec(real.B), vec(real.C)])
-        theta = extract_theta(stacked, proj)
+        theta = extract_theta(real.stacked(), proj)
         res = residuals(blackbox, real.T, eval_structure(structure, theta))
         worst = max(res)
         outcomes.append({
             "iterations": result.iterations,
+            "n_evals": result.n_evals,
             "status": result.status,
             "objective_final": result.f_best,
             "max_residual": worst,

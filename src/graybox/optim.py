@@ -1,10 +1,13 @@
-"""Self-contained BFGS minimizer with a strong-Wolfe line search.
+"""Self-contained BFGS and Levenberg-Marquardt minimizers.
 
-The minimizer and the line search take one callable ``fg(x) -> (f, g)`` that
-returns the objective and its gradient together, so every point is evaluated
-once.  Objectives may return ``(+inf, None)`` to mark a point infeasible; the
-line search treats that as a failed sufficient-decrease test, so accepted
-iterates never leave the feasible region.
+BFGS and its strong-Wolfe line search take one callable ``fg(x) -> (f, g)``
+that returns the objective and its gradient together, so every point is
+evaluated once.  Objectives may return ``(+inf, None)`` to mark a point
+infeasible; the line search treats that as a failed sufficient-decrease
+test, so accepted iterates never leave the feasible region.
+Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
+``rj(x) -> (r, J)``; ``(None, None)`` marks an infeasible point, and a step
+onto one is rejected like a step that raises the objective.
 
 Also hosts the finite-difference oracles used throughout the test suite to
 validate analytic gradients; those take the objective and the gradient as
@@ -27,6 +30,7 @@ __all__ = [
     "LineSearchError",
     "InfeasibleStartError",
     "bfgs",
+    "lm",
     "line_search_wolfe",
     "fd_gradient",
     "fd_jacobian",
@@ -38,6 +42,8 @@ Objective = Callable[[np.ndarray], float]
 Gradient = Callable[[np.ndarray], np.ndarray]
 # value and gradient at one point; the gradient may be None where f is not finite
 ValueAndGradient = Callable[[np.ndarray], tuple[float, np.ndarray | None]]
+# residual and Jacobian at one point; both None where the point is infeasible
+ResidualAndJacobian = Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray | None]]
 
 
 class LineSearchError(RuntimeError):
@@ -50,15 +56,17 @@ class InfeasibleStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Stopping rules and line-search constants for :func:`bfgs`.
+    """Stopping rules of :func:`bfgs` and :func:`lm`, and the line-search constants of bfgs.
 
     Attributes:
-        grad_tol: stop when the infinity norm of the gradient drops below this.
+        grad_tol: bfgs stops when the infinity norm of the gradient drops
+            below this; lm has no gradient test.
         f_tol: stop on relative objective change below this between accepted iterates.
-        max_iters: iteration cap.
-        wolfe_c1: sufficient-decrease constant (Armijo).
-        wolfe_c2: curvature constant; must satisfy 0 < c1 < c2 < 1.
-        max_line_search: trial cap for each of the bracket and zoom phases.
+        max_iters: cap on bfgs iterations and on lm damped steps, rejected
+            ones included.
+        wolfe_c1: bfgs sufficient-decrease constant (Armijo).
+        wolfe_c2: bfgs curvature constant; must satisfy 0 < c1 < c2 < 1.
+        max_line_search: bfgs trial cap for each of the bracket and zoom phases.
         restarts: extra random starts of the null-space multistart; they run
             only while no earlier start has passed the residual tolerance.
         seed: seed for any randomized choices made by callers.
@@ -105,6 +113,7 @@ class OptimResult:
 
     ``trace`` holds one ``(iteration, f, grad_inf_norm)`` entry per accepted
     iterate, starting with the initial point; the f column is non-increasing.
+    ``n_evals`` counts the objective evaluations, the start point included.
     """
 
     x_best: np.ndarray
@@ -112,11 +121,12 @@ class OptimResult:
     grad_norm: float
     iterations: int
     status: str
+    n_evals: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
-        return self.status in ("converged-grad", "converged-ftol")
+        return self.status in ("converged-grad", "converged-ftol", "converged-step")
 
 
 def line_search_wolfe(
@@ -225,7 +235,14 @@ def bfgs(
     cfg = config if config is not None else OptimConfig()
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
     n = x.size
-    fx, g = fg(x)
+    n_evals = 0
+
+    def counted(p: np.ndarray) -> tuple[float, np.ndarray | None]:
+        nonlocal n_evals
+        n_evals += 1
+        return fg(p)
+
+    fx, g = counted(x)
     fx = float(fx)
     if not math.isfinite(fx):
         raise InfeasibleStartError("objective is not finite at the starting point")
@@ -250,7 +267,7 @@ def bfgs(
             h = identity.copy()
             d = -g
         try:
-            step, f_new, g_new = line_search_wolfe(fg, x, d, cfg, f0=fx, g0=g)
+            step, f_new, g_new = line_search_wolfe(counted, x, d, cfg, f0=fx, g0=g)
         except LineSearchError:
             status = "line-search-failed"
             break
@@ -277,6 +294,86 @@ def bfgs(
         grad_norm=g_inf,
         iterations=iterations,
         status=status,
+        n_evals=n_evals,
+        trace=trace,
+    )
+
+
+def lm(
+    rj: ResidualAndJacobian,
+    x0: np.ndarray,
+    config: OptimConfig | None = None,
+) -> OptimResult:
+    """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
+
+    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r.  The damping
+    follows Nielsen's update (Madsen, Nielsen & Tingleff, *Methods for
+    non-linear least squares problems*, 2004, alg. 3.16): mu starts at 1e-3
+    max diag(J'J); a step that lowers f, so that its gain ratio rho (actual
+    over predicted decrease) is positive, is accepted and multiplies mu by
+    max(1/3, 1 - (2 rho - 1)^3); any other step, a step onto an infeasible
+    point included, is rejected and multiplies mu by nu, which then
+    doubles.  So accepted iterates stay feasible.  The run stops when f is
+    zero or changes by at most ``f_tol`` relative between accepted iterates
+    ("converged-ftol"); when ||h|| <= 1e-14 ||x||, or when the damped system
+    is too ill-conditioned to give a step with a positive predicted decrease
+    ("converged-step"); or after ``max_iters`` steps.  There is no absolute
+    gradient test: the gradient 2 J'r scales with the size of x.
+
+    Raises:
+        InfeasibleStartError: if ``rj`` marks ``x0`` infeasible.
+    """
+    cfg = config if config is not None else OptimConfig()
+    x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    r, jac = rj(x)
+    if r is None:
+        raise InfeasibleStartError("residual is not defined at the starting point")
+    n_evals = 1
+    f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
+    mu = 1e-3 * float(np.max(np.diag(a)))
+    nu = 2.0
+    identity = np.eye(x.size)
+    trace = [(0, f, 2.0 * float(np.max(np.abs(g))))]
+    iterations = 0
+    status = "max-iters"
+    while True:
+        if f == 0.0:
+            status = "converged-ftol"
+            break
+        if iterations >= cfg.max_iters:
+            break
+        iterations += 1
+        try:
+            h = np.linalg.solve(a + mu * identity, -g)
+        except np.linalg.LinAlgError:
+            h = np.zeros_like(x)
+        # decrease of f in the linear model, positive for every exactly solved step
+        predicted = float(h @ (mu * h - g))
+        if not predicted > 0.0 or np.linalg.norm(h) <= 1e-14 * np.linalg.norm(x):
+            status = "converged-step"
+            break
+        r_new, j_new = rj(x + h)
+        n_evals += 1
+        f_new = math.inf if r_new is None else float(r_new @ r_new)
+        if not f_new < f:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        rho = (f - f_new) / predicted
+        f_prev = f
+        x, f, a, g = x + h, f_new, j_new.T @ j_new, j_new.T @ r_new
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = 2.0
+        trace.append((iterations, f, 2.0 * float(np.max(np.abs(g)))))
+        if f_prev - f <= cfg.f_tol * f_prev:
+            status = "converged-ftol"
+            break
+    return OptimResult(
+        x_best=x,
+        f_best=f,
+        grad_norm=trace[-1][2],
+        iterations=iterations,
+        status=status,
+        n_evals=n_evals,
         trace=trace,
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lsq, nullspace
-from .model import AffineStructure, Solution, StateSpace, check_dims
+from .model import RESIDUAL_TOL, AffineStructure, Solution, StateSpace, check_dims
 from .optim import OptimConfig
 
 METHODS = ("nullspace", "lsq", "pipeline")
@@ -33,11 +33,13 @@ def solve(
 ) -> Solution:
     """Recover ``theta`` and ``T`` by ``method``: "nullspace", "lsq" or "pipeline".
 
-    The pipeline polishes the null-space solution with lsq; its ``result`` is
-    the polish's and its ``diagnostics`` hold each stage's under "nullspace"
-    and "polish".  ``init`` is an lsq starting ``(theta, T)``.  Outside input
-    is validated here, once; a degenerate ``T`` is one with
-    ``rcond(T) < SINGULAR_RTOL``.
+    The pipeline returns the null-space solution when it converged with a
+    max similarity residual <= ``RESIDUAL_TOL``, and otherwise polishes it
+    with lsq.  Its ``result`` is that of the stage it returns, and its
+    ``diagnostics`` hold each stage's under "nullspace" and "polish"; a
+    skipped polish is ``{"skipped": True, "reason": ...}``.  ``init`` is an
+    lsq starting ``(theta, T)``.  Outside input is validated here, once; a
+    degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
 
     Raises:
         ValueError: on an unknown method, mismatched dimensions, or an init
@@ -55,6 +57,11 @@ def solve(
     if method == "lsq":
         return lsq.solve_lsq(blackbox, structure, init=init, config=config)
     first = nullspace.solve_nullspace(blackbox, structure, config)
+    if first.result.converged and max(first.diagnostics["residuals"].values()) <= RESIDUAL_TOL:
+        skipped = {"skipped": True, "reason": "null-space solution converged within the "
+                                              "residual tolerance"}
+        return Solution(theta=first.theta, T=first.T, result=first.result,
+                        diagnostics={"nullspace": first.diagnostics, "polish": skipped})
     polish = lsq.solve_lsq(blackbox, structure, init=(first.theta, first.T), config=config)
     diagnostics = {"nullspace": first.diagnostics, "polish": polish.diagnostics}
     return Solution(theta=polish.theta, T=polish.T, result=polish.result, diagnostics=diagnostics)

@@ -13,10 +13,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def generate(tmp_path, structure="mass-spring", theta="4,0.5,1", seed=0, prefix="case"):
+def generate(tmp_path, structure="mass-spring", theta="4,0.5,1", seed=0, prefix="case",
+             cond_max=100.0):
     out = tmp_path / prefix
     code = run("generate", "--structure", structure, "--theta", theta,
-               "--seed", seed, "--out-prefix", out)
+               "--seed", seed, "--cond-max", cond_max, "--out-prefix", out)
     assert code == 0
     return f"{out}.blackbox.json", f"{out}.truth.json"
 
@@ -74,6 +75,35 @@ def test_solve_pipeline_mass_spring(tmp_path):
     assert set(report["diagnostics"]) == {"nullspace", "polish"}
 
 
+def test_pipeline_skips_polish_when_nullspace_passes(tmp_path):
+    # at cond 1e4 an lsq polish of this instance ended line-search-failed at
+    # the roundoff floor (exit 3) although verify accepts its answer
+    bb, _ = generate(tmp_path, seed=1668717024, cond_max=1e4)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 0
+    report = json.load(open(report_path))
+    polish = report["diagnostics"]["polish"]
+    assert polish["skipped"] is True and polish["reason"]
+    nullspace = report["diagnostics"]["nullspace"]
+    assert report["status"] == nullspace["start_outcomes"][-1]["status"]
+    assert report["objective_final"] == nullspace["objective_final"]
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "mass-spring", "--out", tmp_path / "verify.json") == 0
+
+
+def test_pipeline_polishes_when_nullspace_falls_short(tmp_path):
+    bb, _ = generate(tmp_path, seed=3)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 2, "restarts": 0}))
+    report_path = tmp_path / "report.json"
+    run("solve", "--blackbox", bb, "--structure", "mass-spring", "--config", config,
+        "--out", report_path)
+    report = json.load(open(report_path))
+    assert "skipped" not in report["diagnostics"]["polish"]
+    assert report["objective_final"] == report["diagnostics"]["polish"]["objective_final"]
+
+
 def test_solve_lsq_with_init_file(tmp_path):
     bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=2)
     init = tmp_path / "init.json"
@@ -104,7 +134,7 @@ def test_library_solve_matches_cli_report(tmp_path, method):
 @pytest.mark.parametrize("method", ["nullspace", "pipeline"])
 def test_solve_reports_each_start_outcome(tmp_path, method):
     # the T = I start of this instance stops short of the tolerance, the next passes
-    bb, _ = generate(tmp_path, seed=7)
+    bb, _ = generate(tmp_path, seed=31)
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
                "--out", report_path) == 0
@@ -115,7 +145,8 @@ def test_solve_reports_each_start_outcome(tmp_path, method):
     assert 2 <= len(outcomes) <= diagnostics["starts"]
     for outcome in outcomes:
         if outcome["status"] != "infeasible":
-            assert set(outcome) == {"iterations", "status", "objective_final", "max_residual"}
+            assert set(outcome) == {"iterations", "n_evals", "status", "objective_final",
+                                    "max_residual"}
         else:
             assert outcome == {"status": "infeasible"}
     assert diagnostics["infeasible_starts"] == sum(o["status"] == "infeasible" for o in outcomes)
@@ -218,12 +249,12 @@ def test_solve_non_convergence_exits_3(tmp_path):
 
 
 def test_solve_converged_above_residual_tol_exits_3(tmp_path, capsys):
-    # a loose grad_tol stops the search early: converged, but verify rejects it
+    # a loose grad_tol stops the lsq search early: converged, but verify rejects it
     bb, _ = generate(tmp_path, seed=3)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grad_tol": 1e-2}))
     report_path = tmp_path / "report.json"
-    code = run("solve", "--blackbox", bb, "--structure", "mass-spring",
+    code = run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
                "--config", config, "--out", report_path)
     assert code == 3
     err = capsys.readouterr().err

@@ -25,6 +25,7 @@ from graybox.nullspace import (
     realization_jacobians,
     realization_vector,
     reduced_distance,
+    reduced_residual,
     solve_nullspace,
     structure_distance,
     structure_projector,
@@ -436,6 +437,57 @@ def test_reduced_distance_infinite_when_singular():
     assert reduced_distance(vec(np.diag([1.0, 0.0])), blackbox, proj) == (np.inf, None)
 
 
+def test_residual_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(41)
+    for dims in dims_grid():
+        structure = random_structure(dims, rng)
+        proj = structure_projector(structure)
+        blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+        _, jac = reduced_residual(t_vec, blackbox, proj)
+        approx = fd_jacobian(lambda tv: reduced_residual(tv, blackbox, proj)[0], t_vec)
+        assert jac.shape == (dims.n_abc, dims.n_x**2)
+        assert float(np.max(relative_errors(jac, approx))) <= 1e-6
+
+
+def test_residual_jacobian_equals_kron_oracle():
+    # J = -P [J_A; J_B; J_C] N: the paper's dense Kronecker-product Jacobians
+    # of the stacked point, pulled back through the closed-form map N of vec(T)
+    rng = np.random.default_rng(42)
+    for dims in dims_grid():
+        structure = random_structure(dims, rng)
+        proj = structure_projector(structure)
+        for _ in range(3):
+            blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+            v = nullspace_point(blackbox, unvec(t_vec, dims.n_x, dims.n_x))
+            ds = np.vstack(realization_jacobians(v, dims)) @ closed_form_map(blackbox)[:, :-1]
+            oracle = -proj.residual_op @ ds
+            r, jac = reduced_residual(t_vec, blackbox, proj)
+            assert np.linalg.norm(jac - oracle) <= 1e-10 * np.linalg.norm(oracle)
+            expected = proj.residual_op @ (proj.offset - realization_vector(v, dims))
+            assert np.allclose(r, expected, rtol=0.0, atol=1e-12 * (1.0 + np.linalg.norm(r)))
+
+
+def test_residual_gives_reduced_distance_and_its_gradient():
+    rng = np.random.default_rng(43)
+    for dims in dims_grid():
+        structure = random_structure(dims, rng)
+        proj = structure_projector(structure)
+        blackbox, t_vec = _random_blackbox_and_t(dims, rng)
+        r, jac = reduced_residual(t_vec, blackbox, proj)
+        f, g = reduced_distance(t_vec, blackbox, proj)
+        assert float(r @ r) == pytest.approx(f, rel=1e-12)
+        assert np.linalg.norm(2.0 * jac.T @ r - g) <= 1e-10 * (1.0 + np.linalg.norm(g))
+
+
+def test_residual_undefined_when_singular():
+    dims = Dims(2, 1, 1)
+    rng = np.random.default_rng(44)
+    blackbox = StateSpace(A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 1)),
+                          C=rng.standard_normal((1, 2)))
+    proj = structure_projector(random_structure(dims, rng, n_theta=2))
+    assert reduced_residual(vec(np.diag([1.0, 0.0])), blackbox, proj) == (None, None)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end solve
 # ---------------------------------------------------------------------------
@@ -478,9 +530,9 @@ def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
 
 
 def test_solve_extracts_each_point_once(monkeypatch):
-    # value and gradient share one extraction, so the search never extracts
+    # residual and Jacobian share one extraction, so the search never extracts
     # a point twice; the one repeat allowed is the read-out of the winner,
-    # here the first and only start
+    # here the first and only start, which takes over 100 steps
     extracted = []
     extract = ns.extract_realization
 
@@ -490,7 +542,7 @@ def test_solve_extracts_each_point_once(monkeypatch):
 
     monkeypatch.setattr(ns, "extract_realization", recorder)
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    instance = generate_instance(structure, theta, seed=127, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
     assert sol.result.converged
     assert len(sol.diagnostics["start_outcomes"]) == 1
@@ -502,15 +554,15 @@ def test_solve_extracts_each_point_once(monkeypatch):
 
 def test_solve_stops_at_first_start_that_recovers(monkeypatch):
     calls = []
-    bfgs = ns.bfgs
+    lm = ns.lm
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return bfgs(*args, **kwargs)
+        return lm(*args, **kwargs)
 
-    monkeypatch.setattr(ns, "bfgs", counting)
+    monkeypatch.setattr(ns, "lm", counting)
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    instance = generate_instance(structure, theta, seed=6, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
     assert len(calls) == 1
     assert sol.diagnostics["starts"] == 5
@@ -518,6 +570,7 @@ def test_solve_stops_at_first_start_that_recovers(monkeypatch):
     assert max(res) <= 1e-8
     assert sol.diagnostics["start_outcomes"] == [{
         "iterations": sol.result.iterations,
+        "n_evals": sol.result.n_evals,
         "status": sol.result.status,
         "objective_final": sol.result.f_best,
         "max_residual": max(res),
@@ -525,20 +578,20 @@ def test_solve_stops_at_first_start_that_recovers(monkeypatch):
 
 
 def test_solve_without_passing_start_keeps_lowest_objective():
-    # one iteration per start leaves every read-out far from the structured set
+    # one step per start leaves every read-out far from the structured set
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=6, cond_max=20.0)
+    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     cfg = OptimConfig(max_iters=1)
     sol = solve_nullspace(instance.blackbox, structure, cfg)
     outcomes = sol.diagnostics["start_outcomes"]
     assert len(outcomes) == 1 + cfg.restarts
     assert all(o["max_residual"] > 1e-8 for o in outcomes)
 
-    # bfgs from the same starts: T = I, then the seeded draws
+    # lm from the same starts: T = I, then the seeded draws
     proj = structure_projector(structure)
     rng = np.random.default_rng(cfg.seed)
     starts = [vec(np.eye(3))] + [vec(rng.standard_normal((3, 3))) for _ in range(cfg.restarts)]
-    runs = [ns.bfgs(lambda t: reduced_distance(t, instance.blackbox, proj), x0, cfg)
+    runs = [ns.lm(lambda t: reduced_residual(t, instance.blackbox, proj), x0, cfg)
             for x0 in starts]
     assert [o["objective_final"] for o in outcomes] == [r.f_best for r in runs]
     best = min(runs, key=lambda r: r.f_best)
@@ -552,15 +605,15 @@ def test_solve_without_passing_start_keeps_lowest_objective():
 
 def test_solve_counts_infeasible_start_and_stops_at_next(monkeypatch):
     calls = []
-    bfgs = ns.bfgs
+    lm = ns.lm
 
     def first_infeasible(*args, **kwargs):
         calls.append(args)
         if len(calls) == 1:
             raise InfeasibleStartError("forced")
-        return bfgs(*args, **kwargs)
+        return lm(*args, **kwargs)
 
-    monkeypatch.setattr(ns, "bfgs", first_infeasible)
+    monkeypatch.setattr(ns, "lm", first_infeasible)
     structure, theta = compartment3()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
@@ -589,6 +642,27 @@ def test_solve_objective_trace_non_increasing():
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def test_solve_never_accepts_a_step_that_raises_the_objective(monkeypatch):
+    # the T = I start of this instance reaches damped systems with condition
+    # numbers near 1e17, whose computed steps can predict a decrease that the
+    # exact step cannot: such a step must end the start, not be accepted
+    runs = []
+    lm = ns.lm
+
+    def recording(*args, **kwargs):
+        runs.append(lm(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(ns, "lm", recording)
+    structure, theta = mass_spring_damper()
+    instance = generate_instance(structure, theta, seed=31, cond_max=100.0)
+    solve_nullspace(instance.blackbox, structure)
+    assert len(runs) == 2
+    for run in runs:
+        values = [f for _, f, _ in run.trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+
 def test_solve_dimension_mismatch():
     structure, _ = mass_spring_damper()
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -602,6 +676,18 @@ def test_solve_all_starts_infeasible(monkeypatch):
     def always_infeasible(*args, **kwargs):
         raise InfeasibleStartError("forced")
 
-    monkeypatch.setattr(ns, "bfgs", always_infeasible)
+    monkeypatch.setattr(ns, "lm", always_infeasible)
     with pytest.raises(InfeasibleStartError, match="starts"):
         solve_nullspace(blackbox, structure)
+
+
+def test_solve_reaches_tolerance_at_large_transform_norm():
+    # ||T|| is about 1e3 here; an absolute gradient test used to stop the
+    # search at a similarity residual of 5e-6
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=134104485, cond_max=1e4)
+    sol = solve_nullspace(instance.blackbox, structure)
+    assert np.linalg.norm(sol.T) > 100.0
+    assert sol.result.converged
+    res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
+    assert max(res) <= 1e-8

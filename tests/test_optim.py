@@ -10,6 +10,7 @@ from graybox.optim import (
     fd_gradient,
     fd_jacobian,
     line_search_wolfe,
+    lm,
 )
 
 
@@ -26,6 +27,12 @@ def rosenbrock_grad(x):
 
 def rosenbrock_fg(x):
     return rosenbrock(x), rosenbrock_grad(x)
+
+
+def rosenbrock_rj(x):
+    """Residual and Jacobian whose squared norm is the Rosenbrock function."""
+    r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
 def fused(f, g):
@@ -99,6 +106,80 @@ def test_bfgs_infeasible_region_never_entered():
 def test_bfgs_infeasible_start():
     with pytest.raises(InfeasibleStartError):
         bfgs(lambda x: (float("inf"), None), np.zeros(2))
+
+
+def test_bfgs_counts_every_evaluation():
+    calls = []
+    result = bfgs(lambda x: calls.append(1) or rosenbrock_fg(x), np.array([-1.2, 1.0]))
+    assert result.n_evals == len(calls) > result.iterations
+
+
+def test_lm_rosenbrock():
+    calls = []
+    result = lm(lambda x: calls.append(1) or rosenbrock_rj(x), np.array([-1.2, 1.0]))
+    assert result.converged
+    assert result.iterations <= 100
+    assert result.n_evals == len(calls)
+    assert np.allclose(result.x_best, [1.0, 1.0], atol=1e-10)
+    assert result.f_best == rosenbrock(result.x_best)
+    values = [f for _, f, _ in result.trace]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    # the gradient column is that of f = ||r||^2, 2 J^T r
+    r, j = rosenbrock_rj(result.x_best)
+    assert result.grad_norm == pytest.approx(float(np.max(np.abs(2.0 * j.T @ r))))
+
+
+def test_lm_linear_least_squares():
+    a = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+    b = np.array([1.0, -2.0, 0.5])
+    result = lm(lambda x: (a @ x - b, a), np.zeros(2))
+    assert result.converged
+    assert np.allclose(result.x_best, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-10)
+
+
+def test_lm_zero_residual_stops_at_once():
+    result = lm(lambda x: (x - 1.0, np.eye(2)), np.ones(2))
+    assert result.status == "converged-ftol"
+    assert (result.iterations, result.n_evals) == (0, 1)
+
+
+def test_lm_singular_damped_system_stops():
+    # J = 0 with r != 0: the damping starts at 0 and the damped system is singular
+    result = lm(lambda x: (np.array([1.0]), np.zeros((1, 2))), np.ones(2))
+    assert result.status == "converged-step"
+    assert (result.n_evals, result.f_best) == (1, 1.0)
+    assert np.array_equal(result.x_best, np.ones(2))
+
+
+def test_lm_infeasible_region_never_accepted():
+    # minimum of the smooth part sits at x0=2, behind the wall at x0=1
+    probed = []
+
+    def rj(x):
+        probed.append(x.copy())
+        if x[0] > 1.0:
+            return None, None
+        return np.array([x[0] - 2.0, x[1]]), np.eye(2)
+
+    result = lm(rj, np.array([0.0, 1.0]))
+    assert result.x_best[0] <= 1.0
+    assert np.isfinite(result.f_best)
+    assert any(point[0] > 1.0 for point in probed)
+    assert all(np.isfinite(f) for _, f, _ in result.trace)
+    assert result.n_evals == len(probed)
+
+
+def test_lm_infeasible_start():
+    with pytest.raises(InfeasibleStartError):
+        lm(lambda x: (None, None), np.zeros(2))
+
+
+def test_lm_max_iters():
+    result = lm(rosenbrock_rj, np.array([-1.2, 1.0]), OptimConfig(max_iters=3))
+    assert result.status == "max-iters"
+    assert not result.converged
+    assert result.iterations == 3
+    assert result.n_evals == 4
 
 
 def test_line_search_quadratic_unit_step():

@@ -228,14 +228,15 @@ def _point_error(args, blackbox, structure, rng, proj) -> float | None:
 
     t = rng.standard_normal((n_x, n_x))
     theta = rng.standard_normal(structure.n_theta)
+    n_theta = structure.n_theta
+
+    def lsq_fg(th, tv, block):  # r @ r and one block of its gradient 2 J^T r
+        r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure)
+        return float(r @ r), 2.0 * (jac[:, block].T @ r)
+
     if args.which == "lsq-theta":
-        return _scaled_check(lambda th: lsq.cost(th, t, blackbox, structure)[:2], theta)
-
-    def lsq_t(tv):  # lsq-T
-        f, _, g_t = lsq.cost(theta, unvec(tv, n_x, n_x), blackbox, structure)
-        return f, vec(g_t)
-
-    return _scaled_check(lsq_t, vec(t))
+        return _scaled_check(lambda th: lsq_fg(th, vec(t), slice(None, n_theta)), theta)
+    return _scaled_check(lambda tv: lsq_fg(theta, tv, slice(n_theta, None)), vec(t))  # lsq-T
 
 
 def cmd_check_grad(args) -> int:
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--which", choices=("hbar", "lsq-theta", "lsq-T", "jacobians"),
                        required=True,
                        help="hbar: reduced null-space objective over T; lsq-theta/lsq-T: "
-                            "least-squares cost blocks; jacobians: realization extraction")
+                            "blocks of the least-squares gradient 2 J^T r; jacobians: "
+                            "realization extraction")
     check.add_argument("--blackbox", required=True)
     check.add_argument("--structure", required=True)
     check.add_argument("--points", type=int, default=100)

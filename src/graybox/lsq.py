@@ -1,11 +1,13 @@
 """Least-squares solution of the similarity re-parameterization problem.
 
 Minimizes the summed squared Frobenius residuals of the similarity equations
-jointly over the parameter vector and the transform.  :func:`cost` returns
-the value and the analytic gradients of both blocks from one set of residual
-matrices.  Unlike the null-space path nothing here requires the transform to
-be invertible, so a vanishing transform is a genuine (spurious) attractor;
-the solver only reports that degeneracy, it does not prevent it.
+jointly over the parameter vector and the transform by Levenberg-Marquardt.
+:func:`cost` returns the stacked residual vector and its Jacobian in
+[theta; vec(T)] from one set of residual matrices; the paper's closed-form
+gradients :func:`grad_theta` and :func:`grad_t` are kept as the oracle of
+``2 J^T r``.  Unlike the null-space path nothing here requires the transform
+to be invertible, so a vanishing transform is a genuine (spurious)
+attractor; the solver only reports that degeneracy, it does not prevent it.
 """
 
 from __future__ import annotations
@@ -15,40 +17,59 @@ import time
 import numpy as np
 
 from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, eval_structure,
-                    rcond, residuals, structured_matrices, unvec, vec)
+                    kron_t, rcond, residuals, structured_matrices, unvec, vec)
 from .nullspace import extract_theta, structure_projector
-from .optim import OptimConfig, bfgs
+from .optim import OptimConfig, lm
+# bound here only because bench/tracer.py wraps graybox.lsq.bfgs by name
+from .optim import bfgs  # noqa: F401
 
 __all__ = [
     "cost",
     "default_init",
+    "grad_t",
+    "grad_theta",
+    "residual_matrices",
     "solve_lsq",
 ]
 
-def _residual_matrices(theta, t, blackbox, structure):
-    """Structured A, B at ``theta`` and the residual matrices; trusts its inputs."""
+
+def residual_matrices(theta, t, blackbox, structure) -> tuple:
+    """Structured A, B at ``theta`` and the three residual matrices; trusts its inputs."""
     a, b, c = structured_matrices(structure, theta)
     return a, b, blackbox.A @ t - t @ a, blackbox.B - t @ b, blackbox.C @ t - c
 
 
 def cost(
     theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Sum of squared Frobenius norms of the three similarity residuals, and its gradients.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked similarity residual ``r`` and its Jacobian ``J`` in [theta; vec(T)].
 
-    Returns ``(f, g_theta, g_T)``, with ``g_T`` an n_x by n_x matrix; all
-    three come from one set of residual matrices.  ``f`` is zero exactly
-    when ``(theta, t)`` solves the similarity equations; the transform need
-    not be invertible for evaluation.
+    r = [vec(A_bb T - T A); vec(B_bb - T B); vec(C_bb T - C)], so the
+    least-squares objective is ``r @ r`` and its gradient ``2 J^T r``.  r is
+    zero exactly when ``(theta, t)`` solves the similarity equations; the
+    transform need not be invertible.  With K_A, K_B and K_C the row blocks
+    of the parameter map, the theta columns of J are
+    -[(I (x) T) K_A; (I (x) T) K_B; K_C] and the vec(T) columns are
+    [I (x) A_bb - A^T (x) I; -B^T (x) I; I (x) C_bb].
     """
-    res = _residual_matrices(theta, t, blackbox, structure)
-    _, _, r_a, r_b, r_c = res
-    f = float(np.sum(r_a * r_a) + np.sum(r_b * r_b) + np.sum(r_c * r_c))
-    return f, grad_theta(t, res, structure), grad_t(res, blackbox)
+    a, b, r_a, r_b, r_c = residual_matrices(theta, t, blackbox, structure)
+    k = structure.K
+    n_x, n_theta = t.shape[0], k.shape[1]
+    nx2, n_ab = n_x * n_x, n_x * (n_x + b.shape[1])
+    eye = np.eye(n_x)
+    jac = np.empty((k.shape[0], n_theta + nx2))
+    # (I (x) T) [K_A; K_B] in one product: each column of [K_A; K_B] is vec([A_p, B_p])
+    jac[:n_ab, :n_theta] = -(t @ k[:n_ab].reshape(n_x, -1, order="F")).reshape(
+        n_ab, n_theta, order="F")
+    jac[n_ab:, :n_theta] = -k[n_ab:]
+    jac[:nx2, n_theta:] = kron_t(eye, blackbox.A) - kron_t(a, eye)
+    jac[nx2:n_ab, n_theta:] = -kron_t(b, eye)
+    jac[n_ab:, n_theta:] = kron_t(eye, blackbox.C)
+    return np.concatenate([vec(r_a), vec(r_b), vec(r_c)]), jac
 
 
 def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndarray:
-    """Gradient of :func:`cost` in the parameter vector, from its residual matrices.
+    """The paper's gradient of ``r @ r`` in the parameter vector, from :func:`residual_matrices`.
 
     The residuals are pulled back through the transform onto the stacked
     (A, B, C) entries and then contracted with the transposed parameter map.
@@ -59,7 +80,7 @@ def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndar
 
 
 def grad_t(res: tuple, blackbox: StateSpace) -> np.ndarray:
-    """Gradient of :func:`cost` in the transform, from its residual matrices."""
+    """The paper's gradient of ``r @ r`` in the transform, from :func:`residual_matrices`."""
     a, b, r_a, r_b, r_c = res
     return 2.0 * (blackbox.A.T @ r_a - r_a @ a.T - r_b @ b.T + blackbox.C.T @ r_c)
 
@@ -82,7 +103,7 @@ def solve_lsq(
     init: tuple[np.ndarray, np.ndarray] | None = None,
     config: OptimConfig | None = None,
 ) -> Solution:
-    """Minimize :func:`cost` over the stacked variable [theta; vec(T)] with BFGS.
+    """Minimize ``r @ r`` of :func:`cost` over [theta; vec(T)] by Levenberg-Marquardt.
 
     Non-convergence is reported through ``result.status`` with the best point
     still returned.  The diagnostics flag ``degenerate_transform`` marks a
@@ -99,11 +120,10 @@ def solve_lsq(
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return z[:n_theta], unvec(z[n_theta:], n_x, n_x)
 
-    def fg(z: np.ndarray) -> tuple[float, np.ndarray]:
-        f, g_theta, g_t = cost(*split(z), blackbox, structure)
-        return f, np.concatenate([g_theta, vec(g_t)])
+    def rj(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return cost(*split(z), blackbox, structure)
 
-    result = bfgs(fg, np.concatenate([np.ravel(theta0), vec(t0)]), cfg)
+    result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg)
     theta_hat, t_hat = split(result.x_best)
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL

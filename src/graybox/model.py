@@ -27,6 +27,7 @@ __all__ = [
     "unvec",
     "block_slices",
     "check_dims",
+    "kron_t",
     "rcond",
     "structured_matrices",
     "eval_structure",
@@ -249,6 +250,13 @@ def check_dims(blackbox: StateSpace, structure) -> None:
         raise ValueError(
             f"dimension mismatch: black-box {blackbox.dims} vs structure {structure.dims}"
         )
+
+
+def kron_t(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The Kronecker product m^T (x) n by einsum, so that vec(N X M) = kron_t(M, N) vec(X)."""
+    return np.einsum("lj,ik->jilk", m, n).reshape(
+        m.shape[1] * n.shape[0], m.shape[0] * n.shape[1]
+    )
 
 
 def rcond(t: np.ndarray) -> float:

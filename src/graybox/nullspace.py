@@ -41,6 +41,7 @@ from .model import (
     block_slices,
     check_dims,
     eval_structure,
+    kron_t,
     rcond,
     residuals,
     unvec,
@@ -322,13 +323,6 @@ def reduced_distance(
     return float(r @ r), structure_distance_grad(real, w, blackbox)
 
 
-def _kron_t(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The Kronecker product m^T (x) n, assembled by einsum."""
-    return np.einsum("lj,ik->jilk", m, n).reshape(
-        m.shape[1] * n.shape[0], m.shape[0] * n.shape[1]
-    )
-
-
 def reduced_residual(
     t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -348,9 +342,9 @@ def reduced_residual(
         return None, None
     eye = np.eye(d.n_x)
     ds = np.vstack([
-        _kron_t(eye, real.T_inv @ blackbox.A) - _kron_t(real.A, real.T_inv),
-        -_kron_t(real.B, real.T_inv),
-        _kron_t(eye, blackbox.C),
+        kron_t(eye, real.T_inv @ blackbox.A) - kron_t(real.A, real.T_inv),
+        -kron_t(real.B, real.T_inv),
+        kron_t(eye, blackbox.C),
     ])
     p = proj.residual_op
     return p @ (proj.offset - real.stacked()), -(p @ ds)

@@ -315,10 +315,14 @@ def lm(
     point included, is rejected and multiplies mu by nu, which then
     doubles.  So accepted iterates stay feasible.  The run stops when f is
     zero or changes by at most ``f_tol`` relative between accepted iterates
-    ("converged-ftol"); when ||h|| <= 1e-14 ||x||, or when the damped system
-    is too ill-conditioned to give a step with a positive predicted decrease
-    ("converged-step"); or after ``max_iters`` steps.  There is no absolute
-    gradient test: the gradient 2 J'r scales with the size of x.
+    ("converged-ftol"); when |h_i| <= 1e-12 |x_i| for every component, or
+    when the damped system is too ill-conditioned to give a step with a
+    positive predicted decrease ("converged-step"); or after ``max_iters``
+    steps.  The step test is componentwise so that a component much smaller
+    than ||x|| (a parameter next to a large transform) still converges to
+    its own relative precision; any step it lets through moves x, so no
+    point is evaluated twice.  There is no absolute gradient test: the
+    gradient 2 J'r scales with the size of x.
 
     Raises:
         InfeasibleStartError: if ``rj`` marks ``x0`` infeasible.
@@ -349,7 +353,7 @@ def lm(
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
         predicted = float(h @ (mu * h - g))
-        if not predicted > 0.0 or np.linalg.norm(h) <= 1e-14 * np.linalg.norm(x):
+        if not predicted > 0.0 or np.all(np.abs(h) <= 1e-12 * np.abs(x)):
             status = "converged-step"
             break
         r_new, j_new = rj(x + h)

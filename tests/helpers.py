@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from graybox.model import AffineStructure, Dims, Instance, vec
+from graybox.lsq import cost
+from graybox.model import AffineStructure, Dims, Instance, unvec, vec
 
 
 def dims_grid() -> list[Dims]:
@@ -38,3 +39,15 @@ def stacked_solution(instance: Instance) -> np.ndarray:
         vec(truth.C),
         [1.0],
     ])
+
+
+def lsq_fg(theta, t, blackbox, structure) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least-squares objective ``r @ r`` of :func:`graybox.lsq.cost` and its gradient ``2 J^T r``.
+
+    Returned as ``(f, g_theta, g_T)``, with ``g_T`` an n_x by n_x matrix.
+    """
+    t = np.asarray(t, dtype=float)
+    r, jac = cost(np.asarray(theta, dtype=float), t, blackbox, structure)
+    g = 2.0 * (jac.T @ r)
+    n_theta = structure.n_theta
+    return float(r @ r), g[:n_theta], unvec(g[n_theta:], *t.shape)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from graybox.cli import main as cli_main
-from graybox.lsq import cost, solve_lsq
+from graybox.lsq import solve_lsq
 from graybox.model import (
     Dims,
     StateSpace,
@@ -35,7 +35,7 @@ from graybox.nullspace import (
 from graybox.optim import bfgs, fd_gradient, fd_jacobian, relative_errors
 from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
-from helpers import dims_grid, random_structure, stacked_solution
+from helpers import dims_grid, lsq_fg, random_structure, stacked_solution
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -114,12 +114,12 @@ def test_criterion_1_gradient_correctness():
             for _ in range(100):
                 theta = theta_true + 0.1 * rng.standard_normal(structure.n_theta)
                 t = instance.T + 0.1 * rng.standard_normal((n_x, n_x))
-                _, g_theta, g_t = cost(theta, t, blackbox, structure)
-                approx = fd_gradient(lambda th: cost(th, t, blackbox, structure)[0], theta)
+                _, g_theta, g_t = lsq_fg(theta, t, blackbox, structure)
+                approx = fd_gradient(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)
                 worst["lsq_theta"] = max(worst["lsq_theta"], float(np.max(
                     relative_errors(g_theta, approx))))
                 approx_t = fd_gradient(
-                    lambda tv: cost(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t))
+                    lambda tv: lsq_fg(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t))
                 worst["lsq_t"] = max(worst["lsq_t"], float(np.max(
                     relative_errors(vec(g_t), approx_t))))
 
@@ -134,7 +134,7 @@ def test_criterion_2_hand_verified_anchors():
         structure, _ = scalar()
         t = np.array([[1.0]])
         theta = np.array([3.0, 2.0])
-        f, g_theta, g_t = cost(theta, t, SCALAR_BLACKBOX, structure)
+        f, g_theta, g_t = lsq_fg(theta, t, SCALAR_BLACKBOX, structure)
         assert abs(f - 4.0625) <= 1e-10
         assert np.max(np.abs(g_theta - np.array([0.0, -4.0]))) <= 1e-10
         assert abs(g_t.item() - (-8.125)) <= 1e-10
@@ -225,7 +225,7 @@ def test_criterion_6_lsq_recovery_and_pipeline_polish():
             ACCEPTANCE_TRACES.append([f for _, f, _ in sol.result.trace])
 
             first = solve_nullspace(instance.blackbox, structure)
-            start_cost, _, _ = cost(first.theta, first.T, instance.blackbox, structure)
+            start_cost, _, _ = lsq_fg(first.theta, first.T, instance.blackbox, structure)
             polish = solve_lsq(instance.blackbox, structure, init=(first.theta, first.T))
             assert polish.result.f_best <= start_cost + 1e-12
             ACCEPTANCE_TRACES.append([f for _, f, _ in polish.result.trace])

@@ -92,6 +92,21 @@ def test_pipeline_skips_polish_when_nullspace_passes(tmp_path):
                "--structure", "mass-spring", "--out", tmp_path / "verify.json") == 0
 
 
+def test_pipeline_polish_reaches_the_tolerance_at_large_transform(tmp_path):
+    # compartment3 at cond 1e4: the null-space read-out stops at 2.3e-8, and the
+    # polish over [theta; vec(T)], with ||T|| near 7.6e3, must still reach 1e-8
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2",
+                     seed=388268015, cond_max=1e4)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "compartment3",
+               "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert "skipped" not in report["diagnostics"]["polish"]
+    assert max(report["residuals"].values()) <= 1e-8
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "compartment3", "--out", tmp_path / "verify.json") == 0
+
+
 def test_pipeline_polishes_when_nullspace_falls_short(tmp_path):
     bb, _ = generate(tmp_path, seed=3)
     config = tmp_path / "config.json"
@@ -113,6 +128,30 @@ def test_solve_lsq_with_init_file(tmp_path):
                "--init", init, "--out", report_path)
     assert code == 0
     assert np.allclose(json.load(open(report_path))["theta_hat"], [3.0, 2.0], atol=1e-5)
+
+
+def _perturbed(x, rng, rel=0.05):
+    d = rng.standard_normal(x.shape)
+    return x + rel * np.linalg.norm(x) * d / np.linalg.norm(d)
+
+
+def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
+    # mass-spring at cond 1e4 from a 5 % perturbed truth; BFGS stopped here
+    # line-search-failed at a residual of 2.2e-6
+    seed = 1755425271
+    bb, truth = generate(tmp_path, seed=seed, cond_max=1e4)
+    _, theta = bundled_structure("mass-spring")
+    rng = np.random.default_rng([seed, 1])
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"theta": _perturbed(theta, rng).tolist(),
+                                "T": _perturbed(np.array(json.load(open(truth))["T"]),
+                                                rng).tolist()}))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
+               "--init", init, "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert report["status"] in ("converged-ftol", "converged-step")
+    assert max(report["residuals"].values()) <= 1e-8
 
 
 @pytest.mark.parametrize("method", ["nullspace", "lsq", "pipeline"])
@@ -249,10 +288,10 @@ def test_solve_non_convergence_exits_3(tmp_path):
 
 
 def test_solve_converged_above_residual_tol_exits_3(tmp_path, capsys):
-    # a loose grad_tol stops the lsq search early: converged, but verify rejects it
+    # a loose f_tol stops the lsq search early: converged, but verify rejects it
     bb, _ = generate(tmp_path, seed=3)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grad_tol": 1e-2}))
+    config.write_text(json.dumps({"f_tol": 0.1}))
     report_path = tmp_path / "report.json"
     code = run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
                "--config", config, "--out", report_path)
@@ -260,7 +299,7 @@ def test_solve_converged_above_residual_tol_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "max residual" in err and "tolerance 1e-08" in err
     report = json.load(open(report_path))  # report written despite the failure
-    assert report["status"] == "converged-grad"
+    assert report["status"] == "converged-ftol"
     assert max(report["residuals"].values()) > 1e-8
     assert run("verify", "--result", report_path, "--blackbox", bb,
                "--structure", "mass-spring", "--out", tmp_path / "verify.json") == 1

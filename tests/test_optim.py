@@ -137,6 +137,20 @@ def test_lm_linear_least_squares():
     assert np.allclose(result.x_best, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-10)
 
 
+def test_lm_mixed_scale_small_component_converges():
+    # x0 near 1e4 makes ||h|| <= 1e-14 ||x|| hold while x1, at scale 1e-3,
+    # is still wrong in its ninth digit; the componentwise test keeps going
+    def rj(x):
+        r = np.array([x[0] - 1e4, 1e3 * (x[1] + x[1] ** 3 / 1e-6 - 2e-3)])
+        j = np.array([[1.0, 0.0], [0.0, 1e3 * (1.0 + 3.0 * x[1] ** 2 / 1e-6)]])
+        return r, j
+
+    result = lm(rj, np.array([1e4, 3e-3]))
+    assert result.status == "converged-step"
+    assert abs(result.x_best[1] - 1e-3) <= 1e-10 * 1e-3
+    assert result.f_best <= 1e-20
+
+
 def test_lm_zero_residual_stops_at_once():
     result = lm(lambda x: (x - 1.0, np.eye(2)), np.ones(2))
     assert result.status == "converged-ftol"

@@ -30,13 +30,16 @@ from .model import (
     unvec,
     vec,
 )
-from .structures import BUNDLED, bundled_structure
+from .structures import BUNDLED, bundled_structure, is_bundled
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_DEGENERATE = 4
+
+STRUCTURE_HELP = (f"structure JSON file or bundled name ({', '.join(sorted(BUNDLED))}, "
+                  "or chain<n> for the n-compartment chain)")
 
 
 def _load_json(path: str) -> dict:
@@ -57,7 +60,7 @@ def _load_blackbox(path: str) -> StateSpace:
 
 
 def _load_structure(spec: str) -> AffineStructure:
-    if spec in BUNDLED:
+    if is_bundled(spec):
         return bundled_structure(spec)[0]
     try:
         return AffineStructure.from_dict(_load_json(spec))
@@ -295,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="create a synthetic black-box/truth pair")
-    gen.add_argument("--structure", required=True,
-                     help=f"structure JSON file or bundled name ({', '.join(sorted(BUNDLED))})")
+    gen.add_argument("--structure", required=True, help=STRUCTURE_HELP)
     gen.add_argument("--theta", required=True, help="comma-separated parameter values")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--cond-max", type=float, default=100.0,
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="recover parameters and transform")
     solve.add_argument("--method", choices=solver.METHODS, default="pipeline")
     solve.add_argument("--blackbox", required=True)
-    solve.add_argument("--structure", required=True)
+    solve.add_argument("--structure", required=True, help=STRUCTURE_HELP)
     solve.add_argument("--truth", help="truth JSON; adds theta_error to the report")
     solve.add_argument("--init", help="JSON with keys 'theta' and 'T' (lsq method only)")
     solve.add_argument("--config", help="JSON file with optimizer options")
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "blocks of the least-squares gradient 2 J^T r; jacobians: "
                             "realization extraction")
     check.add_argument("--blackbox", required=True)
-    check.add_argument("--structure", required=True)
+    check.add_argument("--structure", required=True, help=STRUCTURE_HELP)
     check.add_argument("--points", type=int, default=100)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--rel-tol", type=float, default=1e-6)
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="recompute residuals for a solve report")
     verify.add_argument("--result", required=True, help="report JSON from 'solve'")
     verify.add_argument("--blackbox", required=True)
-    verify.add_argument("--structure", required=True)
+    verify.add_argument("--structure", required=True, help=STRUCTURE_HELP)
     verify.add_argument("--truth")
     verify.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     verify.add_argument("--out", help="verification report path (default: stdout)")

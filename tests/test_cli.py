@@ -154,6 +154,29 @@ def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
     assert max(report["residuals"].values()) <= 1e-8
 
 
+def test_solve_lsq_chain8_from_perturbed_init_at_cond_1e4(tmp_path):
+    # chain8 at cond 1e4 from a 5 % perturbed truth; without geodesic
+    # acceleration lm ended max-iters at a residual of 3.6e-6
+    seed = 390218291
+    _, theta = bundled_structure("chain8")
+    bb, truth = generate(tmp_path, structure="chain8", theta=",".join(str(x) for x in theta),
+                         seed=seed, cond_max=1e4)
+    rng = np.random.default_rng([seed, 1])
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"theta": _perturbed(theta, rng).tolist(),
+                                "T": _perturbed(np.array(json.load(open(truth))["T"]),
+                                                rng).tolist()}))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "chain8",
+               "--init", init, "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert max(report["residuals"].values()) <= 1e-8
+    diagnostics = report["diagnostics"]
+    assert diagnostics["iterations"] >= diagnostics["n_evals"] - 1
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "chain8", "--out", tmp_path / "verify.json") == 0
+
+
 @pytest.mark.parametrize("method", ["nullspace", "lsq", "pipeline"])
 def test_library_solve_matches_cli_report(tmp_path, method):
     bb, _ = generate(tmp_path, seed=12)

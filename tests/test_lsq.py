@@ -3,7 +3,8 @@ import pytest
 
 import graybox.lsq as lsq
 import graybox.optim as optim
-from graybox.lsq import cost, default_init, grad_t, grad_theta, residual_matrices, solve_lsq
+from graybox.lsq import (cost, curvature, default_init, grad_t, grad_theta, residual_matrices,
+                         solve_lsq)
 from graybox.model import (
     AffineStructure,
     Dims,
@@ -152,6 +153,39 @@ def test_jacobian_gradient_equals_closed_form_gradients():
         assert np.linalg.norm(2.0 * jac.T @ r - oracle) <= 1e-10 * (1.0 + np.linalg.norm(oracle))
 
 
+def _stacked_cost(structure, blackbox):
+    """``z -> (r, J)`` of :func:`cost` at the stacked point z = [theta; vec(T)]."""
+    n_theta, n_x = structure.n_theta, structure.dims.n_x
+    return lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), blackbox, structure)
+
+
+def test_curvature_makes_the_quadratic_expansion_exact():
+    rng = np.random.default_rng(47)
+    for dims in dims_grid():
+        structure, blackbox, theta, t = _random_point(dims, rng)
+        rj = _stacked_cost(structure, blackbox)
+        x = np.concatenate([theta, vec(t)])
+        v = rng.standard_normal(x.size)
+        r, jac = rj(x)
+        r_v, _ = rj(x + v)
+        half = 0.5 * curvature(v, structure)
+        assert np.linalg.norm(r_v - r - jac @ v - half) <= 1e-10 * (
+            np.linalg.norm(r_v) + np.linalg.norm(r) + np.linalg.norm(jac @ v))
+        assert np.linalg.norm(half) > 0.0
+
+
+def test_curvature_equals_central_difference_of_the_jacobian():
+    rng = np.random.default_rng(48)
+    eps = 1e-6
+    for dims in dims_grid():
+        structure, blackbox, theta, t = _random_point(dims, rng)
+        rj = _stacked_cost(structure, blackbox)
+        x = np.concatenate([theta, vec(t)])
+        v = rng.standard_normal(x.size)
+        approx = (rj(x + eps * v)[1] - rj(x - eps * v)[1]) @ v / (2.0 * eps)
+        assert float(np.max(relative_errors(curvature(v, structure), approx))) <= 1e-6
+
+
 def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the lsq solve path runs Levenberg-Marquardt on einsum Jacobians")
@@ -166,6 +200,7 @@ def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
     assert sol.diagnostics["n_evals"] == sol.result.n_evals
+    assert sol.diagnostics["iterations"] == sol.result.iterations
 
 
 def test_solve_from_truth_is_stationary():

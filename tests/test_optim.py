@@ -35,9 +35,32 @@ def rosenbrock_rj(x):
     return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
+def rosenbrock_rvv(v):
+    """Second directional derivative of the residual of :func:`rosenbrock_rj`, constant in x."""
+    return np.array([-20.0 * v[0] ** 2, 0.0])
+
+
 def fused(f, g):
     """The (f, g) callable of a separate objective and gradient."""
     return lambda x: (f(x), g(x))
+
+
+def wall_rj(x):
+    """Residual with its minimum at x0=2, behind an infeasible region x0 > 1."""
+    if x[0] > 1.0:
+        return None, None
+    return np.array([x[0] - 2.0, x[1]]), np.eye(2)
+
+
+def mixed_scale_rj(x):
+    """x0 near 1e4 next to x1 at scale 1e-3; the root is (1e4, 1e-3)."""
+    r = np.array([x[0] - 1e4, 1e3 * (x[1] + x[1] ** 3 / 1e-6 - 2e-3)])
+    j = np.array([[1.0, 0.0], [0.0, 1e3 * (1.0 + 3.0 * x[1] ** 2 / 1e-6)]])
+    return r, j
+
+
+LINEAR_A = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
+LINEAR_B = np.array([1.0, -2.0, 0.5])
 
 
 def test_config_validation():
@@ -130,22 +153,16 @@ def test_lm_rosenbrock():
 
 
 def test_lm_linear_least_squares():
-    a = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
-    b = np.array([1.0, -2.0, 0.5])
-    result = lm(lambda x: (a @ x - b, a), np.zeros(2))
+    result = lm(lambda x: (LINEAR_A @ x - LINEAR_B, LINEAR_A), np.zeros(2))
     assert result.converged
-    assert np.allclose(result.x_best, np.linalg.lstsq(a, b, rcond=None)[0], atol=1e-10)
+    assert np.allclose(result.x_best, np.linalg.lstsq(LINEAR_A, LINEAR_B, rcond=None)[0],
+                       atol=1e-10)
 
 
 def test_lm_mixed_scale_small_component_converges():
     # x0 near 1e4 makes ||h|| <= 1e-14 ||x|| hold while x1, at scale 1e-3,
     # is still wrong in its ninth digit; the componentwise test keeps going
-    def rj(x):
-        r = np.array([x[0] - 1e4, 1e3 * (x[1] + x[1] ** 3 / 1e-6 - 2e-3)])
-        j = np.array([[1.0, 0.0], [0.0, 1e3 * (1.0 + 3.0 * x[1] ** 2 / 1e-6)]])
-        return r, j
-
-    result = lm(rj, np.array([1e4, 3e-3]))
+    result = lm(mixed_scale_rj, np.array([1e4, 3e-3]))
     assert result.status == "converged-step"
     assert abs(result.x_best[1] - 1e-3) <= 1e-10 * 1e-3
     assert result.f_best <= 1e-20
@@ -166,16 +183,8 @@ def test_lm_singular_damped_system_stops():
 
 
 def test_lm_infeasible_region_never_accepted():
-    # minimum of the smooth part sits at x0=2, behind the wall at x0=1
     probed = []
-
-    def rj(x):
-        probed.append(x.copy())
-        if x[0] > 1.0:
-            return None, None
-        return np.array([x[0] - 2.0, x[1]]), np.eye(2)
-
-    result = lm(rj, np.array([0.0, 1.0]))
+    result = lm(lambda x: probed.append(x.copy()) or wall_rj(x), np.array([0.0, 1.0]))
     assert result.x_best[0] <= 1.0
     assert np.isfinite(result.f_best)
     assert any(point[0] > 1.0 for point in probed)
@@ -194,6 +203,71 @@ def test_lm_max_iters():
     assert not result.converged
     assert result.iterations == 3
     assert result.n_evals == 4
+
+
+# (residual, x0, max_iters) -> status, iterations, n_evals, x_best and f_best
+# as float.hex, recorded from lm before geodesic acceleration existed
+LM_REFERENCE_RUNS = [
+    ((rosenbrock_rj, [-1.2, 1.0], 500),
+     ("converged-step", 19, 19, ["0x1.fffffffffffdcp-1", "0x1.fffffffffffb9p-1"],
+      "0x1.5d00000000000p-96")),
+    ((rosenbrock_rj, [-1.2, 1.0], 3),
+     ("max-iters", 3, 4, ["-0x1.8413be3cff710p-4", "-0x1.1300260fffec6p-2"],
+      "0x1.1cd3e3c9ada3ep+3")),
+    ((lambda x: (LINEAR_A @ x - LINEAR_B, LINEAR_A), [0.0, 0.0], 500),
+     ("converged-ftol", 4, 5, ["0x1.c8590b2163f49p-1", "-0x1.4de9bd37a6dd9p-1"],
+      "0x1.642c8590b2161p-4")),
+    ((mixed_scale_rj, [1e4, 3e-3], 500),
+     ("converged-step", 8, 8, ["0x1.3880000000000p+13", "0x1.0624dd2f1b3f1p-10"],
+      "0x1.7a32d1d410000p-78")),
+    ((wall_rj, [0.0, 1.0], 500),
+     ("converged-step", 81, 81, ["0x1.fffffffffe0afp-1", "0x1.0000000000fa8p-1"],
+      "0x1.4000000002724p+0")),
+]
+
+
+@pytest.mark.parametrize("run, expected", LM_REFERENCE_RUNS)
+def test_lm_without_rvv_is_bit_identical_to_plain_lm(run, expected):
+    rj, x0, max_iters = run
+    result = lm(rj, np.array(x0), OptimConfig(max_iters=max_iters))
+    got = (result.status, result.iterations, result.n_evals,
+           [float(v).hex() for v in result.x_best], float(result.f_best).hex())
+    assert got == expected
+    # a zero second derivative gives a zero acceleration, so the same run
+    with_zero = lm(rj, np.array(x0), OptimConfig(max_iters=max_iters),
+                   rvv=lambda v: np.zeros(len(rj(np.array(x0))[0])))
+    assert with_zero.trace == result.trace
+    assert np.array_equal(with_zero.x_best, result.x_best)
+    assert (with_zero.iterations, with_zero.n_evals) == (result.iterations, result.n_evals)
+
+
+@pytest.mark.parametrize("x0", [(-1.2, 1.0), (-3.0, -4.0), (2.0, 5.0)])
+def test_lm_geodesic_acceleration_rosenbrock(x0):
+    calls = []
+    result = lm(lambda x: calls.append(1) or rosenbrock_rj(x), np.array(x0),
+                rvv=rosenbrock_rvv)
+    assert result.converged
+    assert np.allclose(result.x_best, [1.0, 1.0], atol=1e-10)
+    assert result.n_evals == len(calls)
+    assert result.f_best == rosenbrock(result.x_best)
+    values = [f for _, f, _ in result.trace]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def test_lm_acceleration_rejection_costs_no_evaluation():
+    # an acceleration far longer than the velocity rejects the only step allowed
+    calls = []
+    result = lm(lambda x: calls.append(1) or rosenbrock_rj(x), np.array([-1.2, 1.0]),
+                OptimConfig(max_iters=1), rvv=lambda v: np.array([1e6, 0.0]))
+    assert result.status == "max-iters"
+    assert (result.iterations, result.n_evals, len(calls)) == (1, 1, 1)
+    assert np.array_equal(result.x_best, [-1.2, 1.0])
+    # on Rosenbrock some damped steps are rejected that way, each without an evaluation
+    calls.clear()
+    result = lm(lambda x: calls.append(1) or rosenbrock_rj(x), np.array([-1.2, 1.0]),
+                rvv=rosenbrock_rvv)
+    assert result.n_evals == len(calls)
+    assert result.iterations > result.n_evals
 
 
 def test_line_search_quadratic_unit_step():

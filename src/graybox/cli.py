@@ -1,13 +1,16 @@
 """Command-line frontend: generate instances, run solvers, check gradients, verify.
 
 Exit codes: 0 success, 1 failed check/verification, 2 input or schema error,
-3 solver did not converge or its residual exceeds ``RESIDUAL_TOL`` (report
-still written), 4 degenerate or infeasible solution.
+3 max similarity residual above ``RESIDUAL_TOL`` whatever the optimizer status
+(report still written), 4 degenerate or infeasible solution.  So ``solve``
+exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at its
+default tolerance accepts the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -81,18 +84,9 @@ def _load_config(args) -> optim.OptimConfig:
         cfg = optim.OptimConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config file {args.config}: {exc}") from exc
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "restarts", None) is not None:
-        overrides["restarts"] = args.restarts
-    if overrides:
-        cfg = optim.OptimConfig.from_dict({**_config_dict(cfg), **overrides})
-    return cfg
-
-
-def _config_dict(cfg: optim.OptimConfig) -> dict:
-    return {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
+    overrides = {name: getattr(args, name) for name in ("seed", "restarts")
+                 if getattr(args, name, None) is not None}
+    return dataclasses.replace(cfg, **overrides)  # validates the overrides too
 
 
 def _jsonable(value):
@@ -184,13 +178,10 @@ def cmd_solve(args) -> int:
     if rcond(sol.T) < SINGULAR_RTOL:
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
-    if not sol.result.converged:
-        print(f"solver did not converge (status: {sol.result.status})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     worst = max(res)
     if not worst <= RESIDUAL_TOL:
-        print(f"solver converged (status: {sol.result.status}) but the max residual "
-              f"{worst:.3e} exceeds the tolerance {RESIDUAL_TOL:g}", file=sys.stderr)
+        print(f"max residual {worst:.3e} exceeds the tolerance {RESIDUAL_TOL:g} "
+              f"(status: {sol.result.status})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -243,6 +234,8 @@ def _point_error(args, blackbox, structure, rng, proj) -> float | None:
 
 
 def cmd_check_grad(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     blackbox = _load_blackbox(args.blackbox)
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)

@@ -359,12 +359,12 @@ def solve_nullspace(
 
     Minimizes the structure distance over the transform T of the closed-form
     null-space point by Levenberg-Marquardt on :func:`reduced_residual`, from
-    T = I and then from ``config.restarts`` seeded Gaussian draws, and reads
-    the parameter vector and transform out of each completed start.  The
-    first start whose read-out leaves a max similarity residual <=
-    ``RESIDUAL_TOL`` wins and ends the search: the cost is zero at the truth,
-    so no later start can do better.  If none does, the start with the
-    lowest objective wins.
+    T = I and then from ``config.restarts`` seeded Gaussian draws, each drawn
+    just before it runs, and reads the parameter vector and transform out of
+    each completed start.  The first start whose read-out leaves a max
+    similarity residual <= ``RESIDUAL_TOL`` wins and ends the search: the
+    cost is zero at the truth, so no later start can do better.  If none
+    does, the start with the lowest objective wins.
 
     Non-convergence is reported through ``result.status``; a search whose
     every start lies inside the excluded region raises.
@@ -386,12 +386,11 @@ def solve_nullspace(
         return reduced_residual(t_vec, blackbox, proj)
 
     rng = np.random.default_rng(cfg.seed)
-    starts = [vec(np.eye(n_x))]
-    starts += [vec(rng.standard_normal((n_x, n_x))) for _ in range(cfg.restarts)]
-
+    n_starts = 1 + cfg.restarts
     outcomes = []
     winner = None  # (lm result, realization, theta, residuals) of the winning start
-    for x0 in starts:
+    for k in range(n_starts):
+        x0 = vec(np.eye(n_x)) if k == 0 else vec(rng.standard_normal((n_x, n_x)))
         try:
             result = lm(rj, x0, cfg)
         except InfeasibleStartError:
@@ -415,7 +414,7 @@ def solve_nullspace(
             break
     if winner is None:
         raise InfeasibleStartError(
-            f"all {len(starts)} starts began at singular transform points"
+            f"all {n_starts} starts began at singular transform points"
         )
     best, real, theta, res = winner
 
@@ -425,7 +424,7 @@ def solve_nullspace(
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "nullspace_dim": n_x**2 + 1,
         "cond_T": 1.0 / rcond(real.T),
-        "starts": len(starts),
+        "starts": n_starts,
         "infeasible_starts": sum(o["status"] == "infeasible" for o in outcomes),
         "start_outcomes": outcomes,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,

@@ -51,6 +51,12 @@ ResidualAndJacobian = Callable[[np.ndarray], tuple[np.ndarray | None, np.ndarray
 # term a/2 is longer than this fraction of the velocity ||v||
 GEODESIC_ALPHA = 0.75
 
+# bfgs's gradient test; line_search_wolfe's strong-Wolfe constants
+# (Armijo c1 < curvature c2) and trial cap for each of its two phases
+GRAD_TOL = 1e-9
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+MAX_LINE_SEARCH = 40
+
 
 class LineSearchError(RuntimeError):
     """No step satisfying the strong Wolfe conditions was found."""
@@ -62,44 +68,31 @@ class InfeasibleStartError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimConfig:
-    """Stopping rules of :func:`bfgs` and :func:`lm`, and the line-search constants of bfgs.
+    """Stopping rules of :func:`bfgs` and :func:`lm`, and the multistart's restarts and seed.
 
     Attributes:
-        grad_tol: bfgs stops when the infinity norm of the gradient drops
-            below this; lm has no gradient test.
         f_tol: stop on relative objective change below this between accepted iterates.
         max_iters: cap on bfgs iterations and on lm damped steps, rejected
             ones included.
-        wolfe_c1: bfgs sufficient-decrease constant (Armijo).
-        wolfe_c2: bfgs curvature constant; must satisfy 0 < c1 < c2 < 1.
-        max_line_search: bfgs trial cap for each of the bracket and zoom phases.
         restarts: extra random starts of the null-space multistart; they run
             only while no earlier start has passed the residual tolerance.
         seed: seed for any randomized choices made by callers.
     """
 
-    grad_tol: float = 1e-9
     f_tol: float = 1e-14
     max_iters: int = 500
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search: int = 40
     restarts: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("max_iters", "max_line_search", "restarts", "seed"):
+        for name in ("max_iters", "restarts", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError(
-                f"need 0 < wolfe_c1 < wolfe_c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
-            )
-        if not (0.0 < self.grad_tol < math.inf and 0.0 < self.f_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_iters < 1 or self.max_line_search < 1:
-            raise ValueError("iteration limits must be at least 1")
+        if not 0.0 < self.f_tol < math.inf:
+            raise ValueError("f_tol must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
 
@@ -139,7 +132,6 @@ def line_search_wolfe(
     fg: ValueAndGradient,
     x: np.ndarray,
     d: np.ndarray,
-    config: OptimConfig | None = None,
     f0: float | None = None,
     g0: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray]:
@@ -150,12 +142,13 @@ def line_search_wolfe(
     has them.  ``d`` must be a descent direction.  A non-finite objective
     value at a trial point counts as a sufficient-decrease failure, which
     shrinks the step, so the returned step always has a finite objective.
+    The constants are ``WOLFE_C1`` and ``WOLFE_C2``, and each of the bracket
+    and zoom phases tries at most ``MAX_LINE_SEARCH`` steps.
 
     Raises:
         ValueError: if ``d`` is not a descent direction.
         LineSearchError: if no acceptable step is found within the trial caps.
     """
-    cfg = config if config is not None else OptimConfig()
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f0 is None or g0 is None:
@@ -164,7 +157,6 @@ def line_search_wolfe(
     dphi0 = float(np.asarray(g0, dtype=float) @ d)
     if dphi0 >= 0.0:
         raise ValueError(f"not a descent direction (directional derivative {dphi0:g})")
-    c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
 
     def phi(a: float) -> tuple[float, float, np.ndarray | None]:
         f_a, g_a = fg(x + a * d)
@@ -176,37 +168,35 @@ def line_search_wolfe(
 
     a_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     a = 1.0
-    for trial in range(cfg.max_line_search):
+    for trial in range(MAX_LINE_SEARCH):
         phi_a, dphi_a, g_a = phi(a)
-        armijo_fail = not math.isfinite(phi_a) or phi_a > phi0 + c1 * a * dphi0
+        armijo_fail = not math.isfinite(phi_a) or phi_a > phi0 + WOLFE_C1 * a * dphi0
         if armijo_fail or (trial > 0 and phi_a >= phi_prev):
-            return _zoom(phi, a_prev, a, phi_prev, dphi_prev, phi_a,
-                         phi0, dphi0, c1, c2, cfg.max_line_search)
-        if abs(dphi_a) <= -c2 * dphi0:
+            return _zoom(phi, a_prev, a, phi_prev, dphi_prev, phi_a, phi0, dphi0)
+        if abs(dphi_a) <= -WOLFE_C2 * dphi0:
             return a, phi_a, g_a
         if dphi_a >= 0.0:
-            return _zoom(phi, a, a_prev, phi_a, dphi_a, phi_prev,
-                         phi0, dphi0, c1, c2, cfg.max_line_search)
+            return _zoom(phi, a, a_prev, phi_a, dphi_a, phi_prev, phi0, dphi0)
         a_prev, phi_prev, dphi_prev = a, phi_a, dphi_a
         a *= 2.0
-    raise LineSearchError(f"no bracket after {cfg.max_line_search} expansion trials")
+    raise LineSearchError(f"no bracket after {MAX_LINE_SEARCH} expansion trials")
 
 
 def _zoom(phi, a_lo, a_hi, phi_lo, dphi_lo, phi_hi,
-          phi0, dphi0, c1, c2, max_iter) -> tuple[float, float, np.ndarray]:
+          phi0, dphi0) -> tuple[float, float, np.ndarray]:
     """Refine a bracketing interval until strong Wolfe holds at the low end."""
-    for _ in range(max_iter):
+    for _ in range(MAX_LINE_SEARCH):
         a = _interpolate(a_lo, a_hi, phi_lo, dphi_lo, phi_hi)
         phi_a, dphi_a, g_a = phi(a)
-        if not math.isfinite(phi_a) or phi_a > phi0 + c1 * a * dphi0 or phi_a >= phi_lo:
+        if not math.isfinite(phi_a) or phi_a > phi0 + WOLFE_C1 * a * dphi0 or phi_a >= phi_lo:
             a_hi, phi_hi = a, phi_a
         else:
-            if abs(dphi_a) <= -c2 * dphi0:
+            if abs(dphi_a) <= -WOLFE_C2 * dphi0:
                 return a, phi_a, g_a
             if dphi_a * (a_hi - a_lo) >= 0.0:
                 a_hi, phi_hi = a_lo, phi_lo
             a_lo, phi_lo, dphi_lo = a, phi_a, dphi_a
-    raise LineSearchError(f"zoom did not satisfy strong Wolfe within {max_iter} trials")
+    raise LineSearchError(f"zoom did not satisfy strong Wolfe within {MAX_LINE_SEARCH} trials")
 
 
 def _interpolate(a_lo, a_hi, phi_lo, dphi_lo, phi_hi) -> float:
@@ -233,7 +223,9 @@ def bfgs(
 
     The approximation starts at the identity and the curvature update is
     skipped whenever s'y <= 1e-10 ||s|| ||y||, which keeps it positive
-    definite.  A failed line search ends the run with the best point found.
+    definite.  The run stops "converged-grad" once the gradient's infinity
+    norm is at most ``GRAD_TOL``.  A failed line search ends the run with
+    the best point found.
 
     Raises:
         InfeasibleStartError: if the objective is not finite at ``x0``.
@@ -261,7 +253,7 @@ def bfgs(
     iterations = 0
     status = "max-iters"
     while True:
-        if g_inf <= cfg.grad_tol:
+        if g_inf <= GRAD_TOL:
             status = "converged-grad"
             break
         if iterations >= cfg.max_iters:
@@ -273,7 +265,7 @@ def bfgs(
             h = identity.copy()
             d = -g
         try:
-            step, f_new, g_new = line_search_wolfe(counted, x, d, cfg, f0=fx, g0=g)
+            step, f_new, g_new = line_search_wolfe(counted, x, d, f0=fx, g0=g)
         except LineSearchError:
             status = "line-search-failed"
             break

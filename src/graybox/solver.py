@@ -33,13 +33,13 @@ def solve(
 ) -> Solution:
     """Recover ``theta`` and ``T`` by ``method``: "nullspace", "lsq" or "pipeline".
 
-    The pipeline returns the null-space solution when it converged with a
-    max similarity residual <= ``RESIDUAL_TOL``, and otherwise polishes it
-    with lsq.  Its ``result`` is that of the stage it returns, and its
-    ``diagnostics`` hold each stage's under "nullspace" and "polish"; a
-    skipped polish is ``{"skipped": True, "reason": ...}``.  ``init`` is an
-    lsq starting ``(theta, T)``.  Outside input is validated here, once; a
-    degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
+    The pipeline returns the null-space solution when its max similarity
+    residual is <= ``RESIDUAL_TOL``, whatever the optimizer status, and
+    otherwise polishes it with lsq.  Its ``result`` is that of the stage it
+    returns, and its ``diagnostics`` hold each stage's under "nullspace" and
+    "polish"; a skipped polish is ``{"skipped": True, "reason": ...}``.
+    ``init`` is an lsq starting ``(theta, T)``.  Outside input is validated
+    here, once; a degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
 
     Raises:
         ValueError: on an unknown method, mismatched dimensions, or an init
@@ -57,9 +57,9 @@ def solve(
     if method == "lsq":
         return lsq.solve_lsq(blackbox, structure, init=init, config=config)
     first = nullspace.solve_nullspace(blackbox, structure, config)
-    if first.result.converged and max(first.diagnostics["residuals"].values()) <= RESIDUAL_TOL:
-        skipped = {"skipped": True, "reason": "null-space solution converged within the "
-                                              "residual tolerance"}
+    if max(first.diagnostics["residuals"].values()) <= RESIDUAL_TOL:
+        skipped = {"skipped": True, "reason": "null-space solution within the residual "
+                                              "tolerance"}
         return Solution(theta=first.theta, T=first.T, result=first.result,
                         diagnostics={"nullspace": first.diagnostics, "polish": skipped})
     polish = lsq.solve_lsq(blackbox, structure, init=(first.theta, first.T), config=config)

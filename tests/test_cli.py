@@ -328,6 +328,40 @@ def test_solve_converged_above_residual_tol_exits_3(tmp_path, capsys):
                "--structure", "mass-spring", "--out", tmp_path / "verify.json") == 1
 
 
+def test_solve_exits_0_on_max_iters_within_residual_tol(tmp_path):
+    # four lm steps from a 1 % perturbed truth leave max-iters at a residual of
+    # 2.4e-10: verify accepts it, so solve must too, whatever the status
+    bb, truth = generate(tmp_path, structure="scalar", theta="3,2", seed=0)
+    exact = json.load(open(truth))
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({k: (1.01 * np.array(exact[k])).tolist() for k in ("theta", "T")}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 4}))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "scalar",
+               "--init", init, "--config", config, "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert report["status"] == "max-iters"
+    assert max(report["residuals"].values()) <= 1e-8
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "scalar", "--out", tmp_path / "verify.json") == 0
+
+
+def test_pipeline_skips_polish_of_max_iters_nullspace_within_residual_tol(tmp_path):
+    # three lm steps from T = I end max-iters at a residual of 3.2e-12, which
+    # needs no polish
+    bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iters": 3, "restarts": 0}))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "scalar", "--config", config,
+               "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert report["diagnostics"]["polish"]["skipped"] is True
+    assert report["status"] == "max-iters"
+    assert max(report["residuals"].values()) <= 1e-8
+
+
 def test_solve_degenerate_transform_exits_4(tmp_path):
     blackbox = StateSpace(A=np.diag([1.0, 2.0]), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
     structure = AffineStructure(kappa0=blackbox.stacked(), K=np.zeros((8, 1)), dims=Dims(2, 1, 1))
@@ -410,6 +444,15 @@ def test_check_grad_unreachable_tolerance(tmp_path):
     code = run("check-grad", "--which", "lsq-theta", "--blackbox", bb,
                "--structure", "mass-spring", "--points", 5, "--rel-tol", "1e-16")
     assert code == 1
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_check_grad_rejects_fewer_than_one_point(tmp_path, capsys, points):
+    bb, _ = generate(tmp_path, seed=8)
+    code = run("check-grad", "--which", "lsq-T", "--blackbox", bb,
+               "--structure", "mass-spring", "--points", points)
+    assert code == 2
+    assert "--points" in capsys.readouterr().err
 
 
 def test_cli_round_trip_all_bundled(tmp_path):

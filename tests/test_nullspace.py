@@ -577,6 +577,41 @@ def test_solve_stops_at_first_start_that_recovers(monkeypatch):
     }]
 
 
+class CountingRng:
+    """A seeded generator that counts its restart draws."""
+
+    default_rng = np.random.default_rng
+
+    def __init__(self, seed):
+        self.rng = CountingRng.default_rng(seed)
+        self.draws = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("structure_fn, seed, cond_max, n_runs", [
+    (compartment3, 6, 20.0, 1),  # the T = I start passes
+    (mass_spring_damper, 31, 100.0, 2),  # the first restart passes
+])
+def test_solve_draws_each_restart_just_before_it_runs(monkeypatch, structure_fn, seed,
+                                                      cond_max, n_runs):
+    structure, theta = structure_fn()
+    instance = generate_instance(structure, theta, seed=seed, cond_max=cond_max)
+    made = []
+
+    def counting_rng(seed):
+        made.append(CountingRng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    sol = solve_nullspace(instance.blackbox, structure, OptimConfig(restarts=1000))
+    assert len(sol.diagnostics["start_outcomes"]) == n_runs
+    assert sol.diagnostics["starts"] == 1001
+    assert [rng.draws for rng in made] == [n_runs - 1]
+
+
 def test_solve_without_passing_start_keeps_lowest_objective():
     # one step per start leaves every read-out far from the structured set
     structure, theta = compartment3()

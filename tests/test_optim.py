@@ -64,10 +64,8 @@ LINEAR_B = np.array([1.0, -2.0, 0.5])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="wolfe"):
-        OptimConfig(wolfe_c1=0.5, wolfe_c2=0.1)
     with pytest.raises(ValueError, match="positive"):
-        OptimConfig(grad_tol=0.0)
+        OptimConfig(f_tol=0.0)
     with pytest.raises(ValueError, match="unknown"):
         OptimConfig.from_dict({"graad_tol": 1e-9})
 
@@ -76,7 +74,7 @@ def test_config_from_partial_dict():
     cfg = OptimConfig.from_dict({"max_iters": 7, "restarts": 2})
     assert cfg.max_iters == 7
     assert cfg.restarts == 2
-    assert cfg.grad_tol == OptimConfig().grad_tol
+    assert cfg.f_tol == OptimConfig().f_tol
 
 
 def test_bfgs_quadratic():
@@ -327,8 +325,7 @@ def test_line_search_exhaustion():
     f = lambda x: float(-x[0])
     g = lambda x: np.array([-1.0])
     with pytest.raises(LineSearchError):
-        line_search_wolfe(fused(f, g), np.array([0.0]), np.array([1.0]),
-                          OptimConfig(max_line_search=5))
+        line_search_wolfe(fused(f, g), np.array([0.0]), np.array([1.0]))
 
 
 def test_fd_gradient_quadratic():

@@ -201,8 +201,12 @@ def _scaled_check(fg, point) -> float:
     return report.max_rel_err
 
 
-def _point_error(args, blackbox, structure, rng, proj) -> float | None:
-    """Max relative gradient error at one random point, or None if degenerate."""
+def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
+    """Max relative gradient error at one random point, or None if degenerate.
+
+    ``reduced`` is the null-space search's :class:`graybox.nullspace.ReducedResidual`
+    for ``--which hbar``; its ``r @ r`` and ``2 J^T r`` are checked.
+    """
     dims = blackbox.dims
     n_x = dims.n_x
     if args.which == "hbar":
@@ -210,7 +214,12 @@ def _point_error(args, blackbox, structure, rng, proj) -> float | None:
         sv = np.linalg.svd(t, compute_uv=False)
         if sv[-1] < 1e-2 * max(1.0, sv[0]):
             return None
-        return _scaled_check(lambda tv: nullspace.reduced_distance(tv, blackbox, proj), vec(t))
+
+        def hbar_fg(tv):  # +inf where T is singular, so finite differences resample
+            r, jac = reduced(tv)
+            return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac.T @ r))
+
+        return _scaled_check(hbar_fg, vec(t))
     if args.which == "jacobians":
         v = rng.standard_normal(dims.n_unknowns)
         sv = np.linalg.svd(unvec(v[: n_x**2], n_x, n_x), compute_uv=False)
@@ -240,14 +249,15 @@ def cmd_check_grad(args) -> int:
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)
     rng = np.random.default_rng(args.seed)
-    proj = nullspace.structure_projector(structure) if args.which == "hbar" else None
+    reduced = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
+               if args.which == "hbar" else None)
 
     worst = 0.0
     produced = 0
     resampled = 0
     while produced < args.points:
         try:
-            err = _point_error(args, blackbox, structure, rng, proj)
+            err = _point_error(args, blackbox, structure, rng, reduced)
         except (ValueError, nullspace.SingularTransformError):
             err = None  # finite differences probed into the excluded region
         if err is None:
@@ -318,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check-grad", help="compare analytic gradients to finite differences")
     check.add_argument("--which", choices=("hbar", "lsq-theta", "lsq-T", "jacobians"),
                        required=True,
-                       help="hbar: reduced null-space objective over T; lsq-theta/lsq-T: "
+                       help="hbar: the null-space search's objective r @ r over T and "
+                            "its gradient 2 J^T r; lsq-theta/lsq-T: "
                             "blocks of the least-squares gradient 2 J^T r; jacobians: "
                             "realization extraction")
     check.add_argument("--blackbox", required=True)

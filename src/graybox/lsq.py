@@ -2,14 +2,17 @@
 
 Minimizes the summed squared Frobenius residuals of the similarity equations
 jointly over the parameter vector and the transform by Levenberg-Marquardt
-with geodesic acceleration.  :func:`cost` returns the stacked residual vector
-and its Jacobian in [theta; vec(T)] from one set of residual matrices, and
-:func:`curvature` the residual's second directional derivative, which is
-constant because the residual is bilinear in (theta, T); the paper's closed-form
-gradients :func:`grad_theta` and :func:`grad_t` are kept as the oracle of
-``2 J^T r``.  Unlike the null-space path nothing here requires the transform
-to be invertible, so a vanishing transform is a genuine (spurious)
-attractor; the solver only reports that degeneracy, it does not prevent it.
+with geodesic acceleration.  A solve builds one :class:`CostPlan`, which fills
+a Jacobian template with the blocks -K_C, I (x) A_bb and I (x) C_bb once;
+:func:`cost` then returns the stacked residual vector and its Jacobian in
+[theta; vec(T)], filling in at each point only -(I (x) T) [K_A; K_B],
+-A^T (x) I and -B^T (x) I.  :meth:`CostPlan.curvature` gives the residual's
+second directional derivative, which is constant because the residual is
+bilinear in (theta, T).  The paper's closed-form gradients :func:`grad_theta`
+and :func:`grad_t` are kept as the oracle of ``2 J^T r``.  Unlike the
+null-space path nothing here requires the transform to be invertible, so a
+vanishing transform is a genuine (spurious) attractor; the solver only
+reports that degeneracy, it does not prevent it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .optim import OptimConfig, lm
 from .optim import bfgs  # noqa: F401
 
 __all__ = [
+    "CostPlan",
     "cost",
-    "curvature",
     "default_init",
     "grad_t",
     "grad_theta",
@@ -42,8 +45,71 @@ def residual_matrices(theta, t, blackbox, structure) -> tuple:
     return a, b, blackbox.A @ t - t @ a, blackbox.B - t @ b, blackbox.C @ t - c
 
 
+class CostPlan:
+    """Residual of :func:`cost` and its Jacobian in [theta; vec(T)], built once per solve.
+
+    The constructor fills a Jacobian template with the blocks that depend
+    only on the black box and the structure: -K_C in the theta columns and
+    I (x) A_bb and I (x) C_bb in the vec(T) columns; it also keeps [K_A; K_B]
+    reshaped to (n_x, (n_x + n_u) n_theta), one [A_p, B_p] per parameter
+    side by side, so that (I (x) T) [K_A; K_B] is the one product T times it.
+    A call copies the template and fills in only what depends on the point:
+    -(I (x) T) [K_A; K_B], and -A^T (x) I and -B^T (x) I from one
+    ``kron_t([A, B], I)``; no call changes the plan, so one plan serves every
+    point of a solve.  :meth:`curvature` reuses the plan's [K_A; K_B].
+    """
+
+    def __init__(self, blackbox: StateSpace, structure: AffineStructure) -> None:
+        d = structure.dims
+        n_x, n_theta = d.n_x, structure.n_theta
+        k = structure.K
+        self.blackbox, self.structure = blackbox, structure
+        self.n_x, self.n_theta = n_x, n_theta
+        self.n_ab = n_x * (n_x + d.n_u)
+        self.vec_b = vec(blackbox.B)
+        self.k_ab = k[: self.n_ab]
+        # column p * (n_x + n_u) + j holds column j of [A_p, B_p]
+        self.k_ab_cols = np.ascontiguousarray(self.k_ab.reshape(n_x, -1, order="F"))
+        self.eye = np.eye(n_x)
+        self.jac = np.zeros((k.shape[0], n_theta + n_x * n_x))
+        self.jac[self.n_ab:, :n_theta] = -k[self.n_ab:]
+        self.jac[: n_x * n_x, n_theta:] = kron_t(self.eye, blackbox.A)
+        self.jac[self.n_ab:, n_theta:] = kron_t(self.eye, blackbox.C)
+
+    def __call__(self, theta: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(r, J)`` at ``(theta, t)``; trusts its inputs."""
+        n_x, n_theta, n_ab, bb = self.n_x, self.n_theta, self.n_ab, self.blackbox
+        stacked = self.structure.kappa0 + self.structure.K @ theta
+        ab = unvec(stacked[:n_ab], n_x, n_ab // n_x)
+        t_ab = t @ ab
+        r = np.concatenate([vec(bb.A @ t - t_ab[:, :n_x]), self.vec_b - vec(t_ab[:, n_x:]),
+                            vec(bb.C @ t) - stacked[n_ab:]])
+        jac = self.jac.copy()
+        jac[:n_ab, :n_theta] = -(t @ self.k_ab_cols).reshape(n_ab, n_theta, order="F")
+        jac[:n_ab, n_theta:] -= kron_t(ab, self.eye)
+        return r, jac
+
+    def curvature(self, v: np.ndarray) -> np.ndarray:
+        """Second directional derivative of the residual along ``v = [d_theta; vec(dT)]``.
+
+        The residual is bilinear in (theta, T) and its only product term is
+        -T [A, B](theta), so the derivative is [vec(-2 dT d[A, B]); 0] at
+        every point, with vec(d[A, B]) = [K_A; K_B] d_theta (the linear part
+        of the parameter map, no kappa0).
+        """
+        n_x, n_theta = self.n_x, self.n_theta
+        d_ab = (self.k_ab @ v[:n_theta]).reshape(n_x, -1, order="F")
+        out = np.zeros(self.jac.shape[0])
+        out[: self.n_ab] = vec(-2.0 * unvec(v[n_theta:], n_x, n_x) @ d_ab)
+        return out
+
+
 def cost(
-    theta: np.ndarray, t: np.ndarray, blackbox: StateSpace, structure: AffineStructure
+    theta: np.ndarray,
+    t: np.ndarray,
+    blackbox: StateSpace,
+    structure: AffineStructure,
+    plan: CostPlan | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked similarity residual ``r`` and its Jacobian ``J`` in [theta; vec(T)].
 
@@ -53,39 +119,11 @@ def cost(
     transform need not be invertible.  With K_A, K_B and K_C the row blocks
     of the parameter map, the theta columns of J are
     -[(I (x) T) K_A; (I (x) T) K_B; K_C] and the vec(T) columns are
-    [I (x) A_bb - A^T (x) I; -B^T (x) I; I (x) C_bb].
+    [I (x) A_bb - A^T (x) I; -B^T (x) I; I (x) C_bb].  ``plan`` is the
+    :class:`CostPlan` of ``blackbox`` and ``structure``; without one, a
+    plan is built for this call.
     """
-    a, b, r_a, r_b, r_c = residual_matrices(theta, t, blackbox, structure)
-    k = structure.K
-    n_x, n_theta = t.shape[0], k.shape[1]
-    nx2, n_ab = n_x * n_x, n_x * (n_x + b.shape[1])
-    eye = np.eye(n_x)
-    jac = np.empty((k.shape[0], n_theta + nx2))
-    # (I (x) T) [K_A; K_B] in one product: each column of [K_A; K_B] is vec([A_p, B_p])
-    jac[:n_ab, :n_theta] = -(t @ k[:n_ab].reshape(n_x, -1, order="F")).reshape(
-        n_ab, n_theta, order="F")
-    jac[n_ab:, :n_theta] = -k[n_ab:]
-    jac[:nx2, n_theta:] = kron_t(eye, blackbox.A) - kron_t(a, eye)
-    jac[nx2:n_ab, n_theta:] = -kron_t(b, eye)
-    jac[n_ab:, n_theta:] = kron_t(eye, blackbox.C)
-    return np.concatenate([vec(r_a), vec(r_b), vec(r_c)]), jac
-
-
-def curvature(v: np.ndarray, structure: AffineStructure) -> np.ndarray:
-    """Second directional derivative of the residual of :func:`cost` along ``v``.
-
-    ``v = [d_theta; vec(dT)]``.  The residual is bilinear in (theta, T) and
-    its only product term is -T [A, B](theta), so the derivative is
-    [vec(-2 dT d[A, B]); 0] at every point, with vec(d[A, B]) =
-    [K_A; K_B] d_theta (the linear part of the parameter map, no kappa0).
-    """
-    n_x, n_theta = structure.dims.n_x, structure.n_theta
-    k = structure.K
-    n_ab = n_x * (n_x + structure.dims.n_u)
-    d_ab = (k[:n_ab] @ v[:n_theta]).reshape(n_x, -1, order="F")
-    out = np.zeros(k.shape[0])
-    out[:n_ab] = vec(-2.0 * unvec(v[n_theta:], n_x, n_x) @ d_ab)
-    return out
+    return (plan if plan is not None else CostPlan(blackbox, structure))(theta, t)
 
 
 def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndarray:
@@ -126,7 +164,7 @@ def solve_lsq(
     """Minimize ``r @ r`` of :func:`cost` over [theta; vec(T)] by Levenberg-Marquardt.
 
     Each step is corrected by geodesic acceleration from the exact second
-    derivative of :func:`curvature` (see :func:`graybox.optim.lm`).  The
+    derivative of :meth:`CostPlan.curvature` (see :func:`graybox.optim.lm`).  The
     diagnostics count the residual evaluations in ``n_evals`` and the damped
     steps, rejected ones included, in ``iterations``.
 
@@ -145,11 +183,12 @@ def solve_lsq(
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return z[:n_theta], unvec(z[n_theta:], n_x, n_x)
 
-    def rj(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return cost(*split(z), blackbox, structure)
+    plan = CostPlan(blackbox, structure)
 
-    result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg,
-                rvv=lambda v: curvature(v, structure))
+    def rj(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return cost(*split(z), blackbox, structure, plan)
+
+    result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg, rvv=plan.curvature)
     theta_hat, t_hat = split(result.x_best)
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL

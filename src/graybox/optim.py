@@ -123,10 +123,6 @@ class OptimResult:
     n_evals: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        return self.status in ("converged-grad", "converged-ftol", "converged-step")
-
 
 def line_search_wolfe(
     fg: ValueAndGradient,
@@ -346,7 +342,6 @@ def lm(
     f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
     mu = 1e-3 * float(np.max(np.diag(a)))
     nu = 2.0
-    identity = np.eye(x.size)
     trace = [(0, f, 2.0 * float(np.max(np.abs(g))))]
     iterations = 0
     status = "max-iters"
@@ -357,7 +352,8 @@ def lm(
         if iterations >= cfg.max_iters:
             break
         iterations += 1
-        damped = a + mu * identity
+        damped = a.copy()
+        damped.flat[:: x.size + 1] += mu  # a + mu I
         try:
             h = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:

@@ -7,6 +7,9 @@ import numpy as np
 from graybox.lsq import cost
 from graybox.model import AffineStructure, Dims, Instance, unvec, vec
 
+# statuses of an optimizer run that stopped on one of its convergence tests
+CONVERGED = ("converged-grad", "converged-ftol", "converged-step")
+
 
 def dims_grid() -> list[Dims]:
     """Every dimension combination exercised by the acceptance criteria."""
@@ -27,6 +30,14 @@ def random_structure(dims: Dims, rng: np.random.Generator, n_theta: int | None =
         K=rng.standard_normal((dims.n_abc, n_theta)),
         dims=dims,
     )
+
+
+def rank_deficient_structure(dims: Dims, rng: np.random.Generator) -> AffineStructure:
+    """Dense random affine structure whose last parameter column doubles the first."""
+    structure = random_structure(dims, rng, n_theta=max(2, dims.n_abc // 3))
+    k = structure.K.copy()
+    k[:, -1] = 2.0 * k[:, 0]
+    return AffineStructure(kappa0=structure.kappa0, K=k, dims=dims)
 
 
 def stacked_solution(instance: Instance) -> np.ndarray:

@@ -93,7 +93,8 @@ def test_pipeline_skips_polish_when_nullspace_passes(tmp_path):
 
 
 def test_pipeline_polish_reaches_the_tolerance_at_large_transform(tmp_path):
-    # compartment3 at cond 1e4: the null-space read-out stops at 2.3e-8, and the
+    # compartment3 at cond 1e4: the null-space search stops at its second start,
+    # on the distance's roundoff floor, with a read-out at 2.3e-8, and the
     # polish over [theta; vec(T)], with ||T|| near 7.6e3, must still reach 1e-8
     bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2",
                      seed=388268015, cond_max=1e4)
@@ -101,6 +102,7 @@ def test_pipeline_polish_reaches_the_tolerance_at_large_transform(tmp_path):
     assert run("solve", "--blackbox", bb, "--structure", "compartment3",
                "--out", report_path) == 0
     report = json.load(open(report_path))
+    assert len(report["diagnostics"]["nullspace"]["start_outcomes"]) == 2
     assert "skipped" not in report["diagnostics"]["polish"]
     assert max(report["residuals"].values()) <= 1e-8
     assert run("verify", "--result", report_path, "--blackbox", bb,

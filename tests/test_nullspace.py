@@ -33,7 +33,8 @@ from graybox.nullspace import (
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_gradient, fd_jacobian, relative_errors
 from graybox.structures import compartment3, mass_spring_damper, scalar
 
-from helpers import dims_grid, random_structure, stacked_solution
+from helpers import (CONVERGED, dims_grid, rank_deficient_structure, random_structure,
+                     stacked_solution)
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -467,6 +468,33 @@ def test_residual_jacobian_equals_kron_oracle():
             assert np.allclose(r, expected, rtol=0.0, atol=1e-12 * (1.0 + np.linalg.norm(r)))
 
 
+def test_residual_evaluator_matches_kron_oracle_and_finite_differences_at_each_point():
+    # one evaluator serves every point of a solve; what it builds once must
+    # not carry over from one point to the next
+    rng = np.random.default_rng(45)
+    for dims in dims_grid():
+        for structure in (random_structure(dims, rng), rank_deficient_structure(dims, rng)):
+            proj = structure_projector(structure)
+            blackbox, _ = _random_blackbox_and_t(dims, rng)
+            rj = ns.ReducedResidual(blackbox, proj)
+            returned = []
+            for _ in range(3):
+                t_vec = _well_conditioned_stacked(dims, rng)[: dims.n_x**2]
+                r, jac = rj(t_vec)
+                v = nullspace_point(blackbox, unvec(t_vec, dims.n_x, dims.n_x))
+                p = proj.residual_op
+                r_oracle = p @ (proj.offset - realization_vector(v, dims))
+                j_oracle = -p @ np.vstack(realization_jacobians(v, dims)) @ (
+                    closed_form_map(blackbox)[:, :-1])
+                assert np.linalg.norm(r - r_oracle) <= 1e-12 * np.linalg.norm(r_oracle)
+                assert np.linalg.norm(jac - j_oracle) <= 1e-12 * np.linalg.norm(j_oracle)
+                approx = fd_jacobian(lambda tv: rj(tv)[0], t_vec)
+                assert float(np.max(relative_errors(jac, approx))) <= 1e-6
+                returned.append((r, r.copy(), jac, jac.copy()))
+            assert all(np.array_equal(r, r_kept) and np.array_equal(jac, j_kept)
+                       for r, r_kept, jac, j_kept in returned)
+
+
 def test_residual_gives_reduced_distance_and_its_gradient():
     rng = np.random.default_rng(43)
     for dims in dims_grid():
@@ -496,7 +524,7 @@ def test_solve_scalar_instance():
     structure, theta = scalar()
     blackbox = apply_similarity(eval_structure(structure, theta), np.array([[2.0]]))
     sol = solve_nullspace(blackbox, structure)
-    assert sol.result.converged
+    assert sol.result.status in CONVERGED
     assert np.allclose(sol.theta, [3.0, 2.0], atol=1e-6)
     res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
@@ -507,7 +535,7 @@ def test_solve_mass_spring_instance():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
-    assert sol.result.converged
+    assert sol.result.status in CONVERGED
     assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
@@ -523,33 +551,37 @@ def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
-    assert sol.result.converged
+    assert sol.result.status in CONVERGED
     assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
 
 
 def test_solve_extracts_each_point_once(monkeypatch):
-    # residual and Jacobian share one extraction, so the search never extracts
-    # a point twice; the one repeat allowed is the read-out of the winner,
-    # here the first and only start, which takes over 100 steps
-    extracted = []
-    extract = ns.extract_realization
+    # residual and Jacobian come from one evaluation, so the search never
+    # evaluates a point twice, and the winner, here the first and only start,
+    # which takes over 100 steps, is read out once
+    evaluated, read_out = [], []
 
-    def recorder(v, dims):
-        extracted.append(np.asarray(v).tobytes())
-        return extract(v, dims)
+    class Recording(ns.ReducedResidual):
+        def __call__(self, t_vec):
+            evaluated.append(np.asarray(t_vec).tobytes())
+            return super().__call__(t_vec)
 
-    monkeypatch.setattr(ns, "extract_realization", recorder)
+        def realization(self, t_vec):
+            read_out.append(np.asarray(t_vec).tobytes())
+            return super().realization(t_vec)
+
+    monkeypatch.setattr(ns, "ReducedResidual", Recording)
     structure, theta = compartment3()
     instance = generate_instance(structure, theta, seed=127, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
-    assert sol.result.converged
+    assert sol.result.status in CONVERGED
     assert len(sol.diagnostics["start_outcomes"]) == 1
-    search, readout = extracted[:-1], extracted[-1]
-    assert len(search) > 100
-    assert len(set(search)) == len(search)
-    assert readout == nullspace_point(instance.blackbox, sol.T).tobytes()
+    assert len(evaluated) > 100
+    assert len(evaluated) == sol.result.n_evals
+    assert len(set(evaluated)) == len(evaluated)
+    assert read_out == [vec(sol.T).tobytes()]
 
 
 def test_solve_stops_at_first_start_that_recovers(monkeypatch):
@@ -610,6 +642,28 @@ def test_solve_draws_each_restart_just_before_it_runs(monkeypatch, structure_fn,
     assert len(sol.diagnostics["start_outcomes"]) == n_runs
     assert sol.diagnostics["starts"] == 1001
     assert [rng.draws for rng in made] == [n_runs - 1]
+
+
+def test_solve_stops_at_a_start_on_the_distance_roundoff_floor():
+    # the first restart drives the structure distance to 6.7e-23, but its
+    # read-out residual is 2.3e-8 because the residual scales with ||T||
+    # (about 5e3 here); no later start can lower the distance, so the search
+    # ends there with the answer the full five-start search kept
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=388268015, cond_max=1e4)
+    sol = solve_nullspace(instance.blackbox, structure)
+    outcomes = sol.diagnostics["start_outcomes"]
+    assert len(outcomes) == 2
+    assert np.sqrt(outcomes[1]["objective_final"]) <= 1e-8 < outcomes[1]["max_residual"]
+    assert sol.result.f_best == outcomes[1]["objective_final"]
+
+    proj = structure_projector(structure)
+    rng = np.random.default_rng(0)
+    starts = [vec(np.eye(3))] + [vec(rng.standard_normal((3, 3))) for _ in range(4)]
+    runs = [ns.lm(ns.ReducedResidual(instance.blackbox, proj), x0) for x0 in starts]
+    assert min(runs, key=lambda r: r.f_best) is runs[1]
+    assert [o["objective_final"] for o in outcomes] == [r.f_best for r in runs[:2]]
+    assert np.array_equal(sol.T, unvec(runs[1].x_best, 3, 3))
 
 
 def test_solve_without_passing_start_keeps_lowest_objective():
@@ -723,6 +777,6 @@ def test_solve_reaches_tolerance_at_large_transform_norm():
     instance = generate_instance(structure, theta, seed=134104485, cond_max=1e4)
     sol = solve_nullspace(instance.blackbox, structure)
     assert np.linalg.norm(sol.T) > 100.0
-    assert sol.result.converged
+    assert sol.result.status in CONVERGED
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8

@@ -302,13 +302,20 @@ def lm(
     """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r.  The damping
-    follows Nielsen's update (Madsen, Nielsen & Tingleff, *Methods for
-    non-linear least squares problems*, 2004, alg. 3.16): mu starts at 1e-3
-    max diag(J'J); a step that lowers f, so that its gain ratio rho (actual
-    over predicted decrease) is positive, is accepted and multiplies mu by
-    max(1/3, 1 - (2 rho - 1)^3); any other step, a step onto an infeasible
-    point included, is rejected and multiplies mu by nu, which then
-    doubles.  So accepted iterates stay feasible.  The run stops when f is
+    shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
+    the rate of convergence of the Levenberg-Marquardt method*, Computing
+    Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
+    Levenberg-Marquardt method without nonsingularity assumption*,
+    Computing 74, 2005), which keeps local convergence quadratic when J'J
+    is nearly singular at the solution.  mu starts at 1e-6 max diag(J'J)
+    (Madsen, Nielsen & Tingleff, *Methods for non-linear least squares
+    problems*, 2004, sec. 3.2).  A step that lowers f, so that its gain ratio
+    rho (actual over predicted decrease) is positive, is accepted and
+    multiplies mu by Nielsen's factor max(1/3, 1 - (2 rho - 1)^3) (ibid.,
+    alg. 3.16) times ||r_new|| / ||r_prev||, so lambda follows the gain
+    ratio; any other step, a step onto an infeasible point included, is
+    rejected and multiplies mu by nu, which then doubles.  So accepted
+    iterates stay feasible.  The run stops when f is
     zero or changes by at most ``f_tol`` relative between accepted iterates
     ("converged-ftol"); when |h_i| <= 1e-12 |x_i| for every component, or
     when the damped system is too ill-conditioned to give a step with a
@@ -340,7 +347,7 @@ def lm(
         raise InfeasibleStartError("residual is not defined at the starting point")
     n_evals = 1
     f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
-    mu = 1e-3 * float(np.max(np.diag(a)))
+    mu = 1e-6 * float(np.max(np.diag(a)))
     nu = 2.0
     trace = [(0, f, 2.0 * float(np.max(np.abs(g))))]
     iterations = 0
@@ -380,7 +387,7 @@ def lm(
         f_prev = f
         x, f, jac = x + step, f_new, j_new
         a, g = jac.T @ jac, jac.T @ r_new
-        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
         nu = 2.0
         trace.append((iterations, f, 2.0 * float(np.max(np.abs(g)))))
         if f_prev - f <= cfg.f_tol * f_prev:

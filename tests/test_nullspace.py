@@ -574,7 +574,7 @@ def test_solve_extracts_each_point_once(monkeypatch):
 
     monkeypatch.setattr(ns, "ReducedResidual", Recording)
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=127, cond_max=20.0)
+    instance = generate_instance(structure, theta, seed=148, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
     assert sol.result.status in CONVERGED
     assert len(sol.diagnostics["start_outcomes"]) == 1
@@ -625,7 +625,7 @@ class CountingRng:
 
 @pytest.mark.parametrize("structure_fn, seed, cond_max, n_runs", [
     (compartment3, 6, 20.0, 1),  # the T = I start passes
-    (mass_spring_damper, 31, 100.0, 2),  # the first restart passes
+    (mass_spring_damper, 11, 100.0, 2),  # the first restart passes
 ])
 def test_solve_draws_each_restart_just_before_it_runs(monkeypatch, structure_fn, seed,
                                                       cond_max, n_runs):
@@ -645,12 +645,12 @@ def test_solve_draws_each_restart_just_before_it_runs(monkeypatch, structure_fn,
 
 
 def test_solve_stops_at_a_start_on_the_distance_roundoff_floor():
-    # the first restart drives the structure distance to 6.7e-23, but its
+    # the first restart drives the structure distance to 9.9e-22, but its
     # read-out residual is 2.3e-8 because the residual scales with ||T||
-    # (about 5e3 here); no later start can lower the distance, so the search
+    # (about 5.9e3 here); no later start can lower the distance, so the search
     # ends there with the answer the full five-start search kept
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=388268015, cond_max=1e4)
+    instance = generate_instance(structure, theta, seed=73, cond_max=1e4)
     sol = solve_nullspace(instance.blackbox, structure)
     outcomes = sol.diagnostics["start_outcomes"]
     assert len(outcomes) == 2
@@ -704,7 +704,7 @@ def test_solve_counts_infeasible_start_and_stops_at_next(monkeypatch):
 
     monkeypatch.setattr(ns, "lm", first_infeasible)
     structure, theta = compartment3()
-    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
+    instance = generate_instance(structure, theta, seed=2, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
     assert len(calls) == 2
     assert sol.diagnostics["infeasible_starts"] == 1
@@ -733,7 +733,7 @@ def test_solve_objective_trace_non_increasing():
 
 def test_solve_never_accepts_a_step_that_raises_the_objective(monkeypatch):
     # the T = I start of this instance reaches damped systems with condition
-    # numbers near 1e17, whose computed steps can predict a decrease that the
+    # numbers near 4e17, whose computed steps can predict a decrease that the
     # exact step cannot: such a step must end the start, not be accepted
     runs = []
     lm = ns.lm
@@ -744,7 +744,7 @@ def test_solve_never_accepts_a_step_that_raises_the_objective(monkeypatch):
 
     monkeypatch.setattr(ns, "lm", recording)
     structure, theta = mass_spring_damper()
-    instance = generate_instance(structure, theta, seed=31, cond_max=100.0)
+    instance = generate_instance(structure, theta, seed=25, cond_max=100.0)
     solve_nullspace(instance.blackbox, structure)
     assert len(runs) == 2
     for run in runs:

@@ -27,10 +27,8 @@ from .solver import solve
 from .optim import (
     GradientCheck,
     InfeasibleStartError,
-    LineSearchError,
     OptimConfig,
     OptimResult,
-    bfgs,
     check_gradient,
     fd_gradient,
 )
@@ -55,10 +53,8 @@ __all__ = [
     "solve",
     "GradientCheck",
     "InfeasibleStartError",
-    "LineSearchError",
     "OptimConfig",
     "OptimResult",
-    "bfgs",
     "check_gradient",
     "fd_gradient",
     "__version__",

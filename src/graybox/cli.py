@@ -45,30 +45,41 @@ STRUCTURE_HELP = (f"structure JSON file or bundled name ({', '.join(sorted(BUNDL
                   "or chain<n> for the n-compartment chain)")
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON object in ``path``.
+
+    Whatever goes wrong while reading or parsing the document becomes one
+    ``ValueError`` that names the file, so a malformed input exits 2.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{what} file {path}: missing key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"{what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _load_blackbox(path: str) -> StateSpace:
-    try:
-        return StateSpace.from_dict(_load_json(path))
-    except ValueError as exc:
-        raise ValueError(f"black-box file {path}: {exc}") from exc
+def _arrays(*keys: str):
+    """Parser of a document's ``keys`` as float arrays."""
+    return lambda doc: tuple(np.asarray(doc[key], dtype=float) for key in keys)
 
 
 def _load_structure(spec: str) -> AffineStructure:
     if is_bundled(spec):
         return bundled_structure(spec)[0]
-    try:
-        return AffineStructure.from_dict(_load_json(spec))
-    except ValueError as exc:
-        raise ValueError(f"structure file {spec}: {exc}") from exc
+    return _load(spec, "structure", AffineStructure.from_dict)
+
+
+def _load_truth(path: str | None, structure: AffineStructure) -> np.ndarray | None:
+    """The truth file's ``theta``, of the structure's length, or None without a file."""
+    if not path:
+        return None
+    return _load(path, "truth",
+                 lambda doc: np.asarray(doc["theta"], dtype=float).reshape(structure.n_theta))
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -79,13 +90,10 @@ def _parse_theta(text: str) -> np.ndarray:
 
 
 def _load_config(args) -> optim.OptimConfig:
-    data = _load_json(args.config) if getattr(args, "config", None) else {}
-    try:
-        cfg = optim.OptimConfig.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config file {args.config}: {exc}") from exc
+    cfg = (_load(args.config, "config", optim.OptimConfig.from_dict) if args.config
+           else optim.OptimConfig())
     overrides = {name: getattr(args, name) for name in ("seed", "restarts")
-                 if getattr(args, name, None) is not None}
+                 if getattr(args, name) is not None}
     return dataclasses.replace(cfg, **overrides)  # validates the overrides too
 
 
@@ -112,12 +120,7 @@ def _write_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _theta_error(theta_hat: np.ndarray, truth: dict) -> float:
-    theta_true = np.asarray(truth["theta"], dtype=float)
-    if theta_true.shape != theta_hat.shape:
-        raise ValueError(
-            f"truth theta has length {theta_true.size}, solver produced {theta_hat.size}"
-        )
+def _theta_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
     scale = np.linalg.norm(theta_true)
     return float(np.linalg.norm(theta_hat - theta_true) / (scale if scale > 0 else 1.0))
 
@@ -142,24 +145,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_pair(path: str, what: str, keys: tuple[str, str]) -> tuple:
-    """Values of the two required ``keys`` of a JSON document."""
-    doc = _load_json(path)
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{what} file {path}: missing key {key!r}")
-    return doc[keys[0]], doc[keys[1]]
-
-
 def cmd_solve(args) -> int:
-    blackbox = _load_blackbox(args.blackbox)
+    blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
-    truth = _load_json(args.truth) if args.truth else None
+    theta_true = _load_truth(args.truth, structure)
     cfg = _load_config(args)
     if args.init and args.method != "lsq":
         raise ValueError("--init applies to --method lsq only")
     started = time.perf_counter()
-    init = _load_pair(args.init, "init", ("theta", "T")) if args.init else None
+    init = _load(args.init, "init", _arrays("theta", "T")) if args.init else None
     sol = solver.solve(blackbox, structure, args.method, cfg, init)
     res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
     report = {
@@ -172,8 +166,8 @@ def cmd_solve(args) -> int:
         "timing_ms": (time.perf_counter() - started) * 1e3,
         "diagnostics": sol.diagnostics,
     }
-    if truth is not None:
-        report["theta_error"] = _theta_error(sol.theta, truth)
+    if theta_true is not None:
+        report["theta_error"] = _theta_error(sol.theta, theta_true)
     _write_report(report, args.out)
     if rcond(sol.T) < SINGULAR_RTOL:
         print("degenerate transform in solution", file=sys.stderr)
@@ -245,7 +239,7 @@ def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
 def cmd_check_grad(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
-    blackbox = _load_blackbox(args.blackbox)
+    blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)
     rng = np.random.default_rng(args.seed)
@@ -274,11 +268,10 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    theta_hat, t_hat = _load_pair(args.result, "result", ("theta_hat", "T_hat"))
-    blackbox = _load_blackbox(args.blackbox)
+    theta_hat, t_hat = _load(args.result, "result", _arrays("theta_hat", "T_hat"))
+    blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    t_hat = np.asarray(t_hat, dtype=float)
+    theta_true = _load_truth(args.truth, structure)
     res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
     worst = max(res)
     report = {
@@ -287,8 +280,8 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
         "pass": bool(worst <= args.tol),
     }
-    if args.truth:
-        report["theta_error"] = _theta_error(theta_hat, _load_json(args.truth))
+    if theta_true is not None:
+        report["theta_error"] = _theta_error(theta_hat, theta_true)
     _write_report(report, args.out)
     return EXIT_OK if worst <= args.tol else EXIT_FAIL
 

@@ -313,8 +313,8 @@ def random_similarity(n: int, cond_max: float, rng: np.random.Generator) -> np.n
     log-uniformly in [1, cond_max], so the conditioning bound holds by
     construction.
     """
-    if cond_max <= 1.0:
-        raise ValueError(f"cond_max must exceed 1, got {cond_max}")
+    if not 1.0 < cond_max < np.inf:
+        raise ValueError(f"cond_max must be finite and exceed 1, got {cond_max}")
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     singular_values = np.exp(rng.uniform(0.0, np.log(cond_max), size=n))

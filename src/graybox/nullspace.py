@@ -19,9 +19,8 @@ residual vector and its Jacobian in vec(T).  A solve builds one
 :class:`ReducedResidual`, which forms the Jacobian's black-box block
 I (x) C_bb once; at each point it computes only T^-1, the realization
 [A, B] = T^-1 [A_bb T, B_bb] and the two Kronecker blocks that depend on
-them, with no stacked null-space point.  :func:`reduced_residual` is the
-one-shot call of the same evaluator, and :func:`reduced_distance` the
-distance with its matrix-form gradient.  The constraint matrix, its SVD
+them, with no stacked null-space point.  :func:`reduced_distance` is the
+same distance with its matrix-form gradient.  The constraint matrix, its SVD
 null-space basis and the dense extraction Jacobians of the paper are kept as
 test oracles; the solve path uses none of them.
 """
@@ -70,7 +69,6 @@ __all__ = [
     "extract_theta",
     "realization_jacobians",
     "reduced_distance",
-    "reduced_residual",
     "ReducedResidual",
     "solve_nullspace",
 ]
@@ -126,20 +124,18 @@ def build_constraint_matrix(blackbox: StateSpace) -> np.ndarray:
     return m
 
 
-def nullspace_basis(a: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+def nullspace_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis of ``a`` via SVD.
 
-    Singular values below ``rank_tol`` times the largest are treated as zero;
-    the default tolerance is max(rows, cols) * machine epsilon.
+    Singular values below max(rows, cols) * machine epsilon times the largest
+    are treated as zero.
 
     Raises:
         EmptyNullspaceError: if the matrix has full column rank.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if rank_tol is None:
-        rank_tol = max(a.shape) * np.finfo(float).eps
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     if rank >= a.shape[1]:
         raise EmptyNullspaceError("no admissible solution: matrix has full column rank")
@@ -387,13 +383,6 @@ class ReducedResidual:
         """
         t = unvec(t_vec, self.n_x, self.n_x)
         return extract_realization(nullspace_point(self.blackbox, t), self.blackbox.dims)
-
-
-def reduced_residual(
-    t_vec: np.ndarray, blackbox: StateSpace, proj: StructureProjector
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """One-shot :class:`ReducedResidual`: ``(r, J)`` at ``unvec(t_vec)``, or ``(None, None)``."""
-    return ReducedResidual(blackbox, proj)(t_vec)
 
 
 def solve_nullspace(

@@ -23,6 +23,7 @@ from graybox.model import (
     vec,
 )
 from graybox.nullspace import (
+    ReducedResidual,
     build_constraint_matrix,
     nullspace_basis,
     realization_jacobians,
@@ -32,7 +33,7 @@ from graybox.nullspace import (
     structure_distance,
     structure_projector,
 )
-from graybox.optim import bfgs, fd_gradient, fd_jacobian, relative_errors
+from graybox.optim import fd_gradient, fd_jacobian, lm, relative_errors
 from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
 from helpers import dims_grid, lsq_fg, random_structure, stacked_solution
@@ -68,7 +69,8 @@ def test_criterion_1_gradient_correctness():
     with criterion(1, "analytic gradients and Jacobians match finite differences (<= 1e-6)"):
         started = time.perf_counter()
         rng = np.random.default_rng(100)
-        worst = {"jacobians": 0.0, "reduced": 0.0, "lsq_theta": 0.0, "lsq_t": 0.0}
+        worst = {"jacobians": 0.0, "reduced": 0.0, "reduced_2jtr": 0.0,
+                 "lsq_theta": 0.0, "lsq_t": 0.0}
         for dims in dims_grid():
             n_x = dims.n_x
 
@@ -83,7 +85,9 @@ def test_criterion_1_gradient_correctness():
             # reduced objective gradient: 4 instances x 25 points drawn around
             # the instance's hidden transform, where the search actually runs.
             # The check uses offset coordinates so the per-coordinate step
-            # 1e-6*(1+|x_i|) is not inflated by the anchor's magnitude.
+            # 1e-6*(1+|x_i|) is not inflated by the anchor's magnitude.  Both
+            # the paper's matrix-form gradient and 2 J^T r of the residual the
+            # search runs on meet the same differences.
             for _ in range(4):
                 structure = random_structure(dims, rng)
                 theta = rng.standard_normal(structure.n_theta)
@@ -91,6 +95,7 @@ def test_criterion_1_gradient_correctness():
                                              seed=int(rng.integers(1 << 16)), cond_max=10.0)
                 blackbox = instance.blackbox
                 proj = structure_projector(structure)
+                reduced = ReducedResidual(blackbox, proj)
                 anchor = vec(instance.T)
                 fun = lambda d: reduced_distance(anchor + d, blackbox, proj)[0]
                 checked = 0
@@ -102,8 +107,12 @@ def test_criterion_1_gradient_correctness():
                     sv = np.linalg.svd(unvec(anchor + delta, n_x, n_x), compute_uv=False)
                     if sv[-1] < 1e-2 * max(1.0, sv[0]):
                         continue
+                    approx = fd_gradient(fun, delta)
+                    r, jac = reduced(anchor + delta)
                     worst["reduced"] = max(worst["reduced"], float(np.max(
-                        relative_errors(grad, fd_gradient(fun, delta)))))
+                        relative_errors(grad, approx))))
+                    worst["reduced_2jtr"] = max(worst["reduced_2jtr"], float(np.max(
+                        relative_errors(2.0 * (jac.T @ r), approx))))
                     checked += 1
 
             # least-squares gradients: 100 points each around the truth pair
@@ -233,11 +242,10 @@ def test_criterion_6_lsq_recovery_and_pipeline_polish():
 
 def test_criterion_7_optimizer_soundness():
     with criterion(7, "Rosenbrock in <= 200 iterations; objective traces non-increasing"):
-        rosen = lambda x: (float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2), np.array([
-            -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-            200 * (x[1] - x[0] ** 2),
-        ]))
-        result = bfgs(rosen, np.array([-1.2, 1.0]))
+        # Rosenbrock's function in residual form, minimized by the solvers' Levenberg-Marquardt
+        rosen = lambda x: (np.array([10 * (x[1] - x[0] ** 2), 1 - x[0]]),
+                           np.array([[-20 * x[0], 10.0], [-1.0, 0.0]]))
+        result = lm(rosen, np.array([-1.2, 1.0]))
         assert result.iterations <= 200
         assert np.allclose(result.x_best, [1.0, 1.0], atol=1e-6)
         traces = ACCEPTANCE_TRACES + [[f for _, f, _ in result.trace]]

@@ -32,9 +32,11 @@ def test_generate_writes_deterministic_files(tmp_path):
 
 
 def test_generate_rejects_bad_cond_max(tmp_path):
-    code = run("generate", "--structure", "scalar", "--theta", "3,2",
-               "--cond-max", "1.0", "--out-prefix", tmp_path / "x")
-    assert code == 2
+    for cond_max in ("1.0", "inf", "nan"):
+        code = run("generate", "--structure", "scalar", "--theta", "3,2",
+                   "--cond-max", cond_max, "--out-prefix", tmp_path / "x")
+        assert code == 2
+        assert not (tmp_path / "x.blackbox.json").exists()
 
 
 def test_generate_rejects_bad_theta_length(tmp_path):
@@ -297,6 +299,34 @@ def test_solve_invalid_json_exits_2(tmp_path):
     bad.write_text("{not json")
     code = run("solve", "--blackbox", bad, "--structure", "scalar")
     assert code == 2
+
+
+MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
+                        "B": [[0], [1]], "C": [[1, 0]]}
+
+
+@pytest.mark.parametrize("option, doc", [
+    ("--blackbox", 5),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_x": None}),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "A": {}}),
+    ("--structure", 5),
+    ("--init", 5),
+    ("--truth", {}),
+    ("--config", 5),
+    ("--result", 5),
+    ("--result", {"theta_hat": {}, "T_hat": [[1, 0], [0, 1]]}),
+])
+def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
+    bb, _ = generate(tmp_path, seed=4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files = {"--blackbox": bb, "--structure": "mass-spring", option: bad}
+    command = ["verify"] if option == "--result" else ["solve", "--method", "lsq"]
+    report_path = tmp_path / "report.json"
+    code = run(*command, *(x for pair in files.items() for x in pair), "--out", report_path)
+    assert code == 2
+    assert f"file {bad}: " in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 @pytest.mark.parametrize("options", [

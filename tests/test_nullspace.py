@@ -25,7 +25,6 @@ from graybox.nullspace import (
     realization_jacobians,
     realization_vector,
     reduced_distance,
-    reduced_residual,
     solve_nullspace,
     structure_distance,
     structure_projector,
@@ -444,8 +443,9 @@ def test_residual_jacobian_matches_finite_differences():
         structure = random_structure(dims, rng)
         proj = structure_projector(structure)
         blackbox, t_vec = _random_blackbox_and_t(dims, rng)
-        _, jac = reduced_residual(t_vec, blackbox, proj)
-        approx = fd_jacobian(lambda tv: reduced_residual(tv, blackbox, proj)[0], t_vec)
+        rj = ns.ReducedResidual(blackbox, proj)
+        _, jac = rj(t_vec)
+        approx = fd_jacobian(lambda tv: rj(tv)[0], t_vec)
         assert jac.shape == (dims.n_abc, dims.n_x**2)
         assert float(np.max(relative_errors(jac, approx))) <= 1e-6
 
@@ -462,7 +462,7 @@ def test_residual_jacobian_equals_kron_oracle():
             v = nullspace_point(blackbox, unvec(t_vec, dims.n_x, dims.n_x))
             ds = np.vstack(realization_jacobians(v, dims)) @ closed_form_map(blackbox)[:, :-1]
             oracle = -proj.residual_op @ ds
-            r, jac = reduced_residual(t_vec, blackbox, proj)
+            r, jac = ns.ReducedResidual(blackbox, proj)(t_vec)
             assert np.linalg.norm(jac - oracle) <= 1e-10 * np.linalg.norm(oracle)
             expected = proj.residual_op @ (proj.offset - realization_vector(v, dims))
             assert np.allclose(r, expected, rtol=0.0, atol=1e-12 * (1.0 + np.linalg.norm(r)))
@@ -501,7 +501,7 @@ def test_residual_gives_reduced_distance_and_its_gradient():
         structure = random_structure(dims, rng)
         proj = structure_projector(structure)
         blackbox, t_vec = _random_blackbox_and_t(dims, rng)
-        r, jac = reduced_residual(t_vec, blackbox, proj)
+        r, jac = ns.ReducedResidual(blackbox, proj)(t_vec)
         f, g = reduced_distance(t_vec, blackbox, proj)
         assert float(r @ r) == pytest.approx(f, rel=1e-12)
         assert np.linalg.norm(2.0 * jac.T @ r - g) <= 1e-10 * (1.0 + np.linalg.norm(g))
@@ -513,7 +513,7 @@ def test_residual_undefined_when_singular():
     blackbox = StateSpace(A=rng.standard_normal((2, 2)), B=rng.standard_normal((2, 1)),
                           C=rng.standard_normal((1, 2)))
     proj = structure_projector(random_structure(dims, rng, n_theta=2))
-    assert reduced_residual(vec(np.diag([1.0, 0.0])), blackbox, proj) == (None, None)
+    assert ns.ReducedResidual(blackbox, proj)(vec(np.diag([1.0, 0.0]))) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +680,7 @@ def test_solve_without_passing_start_keeps_lowest_objective():
     proj = structure_projector(structure)
     rng = np.random.default_rng(cfg.seed)
     starts = [vec(np.eye(3))] + [vec(rng.standard_normal((3, 3))) for _ in range(cfg.restarts)]
-    runs = [ns.lm(lambda t: reduced_residual(t, instance.blackbox, proj), x0, cfg)
+    runs = [ns.lm(ns.ReducedResidual(instance.blackbox, proj), x0, cfg)
             for x0 in starts]
     assert [o["objective_final"] for o in outcomes] == [r.f_best for r in runs]
     best = min(runs, key=lambda r: r.f_best)

@@ -5,12 +5,17 @@ Exit codes: 0 success, 1 failed check/verification, 2 input or schema error,
 (report still written), 4 degenerate or infeasible solution.  So ``solve``
 exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at its
 default tolerance accepts the report.
+
+``main(argv)`` may be called any number of times in one process: it builds
+its parser once, on the first call, and carries no state from one call to
+the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -286,7 +291,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if worst <= args.tol else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``graybox`` parser, built on the first call and shared by every later one.
+
+    argparse set-up costs several times a parse, and the parser never
+    changes, so ``main`` reuses it.  Each subcommand's ``func`` default is
+    bound to its ``cmd_*`` function here, when the parser is built.  No
+    action has a mutable default, and ``parse_args`` returns a new
+    namespace each call, so nothing carries over from one call to the next.
+    Every caller gets the same parser object; do not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="graybox",
         description="Re-parameterize a black-box LTI state-space model into a structured gray-box form.",

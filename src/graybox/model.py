@@ -7,6 +7,7 @@ convention.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,6 +73,14 @@ class Dims:
         return 2 * self.n_x**2 + self.n_x * (self.n_u + self.n_y) + 1
 
 
+def _count(data: dict, key: str) -> int:
+    """``data[key]``, which must be an integer: a bool, float or string is refused, not cast."""
+    value = data[key]
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     m = np.asarray(value, dtype=float)
     if m.shape != (rows, cols):
@@ -129,7 +138,7 @@ class StateSpace:
         for key in ("n_x", "n_u", "n_y", "A", "B", "C"):
             if key not in data:
                 raise ValueError(f"state-space document is missing key {key!r}")
-        dims = Dims(int(data["n_x"]), int(data["n_u"]), int(data["n_y"]))
+        dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
         return cls(
             A=_as_matrix(data["A"], dims.n_x, dims.n_x, "A"),
             B=_as_matrix(data["B"], dims.n_x, dims.n_u, "B"),
@@ -186,11 +195,11 @@ class AffineStructure:
         for key in ("n_x", "n_u", "n_y", "n_theta", "kappa0", "K"):
             if key not in data:
                 raise ValueError(f"structure document is missing key {key!r}")
-        dims = Dims(int(data["n_x"]), int(data["n_u"]), int(data["n_y"]))
+        dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
         structure = cls(kappa0=np.asarray(data["kappa0"], dtype=float),
                         K=np.asarray(data["K"], dtype=float),
                         dims=dims)
-        if structure.n_theta != int(data["n_theta"]):
+        if structure.n_theta != _count(data, "n_theta"):
             raise ValueError(
                 f"n_theta={data['n_theta']} does not match K with {structure.n_theta} columns"
             )

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -20,6 +21,13 @@ def generate(tmp_path, structure="mass-spring", theta="4,0.5,1", seed=0, prefix=
                "--seed", seed, "--cond-max", cond_max, "--out-prefix", out)
     assert code == 0
     return f"{out}.blackbox.json", f"{out}.truth.json"
+
+
+def untimed(value):
+    """A report without its wall-clock entries, which differ between equal solves."""
+    if isinstance(value, dict):
+        return {k: untimed(v) for k, v in value.items() if k not in ("timing_ms", "wall_time_ms")}
+    return value
 
 
 def test_generate_writes_deterministic_files(tmp_path):
@@ -249,14 +257,42 @@ def test_solve_jobs_flag_matches_serial(tmp_path):
         assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--seed", 1,
                    "--jobs", jobs, "--out", report_path) == 0
         reports.append(json.load(open(report_path)))
-
-    def untimed(value):
-        if isinstance(value, dict):
-            return {k: untimed(v) for k, v in value.items()
-                    if k not in ("timing_ms", "wall_time_ms")}
-        return value
-
     assert untimed(reports[0]) == untimed(reports[1])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    bb, _ = generate(tmp_path, seed=10)
+    calls = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    for _ in range(3):
+        assert run("solve", "--method", "nullspace", "--blackbox", bb,
+                   "--structure", "mass-spring", "--out", tmp_path / "report.json") == 0
+    assert len(calls) <= 1
+
+
+def test_repeated_main_calls_share_no_state(tmp_path):
+    bb, _ = generate(tmp_path, seed=10)
+    report_path = tmp_path / "report.json"
+
+    def solved(*extra):
+        assert run("solve", "--method", "nullspace", "--blackbox", bb,
+                   "--structure", "mass-spring", "--out", report_path, *extra) == 0
+        return json.load(open(report_path))
+
+    first = solved()
+    narrow = solved("--restarts", 0, "--seed", 3)
+    with pytest.raises(SystemExit) as exc:  # a usage error between two solves
+        run("solve", "--method", "bogus", "--blackbox", bb, "--structure", "mass-spring")
+    assert exc.value.code == 2
+    again = solved()
+    assert [r["diagnostics"]["starts"] for r in (first, narrow, again)] == [5, 1, 5]
+    assert untimed(again) == untimed(first)
 
 
 @pytest.mark.parametrize("theta, t", [
@@ -315,6 +351,9 @@ MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
     ("--config", 5),
     ("--result", 5),
     ("--result", {"theta_hat": {}, "T_hat": [[1, 0], [0, 1]]}),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_x": 2.5}),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_u": True}),
+    ("--structure", {**bundled_structure("mass-spring")[0].to_dict(), "n_theta": 3.5}),
 ])
 def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     bb, _ = generate(tmp_path, seed=4)

@@ -247,6 +247,9 @@ def test_statespace_from_dict_validation():
         StateSpace.from_dict(
             {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[1.0]], "B": [[1.0]], "C": [[1.0]]}
         )
+    with pytest.raises(ValueError, match="n_y must be an integer"):
+        StateSpace.from_dict({"n_x": 1, "n_u": 1, "n_y": "1", "A": [[1.0]], "B": [[1.0]],
+                              "C": [[1.0]]})
 
 
 def test_structure_json_round_trip():

@@ -80,11 +80,22 @@ def _load_structure(spec: str) -> AffineStructure:
 
 
 def _load_truth(path: str | None, structure: AffineStructure) -> np.ndarray | None:
-    """The truth file's ``theta``, of the structure's length, or None without a file."""
+    """The truth file's ``theta``, finite and of the structure's length, or None without a file."""
     if not path:
         return None
-    return _load(path, "truth",
-                 lambda doc: np.asarray(doc["theta"], dtype=float).reshape(structure.n_theta))
+
+    def parse(doc: dict) -> np.ndarray:
+        theta = np.asarray(doc["theta"], dtype=float).reshape(structure.n_theta)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta contains non-finite entries")
+        return theta
+
+    return _load(path, "truth", parse)
+
+
+def _check_tolerance(value: float, flag: str) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{flag} must be finite and at least 0, got {value}")
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -160,7 +171,7 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     init = _load(args.init, "init", _arrays("theta", "T")) if args.init else None
     sol = solver.solve(blackbox, structure, args.method, cfg, init)
-    res = residuals(blackbox, sol.T, eval_structure(structure, sol.theta))
+    res = sol.residuals  # the solver's one read-out, made on the T_hat written here
     report = {
         "method": args.method,
         "status": sol.result.status,
@@ -185,65 +196,54 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _scaled_check(fg, point) -> float:
-    """Gradient check of ``fg(x) -> (f, g)`` with f normalized to unit scale at the point.
-
-    Central differences lose eps*|f|/h absolute accuracy, so large raw
-    objective values would drown a 1e-6 tolerance even for a correct
-    gradient; dividing both sides by max(1, |f|) keeps the oracle sharp
-    without changing what is being verified.
-    """
-    scale = 1.0 / max(1.0, abs(fg(point)[0]))
-    report = optim.check_gradient(
-        lambda x: scale * fg(x)[0], lambda x: scale * np.asarray(fg(x)[1]), point
-    )
-    return report.max_rel_err
-
-
 def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
-    """Max relative gradient error at one random point, or None if degenerate.
+    """Max relative error of the analytic derivative at one random point, or None if degenerate.
 
-    ``reduced`` is the null-space search's :class:`graybox.nullspace.ReducedResidual`
-    for ``--which hbar``; its ``r @ r`` and ``2 J^T r`` are checked.
+    Every mode compares an analytic Jacobian with central differences of its
+    function, and fails a point where the two differ in shape (inf).  The
+    gradient modes check ``2 J^T r`` as the Jacobian of the scalar ``r @ r``
+    (for ``hbar``, of ``reduced``: the search's ``ReducedResidual``), both
+    divided by max(1, |r @ r|) at the point: central differences lose
+    eps*|f|/h absolute accuracy, which would drown a 1e-6 tolerance at large
+    ``r @ r``.  ``hbar`` and ``jacobians`` resample a near-singular T.
     """
-    dims = blackbox.dims
-    n_x = dims.n_x
-    if args.which == "hbar":
-        t = rng.standard_normal((n_x, n_x))
-        sv = np.linalg.svd(t, compute_uv=False)
+    dims, n_x, n_theta = blackbox.dims, blackbox.dims.n_x, structure.n_theta
+    x = (rng.standard_normal(dims.n_unknowns) if args.which == "jacobians"  # vec(T) first
+         else vec(rng.standard_normal((n_x, n_x))))
+    if args.which in ("hbar", "jacobians"):
+        sv = np.linalg.svd(unvec(x[: n_x * n_x], n_x, n_x), compute_uv=False)
         if sv[-1] < 1e-2 * max(1.0, sv[0]):
             return None
-
-        def hbar_fg(tv):  # +inf where T is singular, so finite differences resample
-            r, jac = reduced(tv)
-            return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac.T @ r))
-
-        return _scaled_check(hbar_fg, vec(t))
     if args.which == "jacobians":
-        v = rng.standard_normal(dims.n_unknowns)
-        sv = np.linalg.svd(unvec(v[: n_x**2], n_x, n_x), compute_uv=False)
-        if sv[-1] < 1e-2 * max(1.0, sv[0]):
-            return None
-        analytic = np.vstack(nullspace.realization_jacobians(v, dims))
-        approx = optim.fd_jacobian(lambda w: nullspace.realization_vector(w, dims), v)
-        return float(np.max(optim.relative_errors(analytic, approx)))
+        fun = functools.partial(nullspace.realization_vector, dims=dims)
+        analytic = np.vstack(nullspace.realization_jacobians(x, dims))
+    else:
+        if args.which == "hbar":
+            def fg(tv):  # +inf where T is singular, so finite differences resample
+                r, jac = reduced(tv)
+                return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac.T @ r))
+        else:  # lsq-theta, lsq-T: r @ r of lsq.cost and one block of its gradient 2 J^T r
+            t_vec, theta = x, rng.standard_normal(n_theta)
+            on_theta = args.which == "lsq-theta"
+            cols, x = (slice(None, n_theta), theta) if on_theta else (slice(n_theta, None), t_vec)
 
-    t = rng.standard_normal((n_x, n_x))
-    theta = rng.standard_normal(structure.n_theta)
-    n_theta = structure.n_theta
-
-    def lsq_fg(th, tv, block):  # r @ r and one block of its gradient 2 J^T r
-        r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure)
-        return float(r @ r), 2.0 * (jac[:, block].T @ r)
-
-    if args.which == "lsq-theta":
-        return _scaled_check(lambda th: lsq_fg(th, vec(t), slice(None, n_theta)), theta)
-    return _scaled_check(lambda tv: lsq_fg(theta, tv, slice(n_theta, None)), vec(t))  # lsq-T
+            def fg(z):
+                th, tv = (z, t_vec) if on_theta else (theta, z)
+                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure)
+                return float(r @ r), 2.0 * (jac[:, cols].T @ r)
+        f, g = fg(x)
+        scale = 1.0 / max(1.0, abs(f))
+        analytic, fun = scale * np.reshape(g, (1, -1)), lambda z: scale * fg(z)[0]
+    approx = optim.fd_jacobian(fun, x)
+    if analytic.shape != approx.shape:
+        return math.inf
+    return float(np.max(optim.relative_errors(analytic, approx)))
 
 
 def cmd_check_grad(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    _check_tolerance(args.rel_tol, "--rel-tol")
     blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)
@@ -273,6 +273,7 @@ def cmd_check_grad(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_tolerance(args.tol, "--tol")
     theta_hat, t_hat = _load(args.result, "result", _arrays("theta_hat", "T_hat"))
     blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)

@@ -190,6 +190,7 @@ def solve_lsq(
 
     result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg, rvv=plan.curvature)
     theta_hat, t_hat = split(result.x_best)
+    t_hat = t_hat.copy(order="C")  # read out on the array that is returned and written
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL
     res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
@@ -204,4 +205,4 @@ def solve_lsq(
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in result.trace],
     }
-    return Solution(theta=theta_hat, T=t_hat.copy(), result=result, diagnostics=diagnostics)
+    return Solution(theta_hat, t_hat, result, diagnostics, res)

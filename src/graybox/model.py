@@ -59,7 +59,7 @@ class Dims:
     def __post_init__(self) -> None:
         for name in ("n_x", "n_u", "n_y"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @property
@@ -224,12 +224,13 @@ class Residuals(NamedTuple):
 
 @dataclass
 class Solution:
-    """Recovered parameters and transform of a solve, with solver diagnostics."""
+    """Recovered parameters, C-ordered transform and their residuals, with solver diagnostics."""
 
     theta: np.ndarray
     T: np.ndarray
     result: OptimResult
     diagnostics: dict
+    residuals: Residuals
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -423,7 +423,7 @@ def solve_nullspace(
     rng = np.random.default_rng(cfg.seed)
     n_starts = 1 + cfg.restarts
     outcomes = []
-    winner = None  # (lm result, realization, theta, residuals) of the winning start
+    winner = None  # (lm result, transform, theta, residuals) of the winning start
     for k in range(n_starts):
         x0 = vec(np.eye(n_x)) if k == 0 else vec(rng.standard_normal((n_x, n_x)))
         try:
@@ -433,7 +433,8 @@ def solve_nullspace(
             continue
         real = rj.realization(result.x_best)
         theta = extract_theta(real.stacked(), proj)
-        res = residuals(blackbox, real.T, eval_structure(structure, theta))
+        t = np.ascontiguousarray(real.T)  # read out on the array that is returned and written
+        res = residuals(blackbox, t, eval_structure(structure, theta))
         worst = max(res)
         outcomes.append({
             "iterations": result.iterations,
@@ -445,25 +446,25 @@ def solve_nullspace(
         # a start at the distance's roundoff floor has the lowest objective of all so far
         done = worst <= RESIDUAL_TOL or math.sqrt(result.f_best) <= RESIDUAL_TOL
         if done or winner is None or result.f_best < winner[0].f_best:
-            winner = result, real, theta, res
+            winner = result, t, theta, res
         if done:
             break
     if winner is None:
         raise InfeasibleStartError(
             f"all {n_starts} starts began at singular transform points"
         )
-    best, real, theta, res = winner
+    best, t, theta, res = winner
 
     diagnostics = {
         "objective_final": best.f_best,
         "grad_norm": best.grad_norm,
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "nullspace_dim": n_x**2 + 1,
-        "cond_T": 1.0 / rcond(real.T),
+        "cond_T": 1.0 / rcond(t),
         "starts": n_starts,
         "infeasible_starts": sum(o["status"] == "infeasible" for o in outcomes),
         "start_outcomes": outcomes,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in best.trace],
     }
-    return Solution(theta=theta, T=real.T, result=best, diagnostics=diagnostics)
+    return Solution(theta=theta, T=t, result=best, diagnostics=diagnostics, residuals=res)

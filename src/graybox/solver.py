@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import lsq, nullspace
@@ -35,11 +37,11 @@ def solve(
 
     The pipeline returns the null-space solution when its max similarity
     residual is <= ``RESIDUAL_TOL``, whatever the optimizer status, and
-    otherwise polishes it with lsq.  Its ``result`` is that of the stage it
-    returns, and its ``diagnostics`` hold each stage's under "nullspace" and
-    "polish"; a skipped polish is ``{"skipped": True, "reason": ...}``.
-    ``init`` is an lsq starting ``(theta, T)``.  Outside input is validated
-    here, once; a degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
+    otherwise polishes it with lsq.  Its ``result`` and ``residuals`` are those
+    of the stage it returns, and its ``diagnostics`` hold each stage's under
+    "nullspace" and "polish"; a skipped polish is ``{"skipped": True, "reason":
+    ...}``.  ``init`` is an lsq starting ``(theta, T)``.  Outside input is
+    validated here, once; a degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
 
     Raises:
         ValueError: on an unknown method, mismatched dimensions, or an init
@@ -57,11 +59,10 @@ def solve(
     if method == "lsq":
         return lsq.solve_lsq(blackbox, structure, init=init, config=config)
     first = nullspace.solve_nullspace(blackbox, structure, config)
-    if max(first.diagnostics["residuals"].values()) <= RESIDUAL_TOL:
-        skipped = {"skipped": True, "reason": "null-space solution within the residual "
-                                              "tolerance"}
-        return Solution(theta=first.theta, T=first.T, result=first.result,
-                        diagnostics={"nullspace": first.diagnostics, "polish": skipped})
-    polish = lsq.solve_lsq(blackbox, structure, init=(first.theta, first.T), config=config)
-    diagnostics = {"nullspace": first.diagnostics, "polish": polish.diagnostics}
-    return Solution(theta=polish.theta, T=polish.T, result=polish.result, diagnostics=diagnostics)
+    if max(first.residuals) <= RESIDUAL_TOL:
+        stage = first
+        polish = {"skipped": True, "reason": "null-space solution within the residual tolerance"}
+    else:
+        stage = lsq.solve_lsq(blackbox, structure, init=(first.theta, first.T), config=config)
+        polish = stage.diagnostics
+    return replace(stage, diagnostics={"nullspace": first.diagnostics, "polish": polish})

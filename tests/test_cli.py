@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from graybox import solve
+from graybox import lsq, solve
 from graybox.cli import main
-from graybox.model import AffineStructure, Dims, StateSpace
+from graybox.model import (AffineStructure, Dims, StateSpace, eval_structure, generate_instance,
+                           residuals)
 from graybox.structures import bundled_structure
 
 
@@ -225,6 +226,35 @@ def test_library_solve_matches_cli_report(tmp_path, method):
     assert sol.result.status == report["status"]
 
 
+@pytest.mark.parametrize("method", ["nullspace", "lsq", "pipeline"])
+def test_solution_residuals_are_read_out_on_its_c_ordered_transform(method):
+    structure, theta = bundled_structure("compartment3")
+    instance = generate_instance(structure, theta, seed=1517260849, cond_max=10.0)
+    sol = solve(instance.blackbox, structure, method)
+    assert sol.T.flags.c_contiguous
+    assert sol.residuals == residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
+
+
+@pytest.mark.parametrize("seed, cond_max, stage", [
+    (1517260849, 10, "nullspace"),  # the pipeline returns the null-space T
+    (388268015, 1e4, "polish"),
+])
+def test_verify_reproduces_the_report_residuals(tmp_path, seed, cond_max, stage):
+    # verify reads T_hat back C-ordered; a read-out on another memory layout of
+    # the same T differs from it in the last bits (r_C 1.587e-16 against 2.109e-16)
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2", seed=seed,
+                     cond_max=cond_max)
+    report_path, verify_path = tmp_path / "report.json", tmp_path / "verify.json"
+    assert run("solve", "--blackbox", bb, "--structure", "compartment3",
+               "--out", report_path) == 0
+    assert run("verify", "--result", report_path, "--blackbox", bb,
+               "--structure", "compartment3", "--out", verify_path) == 0
+    report = json.load(open(report_path))
+    assert ("skipped" in report["diagnostics"]["polish"]) == (stage == "nullspace")
+    assert json.load(open(verify_path))["residuals"] == report["residuals"]
+    assert report["diagnostics"][stage]["residuals"] == report["residuals"]
+
+
 @pytest.mark.parametrize("method", ["nullspace", "pipeline"])
 def test_solve_reports_each_start_outcome(tmp_path, method):
     # the T = I start of this instance stops short of the tolerance, the next passes
@@ -354,6 +384,7 @@ MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
     ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_x": 2.5}),
     ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_u": True}),
     ("--structure", {**bundled_structure("mass-spring")[0].to_dict(), "n_theta": 3.5}),
+    ("--truth", {"theta": [float("nan"), 0.5, 1.0]}),  # json.dumps writes NaN
 ])
 def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     bb, _ = generate(tmp_path, seed=4)
@@ -535,6 +566,39 @@ def test_check_grad_unreachable_tolerance(tmp_path):
     code = run("check-grad", "--which", "lsq-theta", "--blackbox", bb,
                "--structure", "mass-spring", "--points", 5, "--rel-tol", "1e-16")
     assert code == 1
+
+
+def test_check_grad_fails_a_gradient_of_the_wrong_length(tmp_path, monkeypatch, capsys):
+    # a gradient one entry short fails its point; it is not taken for a
+    # degenerate point and resampled until check-grad gives up with exit 2
+    bb, _ = generate(tmp_path, seed=8)
+    full = lsq.CostPlan.__call__
+
+    def one_column_short(self, theta, t):
+        r, jac = full(self, theta, t)
+        return r, jac[:, :-1]
+
+    monkeypatch.setattr(lsq.CostPlan, "__call__", one_column_short)
+    code = run("check-grad", "--which", "lsq-T", "--blackbox", bb,
+               "--structure", "mass-spring", "--points", 3)
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "max_rel_err inf" in out and "resampled 0 degenerate point(s)" in out
+
+
+@pytest.mark.parametrize("command, flag", [("verify", "--tol"), ("check-grad", "--rel-tol")])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, flag, value):
+    bb, _ = generate(tmp_path, seed=4)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 0
+    args = ["--result", report_path, "--out", tmp_path / "verify.json"] if command == "verify" \
+        else ["--which", "lsq-T", "--points", 1]
+    code = run(command, *args, "--blackbox", bb, "--structure", "mass-spring", flag, value)
+    assert code == 2
+    assert f"error: {flag} must be finite and at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
 
 
 @pytest.mark.parametrize("points", [0, -3])

@@ -77,6 +77,8 @@ def test_dims_validation():
     d = Dims(2, 1, 1)
     assert d.n_abc == 8
     assert d.n_unknowns == 13
+    with pytest.raises(ValueError, match="n_x"):  # bool subclasses int; JSON refuses it too
+        Dims(True, 1, 1)
 
 
 def test_eval_structure_scalar_anchor():

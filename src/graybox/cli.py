@@ -33,7 +33,6 @@ from .model import (
     check_dims,
     eval_structure,
     generate_instance,
-    rcond,
     residuals,
     unvec,
     vec,
@@ -185,7 +184,7 @@ def cmd_solve(args) -> int:
     if theta_true is not None:
         report["theta_error"] = _theta_error(sol.theta, theta_true)
     _write_report(report, args.out)
-    if rcond(sol.T) < SINGULAR_RTOL:
+    if sol.rcond_T < SINGULAR_RTOL:  # the stage's rcond of the T_hat written here
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
     worst = max(res)

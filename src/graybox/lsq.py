@@ -54,8 +54,9 @@ class CostPlan:
     reshaped to (n_x, (n_x + n_u) n_theta), one [A_p, B_p] per parameter
     side by side, so that (I (x) T) [K_A; K_B] is the one product T times it.
     A call copies the template and fills in only what depends on the point:
-    -(I (x) T) [K_A; K_B], and -A^T (x) I and -B^T (x) I from one
-    ``kron_t([A, B], I)``; no call changes the plan, so one plan serves every
+    -(I (x) T) [K_A; K_B], and -A^T (x) I and -B^T (x) I, subtracted on the
+    block diagonals that hold every nonzero of [A, B]^T (x) I, through flat
+    indices computed once; no call changes the plan, so one plan serves every
     point of a solve.  :meth:`curvature` reuses the plan's [K_A; K_B].
     """
 
@@ -70,11 +71,15 @@ class CostPlan:
         self.k_ab = k[: self.n_ab]
         # column p * (n_x + n_u) + j holds column j of [A_p, B_p]
         self.k_ab_cols = np.ascontiguousarray(self.k_ab.reshape(n_x, -1, order="F"))
-        self.eye = np.eye(n_x)
+        eye = np.eye(n_x)
         self.jac = np.zeros((k.shape[0], n_theta + n_x * n_x))
         self.jac[self.n_ab:, :n_theta] = -k[self.n_ab:]
-        self.jac[: n_x * n_x, n_theta:] = kron_t(self.eye, blackbox.A)
-        self.jac[self.n_ab:, n_theta:] = kron_t(self.eye, blackbox.C)
+        self.jac[: n_x * n_x, n_theta:] = kron_t(eye, blackbox.A)
+        self.jac[self.n_ab:, n_theta:] = kron_t(eye, blackbox.C)
+        # flat index [j, i, m] of row j n_x + i, column n_theta + m n_x + i: the only
+        # nonzeros of [A, B]^T (x) I, whose entry there is [A, B][m, j]
+        j, i, m = np.ogrid[: self.n_ab // n_x, :n_x, :n_x]
+        self.ab_t_diag = (j * n_x + i) * self.jac.shape[1] + n_theta + m * n_x + i
 
     def __call__(self, theta: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(r, J)`` at ``(theta, t)``; trusts its inputs."""
@@ -86,7 +91,8 @@ class CostPlan:
                             vec(bb.C @ t) - stacked[n_ab:]])
         jac = self.jac.copy()
         jac[:n_ab, :n_theta] = -(t @ self.k_ab_cols).reshape(n_ab, n_theta, order="F")
-        jac[:n_ab, n_theta:] -= kron_t(ab, self.eye)
+        flat = jac.reshape(-1)
+        flat[self.ab_t_diag] -= ab.T[:, None, :]
         return r, jac
 
     def curvature(self, v: np.ndarray) -> np.ndarray:
@@ -205,4 +211,4 @@ def solve_lsq(
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in result.trace],
     }
-    return Solution(theta_hat, t_hat, result, diagnostics, res)
+    return Solution(theta_hat, t_hat, result, diagnostics, res, rc)

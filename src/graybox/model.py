@@ -224,13 +224,18 @@ class Residuals(NamedTuple):
 
 @dataclass
 class Solution:
-    """Recovered parameters, C-ordered transform and their residuals, with solver diagnostics."""
+    """Recovered parameters, C-ordered transform, their residuals and rcond(T), with diagnostics.
+
+    ``residuals`` and ``rcond_T`` are the stage's one read-out of ``T``: the
+    report and the exit code of ``solve`` take them from here.
+    """
 
     theta: np.ndarray
     T: np.ndarray
     result: OptimResult
     diagnostics: dict
     residuals: Residuals
+    rcond_T: float
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -17,12 +17,15 @@ distance of the extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the
 admissible structured set by Levenberg-Marquardt on that distance's
 residual vector and its Jacobian in vec(T).  A solve builds one
 :class:`ReducedResidual`, which forms the Jacobian's black-box block
-I (x) C_bb once; at each point it computes only T^-1, the realization
-[A, B] = T^-1 [A_bb T, B_bb] and the two Kronecker blocks that depend on
-them, with no stacked null-space point.  :func:`reduced_distance` is the
-same distance with its matrix-form gradient.  The constraint matrix, its SVD
-null-space basis and the dense extraction Jacobians of the paper are kept as
-test oracles; the solve path uses none of them.
+I (x) C_bb once in a workspace; at each point it computes only T^-1,
+certified outside the excluded region by a norm bound rather than an SVD
+wherever the bound suffices (:func:`_checked_inverse`), the realization
+[A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that depend on
+them, written in place, with no stacked null-space point.
+:func:`reduced_distance` is the same distance with its matrix-form gradient.
+The constraint matrix, its SVD null-space basis and the dense extraction
+Jacobians of the paper are kept as test oracles; the solve path uses none of
+them.
 """
 
 from __future__ import annotations
@@ -168,11 +171,24 @@ def _solution_slices(dims: Dims) -> tuple[slice, slice, slice, slice]:
 
 
 def _checked_inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of the transform ``t``, outside the excluded region only.
+    """``np.linalg.inv(t)``, outside the excluded region only.
+
+    rcond(t) >= 1 / (||t||_F ||t^-1||_F), so an inverse whose norm product is
+    at most 1 / (2 SINGULAR_RTOL) needs no SVD.  Where the product is larger
+    or not finite, or ``inv`` finds t singular, ``rcond(t)`` (an SVD) decides
+    alone, so what is accepted and returned is what rcond then inv gave.
+    ``math.hypot`` takes the norms without intermediate overflow or a warning.
 
     Raises:
         SingularTransformError: when ``rcond(t) < SINGULAR_RTOL``.
     """
+    try:
+        t_inv = np.linalg.inv(t)
+    except np.linalg.LinAlgError:
+        pass  # an exactly singular factorization: rcond decides below
+    else:
+        if math.hypot(*t.ravel()) * math.hypot(*t_inv.ravel()) <= 0.5 / SINGULAR_RTOL:
+            return t_inv
     r = rcond(t)
     if r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
@@ -342,23 +358,33 @@ class ReducedResidual:
     gradient.  J = -P ds/dvec(T), where ds/dvec(T) stacks the blocks
     I (x) T^-1 A_bb - A^T (x) T^-1, -B^T (x) T^-1 and I (x) C_bb.
 
-    The constructor fills a template of -ds/dvec(T) with the block that
-    depends only on the black box, -(I (x) C_bb).  A call then costs
-    rcond(T), one inverse, [A, B] = T^-1 [A_bb T, B_bb] and T^-1 A_bb, one
-    ``kron_t([A, B], T^-1)`` and one ``kron_t(I, T^-1 A_bb)`` written into a
-    copy of the template, and two products with P, one for r and one for J.
-    Each is one product of P with the same vector or matrix as in
+    The constructor fills a workspace holding -ds/dvec(T) with the block
+    that depends only on the black box, -(I (x) C_bb), and takes two views of
+    it: the [A, B] rows as an (n_x + n_u, n_x, n_x, n_x) array, and the
+    block diagonal of their A rows.  A call then costs one inverse, with no
+    SVD unless T is near the excluded region (:func:`_checked_inverse`),
+    [A, B] = T^-1 [A_bb T, B_bb] and T^-1 A_bb, one broadcast product that
+    writes [A, B]^T (x) T^-1 over the [A, B] rows, T^-1 A_bb subtracted on
+    their block diagonal, and two products with P, one for r and one for J.
+    Every entry of the workspace equals that of ``kron_t([A, B], T^-1)``
+    minus ``kron_t(I, T^-1 A_bb)``, and each product with P is the same as in
     P (kappa0 - s) and -P ds/dvec(T) formed whole, so r and J match those
-    bit for bit.
+    bit for bit.  A call overwrites every workspace entry that depends on the
+    point and returns new arrays, so no call sees another's point; the
+    workspace makes an evaluator unsafe to share between threads.
     """
 
     def __init__(self, blackbox: StateSpace, proj: StructureProjector) -> None:
         d = blackbox.dims
+        n_x = d.n_x
         _, _, sl_c = block_slices(d)
-        self.blackbox, self.proj, self.n_x = blackbox, proj, d.n_x
-        self.eye = np.eye(d.n_x)
-        self.minus_ds = np.zeros((d.n_abc, d.n_x**2))
-        self.minus_ds[sl_c] = -kron_t(self.eye, blackbox.C)
+        self.blackbox, self.proj, self.n_x = blackbox, proj, n_x
+        self.minus_ds = np.zeros((d.n_abc, n_x**2))
+        self.minus_ds[sl_c] = -kron_t(np.eye(n_x), blackbox.C)
+        # rows j n_x + i, columns l n_x + k of the [A, B] rows: entry [j, i, l, k]
+        self.ab_rows = self.minus_ds[: n_x * (n_x + d.n_u)].reshape(n_x + d.n_u, n_x, n_x, n_x)
+        # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
+        self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
 
     def __call__(self, t_vec: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """``(r, J)`` at ``unvec(t_vec)``, or ``(None, None)`` where ``rcond(T) < SINGULAR_RTOL``."""
@@ -370,10 +396,10 @@ class ReducedResidual:
             return None, None
         ab = t_inv @ np.concatenate([bb.A @ t, bb.B], axis=1)
         r = proj.residual_op @ (proj.offset - np.concatenate([vec(ab), vec(bb.C @ t)]))
-        minus_ds = self.minus_ds.copy()
-        minus_ds[: ab.size] = kron_t(ab, t_inv)
-        minus_ds[: n_x * n_x] -= kron_t(self.eye, t_inv @ bb.A)
-        return r, proj.residual_op @ minus_ds
+        # [A, B]^T (x) T^-1, then minus I (x) T^-1 A_bb on its block diagonal
+        np.multiply(ab.T[:, None, :, None], t_inv[None, :, None, :], out=self.ab_rows)
+        self.a_diag -= t_inv @ bb.A
+        return r, proj.residual_op @ self.minus_ds
 
     def realization(self, t_vec: np.ndarray) -> Realization:
         """The realization read out of the null-space point of ``unvec(t_vec)``.
@@ -454,17 +480,19 @@ def solve_nullspace(
             f"all {n_starts} starts began at singular transform points"
         )
     best, t, theta, res = winner
+    rc = rcond(t)
 
     diagnostics = {
         "objective_final": best.f_best,
         "grad_norm": best.grad_norm,
         "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
         "nullspace_dim": n_x**2 + 1,
-        "cond_T": 1.0 / rcond(t),
+        "cond_T": 1.0 / rc,
         "starts": n_starts,
         "infeasible_starts": sum(o["status"] == "infeasible" for o in outcomes),
         "start_outcomes": outcomes,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,
         "trace": [[k, f, g] for k, f, g in best.trace],
     }
-    return Solution(theta=theta, T=t, result=best, diagnostics=diagnostics, residuals=res)
+    return Solution(theta=theta, T=t, result=best, diagnostics=diagnostics, residuals=res,
+                    rcond_T=rc)

@@ -347,9 +347,9 @@ def lm(
         raise InfeasibleStartError("residual is not defined at the starting point")
     n_evals = 1
     f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
-    mu = 1e-6 * float(np.max(np.diag(a)))
+    mu = 1e-6 * float(a.diagonal().max())
     nu = 2.0
-    trace = [(0, f, 2.0 * float(np.max(np.abs(g))))]
+    trace = [(0, f, 2.0 * float(np.abs(g).max()))]
     iterations = 0
     status = "max-iters"
     while True:
@@ -367,13 +367,14 @@ def lm(
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
         predicted = float(h @ (mu * h - g))
-        if not predicted > 0.0 or np.all(np.abs(h) <= 1e-12 * np.abs(x)):
+        if not predicted > 0.0 or (np.abs(h) <= 1e-12 * np.abs(x)).all():
             status = "converged-step"
             break
         step = h
         if rvv is not None:
             accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
-            if 2.0 * np.linalg.norm(accel) > GEODESIC_ALPHA * np.linalg.norm(h):
+            # the 2-norms as np.linalg.norm takes them, without its dispatch
+            if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
                 mu, nu = mu * nu, 2.0 * nu
                 continue
             step = h + 0.5 * accel
@@ -389,7 +390,7 @@ def lm(
         a, g = jac.T @ jac, jac.T @ r_new
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
         nu = 2.0
-        trace.append((iterations, f, 2.0 * float(np.max(np.abs(g)))))
+        trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
         if f_prev - f <= cfg.f_tol * f_prev:
             status = "converged-ftol"
             break

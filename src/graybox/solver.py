@@ -37,8 +37,8 @@ def solve(
 
     The pipeline returns the null-space solution when its max similarity
     residual is <= ``RESIDUAL_TOL``, whatever the optimizer status, and
-    otherwise polishes it with lsq.  Its ``result`` and ``residuals`` are those
-    of the stage it returns, and its ``diagnostics`` hold each stage's under
+    otherwise polishes it with lsq.  Its ``result``, ``residuals`` and ``rcond_T``
+    are those of the stage it returns, and its ``diagnostics`` hold each stage's under
     "nullspace" and "polish"; a skipped polish is ``{"skipped": True, "reason":
     ...}``.  ``init`` is an lsq starting ``(theta, T)``.  Outside input is
     validated here, once; a degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from graybox.lsq import cost
-from graybox.model import AffineStructure, Dims, Instance, unvec, vec
+from graybox.model import AffineStructure, Dims, Instance, generate_instance, unvec, vec
+from graybox.structures import chain
 
 # statuses of an optimizer run that stopped on one of its convergence tests
 CONVERGED = ("converged-grad", "converged-ftol", "converged-step")
@@ -19,6 +20,30 @@ def dims_grid() -> list[Dims]:
         for n_u in (1, 2)
         for n_y in (1, 2)
     ]
+
+
+def transform_with_rcond(n_x: int, rc: float, rng: np.random.Generator) -> np.ndarray:
+    """Random n_x by n_x transform with singular values spaced geometrically from 1 to ``rc``.
+
+    A 1 by 1 transform has the one singular value 1.
+    """
+    q1, _ = np.linalg.qr(rng.standard_normal((n_x, n_x)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n_x, n_x)))
+    return (q1 * np.geomspace(1.0, rc, n_x)) @ q2.T
+
+
+def evaluator_cases(rng: np.random.Generator):
+    """(black box, structure) pairs for the evaluators: every ``dims_grid()`` shape, with a
+    dense and a rank-deficient random structure, then ``chain(4)``, ``chain(6)``, ``chain(8)``.
+    """
+    for dims in dims_grid():
+        for structure in (random_structure(dims, rng), rank_deficient_structure(dims, rng)):
+            instance = generate_instance(structure, rng.standard_normal(structure.n_theta),
+                                         seed=int(rng.integers(1 << 16)))
+            yield instance.blackbox, structure
+    for n in (4, 6, 8):
+        structure, theta = chain(n)
+        yield generate_instance(structure, theta, seed=n, cond_max=100.0).blackbox, structure
 
 
 def random_structure(dims: Dims, rng: np.random.Generator, n_theta: int | None = None) -> AffineStructure:

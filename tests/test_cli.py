@@ -1,13 +1,14 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from graybox import lsq, solve
+from graybox import lsq, solve, solver
 from graybox.cli import main
-from graybox.model import (AffineStructure, Dims, StateSpace, eval_structure, generate_instance,
-                           residuals)
+from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eval_structure,
+                           generate_instance, rcond, residuals)
 from graybox.structures import bundled_structure
 
 
@@ -233,6 +234,7 @@ def test_solution_residuals_are_read_out_on_its_c_ordered_transform(method):
     sol = solve(instance.blackbox, structure, method)
     assert sol.T.flags.c_contiguous
     assert sol.residuals == residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
+    assert sol.rcond_T == rcond(sol.T)
 
 
 @pytest.mark.parametrize("seed, cond_max, stage", [
@@ -498,6 +500,22 @@ def test_solve_degenerate_transform_exits_4(tmp_path):
                "--init", init_path, "--out", report_path)
     assert code == 4
     assert json.load(open(report_path))["diagnostics"]["degenerate_transform"]
+
+
+def test_solve_exit_4_follows_the_stages_rcond(tmp_path, monkeypatch, capsys):
+    # cmd_solve takes no rcond of its own: the stage's value decides exit 4,
+    # here on a T_hat that is well conditioned and passes verify
+    bb, _ = generate(tmp_path, seed=5)
+    stage = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *args, **kwargs: dataclasses.replace(
+        stage(*args, **kwargs), rcond_T=0.5 * SINGULAR_RTOL))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 4
+    assert "degenerate transform" in capsys.readouterr().err
+    report = json.load(open(report_path))
+    assert rcond(np.array(report["T_hat"])) >= SINGULAR_RTOL
+    assert max(report["residuals"].values()) <= 1e-8
 
 
 def test_verify_round_trip(tmp_path):

@@ -11,6 +11,7 @@ from graybox.model import (
     StateSpace,
     eval_structure,
     generate_instance,
+    kron_t,
     residuals,
     unvec,
     vec,
@@ -19,7 +20,8 @@ from graybox.nullspace import solve_nullspace
 from graybox.optim import OptimConfig, fd_gradient, fd_jacobian, relative_errors
 from graybox.structures import mass_spring_damper, scalar
 
-from helpers import CONVERGED, dims_grid, lsq_fg, random_structure, rank_deficient_structure
+from helpers import (CONVERGED, dims_grid, evaluator_cases, lsq_fg, random_structure,
+                     rank_deficient_structure)
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -172,6 +174,44 @@ def test_cost_plan_matches_kron_oracle_and_finite_differences_at_each_point():
                 assert float(np.max(relative_errors(jac, approx))) <= 1e-6
                 returned.append((jac, jac.copy()))
             assert all(np.array_equal(jac, kept) for jac, kept in returned)
+
+
+def _cost_plan_reference(blackbox, structure, theta, t):
+    """``CostPlan`` as first written, frozen: ``kron_t([A, B], I)`` subtracted from a
+    fresh copy of the Jacobian template."""
+    d = structure.dims
+    n_x, n_theta, k = d.n_x, structure.n_theta, structure.K
+    n_ab = n_x * (n_x + d.n_u)
+    eye = np.eye(n_x)
+    template = np.zeros((k.shape[0], n_theta + n_x * n_x))
+    template[n_ab:, :n_theta] = -k[n_ab:]
+    template[: n_x * n_x, n_theta:] = kron_t(eye, blackbox.A)
+    template[n_ab:, n_theta:] = kron_t(eye, blackbox.C)
+    k_ab_cols = np.ascontiguousarray(k[:n_ab].reshape(n_x, -1, order="F"))
+    stacked = structure.kappa0 + k @ theta
+    ab = unvec(stacked[:n_ab], n_x, n_ab // n_x)
+    t_ab = t @ ab
+    r = np.concatenate([vec(blackbox.A @ t - t_ab[:, :n_x]), vec(blackbox.B) - vec(t_ab[:, n_x:]),
+                        vec(blackbox.C @ t) - stacked[n_ab:]])
+    jac = template.copy()
+    jac[:n_ab, :n_theta] = -(t @ k_ab_cols).reshape(n_ab, n_theta, order="F")
+    jac[:n_ab, n_theta:] -= kron_t(ab, eye)
+    return r, jac
+
+
+def test_cost_plan_is_bit_identical_to_its_frozen_reference():
+    # one plan per case serves every point in turn, as in a solve; T is an
+    # F-ordered view of the stacked point, as the solve passes it
+    rng = np.random.default_rng(54)
+    for blackbox, structure in evaluator_cases(rng):
+        plan = CostPlan(blackbox, structure)
+        n_theta, n_x = structure.n_theta, structure.dims.n_x
+        for _ in range(6):
+            theta = rng.standard_normal(n_theta)
+            t = unvec(rng.standard_normal(n_x * n_x), n_x, n_x)
+            r, jac = plan(theta, t)
+            r_ref, j_ref = _cost_plan_reference(blackbox, structure, theta, t)
+            assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
 
 
 def test_jacobian_gradient_equals_closed_form_gradients():

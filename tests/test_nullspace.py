@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 
 import graybox.nullspace as ns
 from graybox.model import (
+    SINGULAR_RTOL,
     Dims,
     StateSpace,
     apply_similarity,
+    block_slices,
     eval_structure,
     generate_instance,
+    kron_t,
+    rcond,
     residuals,
     unvec,
     vec,
@@ -32,8 +37,8 @@ from graybox.nullspace import (
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_gradient, fd_jacobian, relative_errors
 from graybox.structures import compartment3, mass_spring_damper, scalar
 
-from helpers import (CONVERGED, dims_grid, rank_deficient_structure, random_structure,
-                     stacked_solution)
+from helpers import (CONVERGED, dims_grid, evaluator_cases, rank_deficient_structure,
+                     random_structure, stacked_solution, transform_with_rcond)
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -517,6 +522,115 @@ def test_residual_undefined_when_singular():
 
 
 # ---------------------------------------------------------------------------
+# excluded-region test without an SVD, and the evaluator's frozen reference
+# ---------------------------------------------------------------------------
+
+def _inverse_or_none(t):
+    try:
+        return ns._checked_inverse(t)
+    except SingularTransformError:
+        return None
+
+
+def test_checked_inverse_accepts_exactly_where_rcond_passes(monkeypatch):
+    svds = []
+
+    def counting_rcond(t):
+        svds.append(1)
+        return rcond(t)
+
+    monkeypatch.setattr(ns, "rcond", counting_rcond)
+    rng = np.random.default_rng(50)
+    outcomes = {"bound": 0, "svd": 0, "rejected": 0}
+    for n_x in range(1, 9):
+        for _ in range(40):
+            t = 10.0 ** rng.uniform(-2.0, 2.0) * transform_with_rcond(
+                n_x, 10.0 ** rng.uniform(-10.0, -6.0), rng)
+            before = len(svds)
+            got = _inverse_or_none(t)
+            if rcond(t) >= SINGULAR_RTOL:
+                assert np.array_equal(got, np.linalg.inv(t))
+                outcomes["svd" if len(svds) > before else "bound"] += 1
+            else:
+                assert got is None
+                outcomes["rejected"] += 1
+    # all three ways out are taken: accepted by the norm bound, accepted by the SVD, rejected
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize("t", [
+    np.zeros((3, 3)),
+    np.ones((2, 2)),
+    np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+])
+def test_checked_inverse_refuses_zero_and_rank_one_transforms(t):
+    with pytest.raises(SingularTransformError):
+        ns._checked_inverse(t)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_checked_inverse_decides_alike_at_extreme_scales(scale):
+    rng = np.random.default_rng(51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_x in (2, 3, 8):
+            # accepted by the norm bound, accepted by the SVD, rejected
+            for rc in (1e-6, 1.2e-8, 1e-9):
+                t = transform_with_rcond(n_x, rc, rng)
+                got, scaled = _inverse_or_none(t), _inverse_or_none(scale * t)
+                assert (got is not None) == (scaled is not None) == (rc >= SINGULAR_RTOL)
+                if scaled is not None:
+                    assert np.array_equal(scaled, np.linalg.inv(scale * t))
+        # ||T||_F overflows to inf: the bound is not finite, so the SVD decides
+        t = np.diag([1.5e308, 1.5e308])
+        assert np.array_equal(ns._checked_inverse(t), np.linalg.inv(t))
+
+
+def _reduced_residual_reference(blackbox, proj, t_vec):
+    """``ReducedResidual`` as first written, frozen: rcond(T) by an SVD, then inv, and
+    the two ``kron_t`` blocks written into a fresh copy of the template."""
+    d = blackbox.dims
+    n_x = d.n_x
+    _, _, sl_c = block_slices(d)
+    eye = np.eye(n_x)
+    template = np.zeros((d.n_abc, n_x**2))
+    template[sl_c] = -kron_t(eye, blackbox.C)
+    t = unvec(t_vec, n_x, n_x)
+    if rcond(t) < SINGULAR_RTOL:
+        return None, None
+    t_inv = np.linalg.inv(t)
+    ab = t_inv @ np.concatenate([blackbox.A @ t, blackbox.B], axis=1)
+    r = proj.residual_op @ (proj.offset - np.concatenate([vec(ab), vec(blackbox.C @ t)]))
+    minus_ds = template.copy()
+    minus_ds[: ab.size] = kron_t(ab, t_inv)
+    minus_ds[: n_x * n_x] -= kron_t(eye, t_inv @ blackbox.A)
+    return r, proj.residual_op @ minus_ds
+
+
+def test_residual_evaluator_is_bit_identical_to_its_frozen_reference():
+    # one evaluator per case serves every point in turn, as in a solve, including
+    # near-singular points on both sides of SINGULAR_RTOL
+    rng = np.random.default_rng(53)
+    undefined = 0
+    for blackbox, structure in evaluator_cases(rng):
+        proj = structure_projector(structure)
+        rj = ns.ReducedResidual(blackbox, proj)
+        n_x = blackbox.dims.n_x
+        for rc in (1.0, 1e-2, 1e-9, 1e-5, 1.2e-8, None, 3e-8):
+            t = (rng.standard_normal((n_x, n_x)) if rc is None
+                 else 10.0 ** rng.uniform(-2.0, 2.0) * transform_with_rcond(n_x, rc, rng))
+            t_vec = vec(t)
+            r, jac = rj(t_vec)
+            r_ref, j_ref = _reduced_residual_reference(blackbox, proj, t_vec)
+            if r_ref is None:
+                assert (r, jac) == (None, None)
+                undefined += 1
+            else:
+                assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
+    assert undefined >= 20
+
+
+# ---------------------------------------------------------------------------
 # end-to-end solve
 # ---------------------------------------------------------------------------
 
@@ -582,6 +696,29 @@ def test_solve_extracts_each_point_once(monkeypatch):
     assert len(evaluated) == sol.result.n_evals
     assert len(set(evaluated)) == len(evaluated)
     assert read_out == [vec(sol.T).tobytes()]
+
+
+def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
+    # the projector's and the winner's rcond for cond_T: neither an evaluation
+    # nor a read-out at a well-conditioned T takes one
+    svds = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    structure, theta = compartment3()
+    instance = generate_instance(structure, theta, seed=148, cond_max=20.0)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for max_iters in (20, 500):
+        svds.clear()
+        sol = solve_nullspace(instance.blackbox, structure, OptimConfig(max_iters=max_iters))
+        counts.append((sum(o["n_evals"] for o in sol.diagnostics["start_outcomes"]), len(svds)))
+    (few, svds_few), (many, svds_many) = counts
+    assert many > 100 and many > 3 * few
+    assert svds_few == svds_many == 2
 
 
 def test_solve_stops_at_first_start_that_recovers(monkeypatch):

@@ -6,6 +6,10 @@ Exit codes: 0 success, 1 failed check/verification, 2 input or schema error,
 exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at its
 default tolerance accepts the report.
 
+``solve`` and ``verify`` write their reports as compact, one-line JSON,
+with a non-finite number written as ``null``; ``python -m json.tool``
+pretty-prints them.  ``generate`` writes its files indented.
+
 ``main(argv)`` may be called any number of times in one process: it builds
 its parser once, on the first call, and carries no state from one call to
 the next.
@@ -128,7 +132,17 @@ def _jsonable(value):
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(report), indent=2) + "\n"
+    """Write ``report`` as one line of strict JSON to ``out``, or to standard output.
+
+    Compact, so the C encoder writes it.  A report that strict JSON cannot
+    hold as it is, with a non-finite number or a numpy type, goes through
+    :func:`_jsonable` first, which writes a non-finite number as ``null``.
+    """
+    try:
+        text = json.dumps(report, allow_nan=False)
+    except (TypeError, ValueError):
+        text = json.dumps(_jsonable(report), allow_nan=False)
+    text += "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:

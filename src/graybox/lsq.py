@@ -21,8 +21,10 @@ import time
 
 import numpy as np
 
-from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, eval_structure,
-                    kron_t, rcond, residuals, structured_matrices, unvec, vec)
+from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _residual_norms,
+                    kron_t, rcond, structured_matrices, vec)
+# bound here only because bench/tracer.py wraps graybox.lsq.eval_structure by name
+from .model import eval_structure  # noqa: F401
 from .nullspace import extract_theta, structure_projector
 from .optim import OptimConfig, lm
 # bound here only because bench/tracer.py wraps graybox.lsq.bfgs by name
@@ -85,10 +87,12 @@ class CostPlan:
         """``(r, J)`` at ``(theta, t)``; trusts its inputs."""
         n_x, n_theta, n_ab, bb = self.n_x, self.n_theta, self.n_ab, self.blackbox
         stacked = self.structure.kappa0 + self.structure.K @ theta
-        ab = unvec(stacked[:n_ab], n_x, n_ab // n_x)
+        # vec and unvec of float arrays, by reshape alone
+        ab = stacked[:n_ab].reshape(n_x, -1, order="F")
         t_ab = t @ ab
-        r = np.concatenate([vec(bb.A @ t - t_ab[:, :n_x]), self.vec_b - vec(t_ab[:, n_x:]),
-                            vec(bb.C @ t) - stacked[n_ab:]])
+        r = np.concatenate([(bb.A @ t - t_ab[:, :n_x]).reshape(-1, order="F"),
+                            self.vec_b - t_ab[:, n_x:].reshape(-1, order="F"),
+                            (bb.C @ t).reshape(-1, order="F") - stacked[n_ab:]])
         jac = self.jac.copy()
         jac[:n_ab, :n_theta] = -(t @ self.k_ab_cols).reshape(n_ab, n_theta, order="F")
         flat = jac.reshape(-1)
@@ -106,7 +110,8 @@ class CostPlan:
         n_x, n_theta = self.n_x, self.n_theta
         d_ab = (self.k_ab @ v[:n_theta]).reshape(n_x, -1, order="F")
         out = np.zeros(self.jac.shape[0])
-        out[: self.n_ab] = vec(-2.0 * unvec(v[n_theta:], n_x, n_x) @ d_ab)
+        out[: self.n_ab] = (-2.0 * v[n_theta:].reshape(n_x, n_x, order="F") @ d_ab).reshape(
+            -1, order="F")
         return out
 
 
@@ -187,7 +192,7 @@ def solve_lsq(
     started = time.perf_counter()
 
     def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return z[:n_theta], unvec(z[n_theta:], n_x, n_x)
+        return z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F")  # unvec, by reshape alone
 
     plan = CostPlan(blackbox, structure)
 
@@ -199,7 +204,7 @@ def solve_lsq(
     t_hat = t_hat.copy(order="C")  # read out on the array that is returned and written
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL
-    res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
+    res = _residual_norms(blackbox, t_hat, *structured_matrices(structure, theta_hat))
     diagnostics = {
         "objective_final": result.f_best,
         "grad_norm": result.grad_norm,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +97,7 @@ class StateSpace:
 
     Used both for black-box realizations (known numerically, unique only up
     to a state-coordinate change) and for structured models evaluated at a
-    parameter point.
+    parameter point.  ``dims`` is computed once per object, on first use.
     """
 
     A: np.ndarray
@@ -114,7 +115,7 @@ class StateSpace:
         object.__setattr__(self, "B", _as_matrix(b, n_x, b.shape[1], "B"))
         object.__setattr__(self, "C", _as_matrix(c, c.shape[0], n_x, "C"))
 
-    @property
+    @cached_property
     def dims(self) -> Dims:
         return Dims(self.A.shape[0], self.B.shape[1], self.C.shape[0])
 
@@ -135,15 +136,22 @@ class StateSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> StateSpace:
+        """The model of a JSON document; each matrix is converted and checked once, here.
+
+        The checks are those of the constructor, against the document's
+        declared dimensions, so the constructor's own pass is skipped.
+        """
         for key in ("n_x", "n_u", "n_y", "A", "B", "C"):
             if key not in data:
                 raise ValueError(f"state-space document is missing key {key!r}")
         dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
-        return cls(
-            A=_as_matrix(data["A"], dims.n_x, dims.n_x, "A"),
-            B=_as_matrix(data["B"], dims.n_x, dims.n_u, "B"),
-            C=_as_matrix(data["C"], dims.n_y, dims.n_x, "C"),
-        )
+        shapes = {"A": (dims.n_x, dims.n_x), "B": (dims.n_x, dims.n_u),
+                  "C": (dims.n_y, dims.n_x)}
+        model = cls.__new__(cls)
+        for name, (rows, cols) in shapes.items():
+            object.__setattr__(model, name, _as_matrix(data[name], rows, cols, name))
+        object.__setattr__(model, "dims", dims)
+        return model
 
 
 @dataclass(frozen=True)
@@ -362,7 +370,17 @@ def residuals(blackbox: StateSpace, t: np.ndarray, structured: StateSpace) -> Re
     n_x = blackbox.dims.n_x
     t = _as_matrix(t, n_x, n_x, "T")
     check_dims(blackbox, structured)
-    r_a = np.linalg.norm(blackbox.A @ t - t @ structured.A)
-    r_b = np.linalg.norm(blackbox.B - t @ structured.B)
-    r_c = np.linalg.norm(blackbox.C @ t - structured.C)
+    return _residual_norms(blackbox, t, structured.A, structured.B, structured.C)
+
+
+def _residual_norms(blackbox: StateSpace, t: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> Residuals:
+    """:func:`residuals` of the structured matrices ``(a, b, c)``, without input validation.
+
+    The solvers read their solutions out through this, on the matrices of
+    :func:`structured_matrices`, so ``verify`` recomputes the same bits.
+    """
+    r_a = np.linalg.norm(blackbox.A @ t - t @ a)
+    r_b = np.linalg.norm(blackbox.B - t @ b)
+    r_c = np.linalg.norm(blackbox.C @ t - c)
     return Residuals(float(r_a), float(r_b), float(r_c))

@@ -44,12 +44,12 @@ from .model import (
     Dims,
     Solution,
     StateSpace,
+    _residual_norms,
     block_slices,
     check_dims,
-    eval_structure,
     kron_t,
     rcond,
-    residuals,
+    structured_matrices,
     unvec,
     vec,
 )
@@ -460,7 +460,7 @@ def solve_nullspace(
         real = rj.realization(result.x_best)
         theta = extract_theta(real.stacked(), proj)
         t = np.ascontiguousarray(real.T)  # read out on the array that is returned and written
-        res = residuals(blackbox, t, eval_structure(structure, theta))
+        res = _residual_norms(blackbox, t, *structured_matrices(structure, theta))
         worst = max(res)
         outcomes.append({
             "iterations": result.iterations,

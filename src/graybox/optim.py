@@ -322,9 +322,13 @@ def lm(
     positive predicted decrease ("converged-step"); or after ``max_iters``
     steps.  The step test is componentwise so that a component much smaller
     than ||x|| (a parameter next to a large transform) still converges to
-    its own relative precision; any step it lets through moves x, so no
-    point is evaluated twice.  There is no absolute gradient test: the
-    gradient 2 J'r scales with the size of x.
+    its own relative precision; any step it lets through moves x.  At the
+    roundoff floor mu can fall below the ulp of diag(J'J), so that raising
+    it leaves the damped matrix of a rejected step unchanged, bit for bit.
+    The same matrix gives the same step, rejected again, so that step is
+    neither solved nor evaluated: it counts as a step and raises mu again.
+    So no trial point is evaluated twice.  There is no absolute gradient
+    test: the gradient 2 J'r scales with the size of x.
 
     ``rvv(v)``, when given, is the second directional derivative of r along
     v, exact for a residual quadratic in x, and turns on geodesic
@@ -352,6 +356,7 @@ def lm(
     trace = [(0, f, 2.0 * float(np.abs(g).max()))]
     iterations = 0
     status = "max-iters"
+    rejected = None  # diagonal of the damped matrix of the last step rejected at x
     while True:
         if f == 0.0:
             status = "converged-ftol"
@@ -361,6 +366,10 @@ def lm(
         iterations += 1
         damped = a.copy()
         damped.flat[:: x.size + 1] += mu  # a + mu I
+        if rejected is not None and np.array_equal(damped.diagonal(), rejected):
+            # mu below the diagonal's ulp: the same matrix, so the same rejected step
+            mu, nu = mu * nu, 2.0 * nu
+            continue
         try:
             h = np.linalg.solve(damped, -g)
         except np.linalg.LinAlgError:
@@ -375,21 +384,21 @@ def lm(
             accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
             # the 2-norms as np.linalg.norm takes them, without its dispatch
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
-                mu, nu = mu * nu, 2.0 * nu
+                mu, nu, rejected = mu * nu, 2.0 * nu, damped.diagonal()
                 continue
             step = h + 0.5 * accel
         r_new, j_new = rj(x + step)
         n_evals += 1
         f_new = math.inf if r_new is None else float(r_new @ r_new)
         if not f_new < f:
-            mu, nu = mu * nu, 2.0 * nu
+            mu, nu, rejected = mu * nu, 2.0 * nu, damped.diagonal()
             continue
         rho = (f - f_new) / predicted
         f_prev = f
         x, f, jac = x + step, f_new, j_new
         a, g = jac.T @ jac, jac.T @ r_new
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
-        nu = 2.0
+        nu, rejected = 2.0, None
         trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
         if f_prev - f <= cfg.f_tol * f_prev:
             status = "converged-ftol"

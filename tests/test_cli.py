@@ -548,6 +548,32 @@ def test_verify_detects_tampered_transform(tmp_path):
     assert json.load(open(out))["max_residual"] > 1e-3
 
 
+def _strict_constant(token):
+    raise ValueError(f"report holds the non-JSON token {token}")
+
+
+def test_verify_writes_non_finite_residuals_as_null(tmp_path):
+    bb, _ = generate(tmp_path, seed=7)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 0
+    text = report_path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")  # compact, one line
+    report = json.loads(text, parse_constant=_strict_constant)
+    # a transform this large overflows every residual norm to inf
+    report["T_hat"] = [[1e300, 0.0], [0.0, 1e300]]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(report))
+    out = tmp_path / "verify.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run("verify", "--result", huge, "--blackbox", bb,
+                   "--structure", "mass-spring", "--out", out)
+    assert code == 1
+    doc = json.loads(out.read_text(), parse_constant=_strict_constant)
+    assert doc["residuals"] == {"r_A": None, "r_B": None, "r_C": None}
+    assert doc["max_residual"] is None and doc["pass"] is False
+
+
 def test_verify_missing_key_exits_2(tmp_path):
     bb, _ = generate(tmp_path, seed=6)
     bogus = tmp_path / "bogus.json"

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from graybox.optim import (
+    GEODESIC_ALPHA,
     InfeasibleStartError,
     LineSearchError,
     OptimConfig,
@@ -269,6 +272,96 @@ def test_lm_acceleration_rejection_costs_no_evaluation():
                 rvv=rosenbrock_rvv)
     assert result.n_evals == len(calls)
     assert result.iterations > result.n_evals
+
+
+def _lm_reference(rj, x0, config=None, rvv=None):
+    """``lm`` before it skipped a rejected step's repeat, frozen: at the roundoff
+    floor it solves the same damped matrix again and evaluates the same point."""
+    cfg = config if config is not None else OptimConfig()
+    x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    r, jac = rj(x)
+    n_evals = 1
+    f, a, g = float(r @ r), jac.T @ jac, jac.T @ r
+    mu = 1e-6 * float(a.diagonal().max())
+    nu = 2.0
+    trace = [(0, f, 2.0 * float(np.abs(g).max()))]
+    iterations = 0
+    status = "max-iters"
+    while True:
+        if f == 0.0:
+            status = "converged-ftol"
+            break
+        if iterations >= cfg.max_iters:
+            break
+        iterations += 1
+        damped = a.copy()
+        damped.flat[:: x.size + 1] += mu
+        try:
+            h = np.linalg.solve(damped, -g)
+        except np.linalg.LinAlgError:
+            h = np.zeros_like(x)
+        predicted = float(h @ (mu * h - g))
+        if not predicted > 0.0 or (np.abs(h) <= 1e-12 * np.abs(x)).all():
+            status = "converged-step"
+            break
+        step = h
+        if rvv is not None:
+            accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
+            if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
+                mu, nu = mu * nu, 2.0 * nu
+                continue
+            step = h + 0.5 * accel
+        r_new, j_new = rj(x + step)
+        n_evals += 1
+        f_new = math.inf if r_new is None else float(r_new @ r_new)
+        if not f_new < f:
+            mu, nu = mu * nu, 2.0 * nu
+            continue
+        rho = (f - f_new) / predicted
+        f_prev = f
+        x, f, jac = x + step, f_new, j_new
+        a, g = jac.T @ jac, jac.T @ r_new
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
+        nu = 2.0
+        trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
+        if f_prev - f <= cfg.f_tol * f_prev:
+            status = "converged-ftol"
+            break
+    return x, f, status, iterations, n_evals, trace
+
+
+# a consistent linear system whose solution (0, 0.1) is not a float: lm
+# reaches the roundoff floor of f with mu far below the ulp of diag(J'J), and
+# the zero component keeps the step test from stopping it there
+FLOOR_A = np.array([[1.0, -2.0], [0.5, -2.0], [2.0, 0.5]])
+FLOOR_B = FLOOR_A @ np.array([0.0, 0.1])
+
+
+def floor_rj(x):
+    return FLOOR_A @ x - FLOOR_B, FLOOR_A
+
+
+@pytest.mark.parametrize("rvv", [
+    None,
+    lambda v: np.zeros(3),
+    # a geodesic rejection of every step as short as the floor's
+    lambda v: FLOOR_A @ v if np.linalg.norm(v) < 1e-9 else np.zeros(3),
+], ids=["no-rvv", "zero-rvv", "floor-rejecting-rvv"])
+def test_lm_evaluates_no_point_twice_in_a_row(rvv):
+    points, velocities = [], []
+    traced_rvv = None if rvv is None else lambda v: velocities.append(v.copy()) or rvv(v)
+    result = lm(lambda x: points.append(x.copy()) or floor_rj(x), np.array([2.0, 2.0]),
+                rvv=traced_rvv)
+    # a repeated point or velocity is a damped system solved twice at one point
+    for seen in (points, velocities):
+        assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
+    assert result.n_evals == len(points)
+    # the skipped repeats change nothing else
+    x, f, status, iterations, n_evals, trace = _lm_reference(floor_rj, np.array([2.0, 2.0]),
+                                                             rvv=rvv)
+    assert np.array_equal(result.x_best, x) and result.f_best == f
+    assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
+    assert result.n_evals <= n_evals
 
 
 def test_line_search_quadratic_unit_step():

@@ -53,7 +53,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, lm
+from .optim import InfeasibleStartError, OptimConfig, _inv, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -177,22 +177,26 @@ def _checked_inverse(t: np.ndarray) -> np.ndarray:
     at most 1 / (2 SINGULAR_RTOL) needs no SVD.  Where the product is larger
     or not finite, or ``inv`` finds t singular, ``rcond(t)`` (an SVD) decides
     alone, so what is accepted and returned is what rcond then inv gave.
-    ``math.hypot`` takes the norms without intermediate overflow or a warning.
+    ``math.hypot`` takes the norms, over the entries as Python floats, without
+    intermediate overflow or a warning.  The inverse comes from numpy's LAPACK
+    gufunc (``graybox.optim._inv``), with the bits and the ``LinAlgError`` of
+    ``np.linalg.inv``.
 
     Raises:
         SingularTransformError: when ``rcond(t) < SINGULAR_RTOL``.
     """
     try:
-        t_inv = np.linalg.inv(t)
+        t_inv = _inv(t)
     except np.linalg.LinAlgError:
         pass  # an exactly singular factorization: rcond decides below
     else:
-        if math.hypot(*t.ravel()) * math.hypot(*t_inv.ravel()) <= 0.5 / SINGULAR_RTOL:
+        if (math.hypot(*t.ravel().tolist()) * math.hypot(*t_inv.ravel().tolist())
+                <= 0.5 / SINGULAR_RTOL):
             return t_inv
     r = rcond(t)
     if r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
-    return np.linalg.inv(t)
+    return _inv(t)
 
 
 def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
@@ -361,41 +365,58 @@ class ReducedResidual:
     The constructor fills a workspace holding -ds/dvec(T) with the block
     that depends only on the black box, -(I (x) C_bb), and takes two views of
     it: the [A, B] rows as an (n_x + n_u, n_x, n_x, n_x) array, and the
-    block diagonal of their A rows.  A call then costs one inverse, with no
-    SVD unless T is near the excluded region (:func:`_checked_inverse`),
+    block diagonal of their A rows.  It also keeps [ . , B_bb], whose first
+    n_x columns a call fills with A_bb T, and a buffer for s with its
+    vec([A, B]) and vec(C_bb T) blocks as transposed views.  A call reads
+    T out of ``t_vec`` by an F-order reshape and then costs one inverse, with
+    no SVD unless T is near the excluded region (:func:`_checked_inverse`),
     [A, B] = T^-1 [A_bb T, B_bb] and T^-1 A_bb, one broadcast product that
     writes [A, B]^T (x) T^-1 over the [A, B] rows, T^-1 A_bb subtracted on
     their block diagonal, and two products with P, one for r and one for J.
     Every entry of the workspace equals that of ``kron_t([A, B], T^-1)``
-    minus ``kron_t(I, T^-1 A_bb)``, and each product with P is the same as in
+    minus ``kron_t(I, T^-1 A_bb)``, the buffers hold what ``np.concatenate``
+    and ``vec`` would build, and each product with P is the same as in
     P (kappa0 - s) and -P ds/dvec(T) formed whole, so r and J match those
-    bit for bit.  A call overwrites every workspace entry that depends on the
+    bit for bit.  A call overwrites every buffer entry that depends on the
     point and returns new arrays, so no call sees another's point; the
-    workspace makes an evaluator unsafe to share between threads.
+    buffers make an evaluator unsafe to share between threads.
     """
 
     def __init__(self, blackbox: StateSpace, proj: StructureProjector) -> None:
         d = blackbox.dims
         n_x = d.n_x
         _, _, sl_c = block_slices(d)
+        n_ab = n_x * (n_x + d.n_u)
         self.blackbox, self.proj, self.n_x = blackbox, proj, n_x
+        # [A_bb T, B_bb]; a call overwrites the A_bb T columns
+        self.ab_bb = np.concatenate([np.empty((n_x, n_x)), blackbox.B], axis=1)
+        # s, with its vec([A, B]) and vec(C_bb T) blocks as transposed views
+        self.stacked = np.empty(d.n_abc)
+        self.s_ab = self.stacked[:n_ab].reshape(n_x + d.n_u, n_x)
+        self.s_c = self.stacked[n_ab:].reshape(n_x, d.n_y)
         self.minus_ds = np.zeros((d.n_abc, n_x**2))
         self.minus_ds[sl_c] = -kron_t(np.eye(n_x), blackbox.C)
         # rows j n_x + i, columns l n_x + k of the [A, B] rows: entry [j, i, l, k]
-        self.ab_rows = self.minus_ds[: n_x * (n_x + d.n_u)].reshape(n_x + d.n_u, n_x, n_x, n_x)
+        self.ab_rows = self.minus_ds[:n_ab].reshape(n_x + d.n_u, n_x, n_x, n_x)
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
 
     def __call__(self, t_vec: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(r, J)`` at ``unvec(t_vec)``, or ``(None, None)`` where ``rcond(T) < SINGULAR_RTOL``."""
+        """``(r, J)`` at ``unvec(t_vec)``, or ``(None, None)`` where ``rcond(T) < SINGULAR_RTOL``.
+
+        ``t_vec`` is trusted: a float64 vector of length n_x^2.
+        """
         n_x, bb, proj = self.n_x, self.blackbox, self.proj
-        t = unvec(t_vec, n_x, n_x)
+        t = t_vec.reshape(n_x, n_x, order="F")  # unvec, by reshape alone
         try:
             t_inv = _checked_inverse(t)
         except SingularTransformError:
             return None, None
-        ab = t_inv @ np.concatenate([bb.A @ t, bb.B], axis=1)
-        r = proj.residual_op @ (proj.offset - np.concatenate([vec(ab), vec(bb.C @ t)]))
+        self.ab_bb[:, :n_x] = bb.A @ t
+        ab = t_inv @ self.ab_bb
+        self.s_ab[...] = ab.T
+        self.s_c[...] = (bb.C @ t).T
+        r = proj.residual_op @ (proj.offset - self.stacked)
         # [A, B]^T (x) T^-1, then minus I (x) T^-1 A_bb on its block diagonal
         np.multiply(ab.T[:, None, :, None], t_inv[None, :, None, :], out=self.ab_rows)
         self.a_diag -= t_inv @ bb.A

@@ -58,6 +58,48 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 MAX_LINE_SEARCH = 40
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lapack_pair(gufuncs) -> tuple[Callable, Callable]:
+    """``(solve, inv)`` for float64 arrays, as ``np.linalg.solve`` and ``np.linalg.inv``.
+
+    ``gufuncs`` is numpy's private ``numpy.linalg._umath_linalg`` module, or
+    None.  Its ``solve1`` and ``inv`` gufuncs are the LAPACK calls that
+    ``np.linalg.solve`` (for a 1-D right-hand side) and ``np.linalg.inv`` make
+    after their input conversion; here they run under the same error state,
+    so the results are numpy's own bits, an exactly singular matrix raises
+    ``LinAlgError`` and no ``RuntimeWarning`` escapes.  Where the module or
+    either gufunc is missing, the pair is ``np.linalg.solve`` and
+    ``np.linalg.inv`` themselves.  The arguments are trusted: square float64
+    matrices, and a matching vector for ``solve``.
+    """
+    solve1, inv = getattr(gufuncs, "solve1", None), getattr(gufuncs, "inv", None)
+    if solve1 is None or inv is None:
+        return np.linalg.solve, np.linalg.inv
+
+    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return solve1(a, b, signature="dd->d")
+
+    def inverse(a: np.ndarray) -> np.ndarray:
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return inv(a, signature="d->d")
+
+    return solve, inverse
+
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:
+    _umath_linalg = None
+# the damped solves of lm and the inverse of T in the null-space evaluator
+_solve, _inv = _lapack_pair(_umath_linalg)
+
+
 class LineSearchError(RuntimeError):
     """No step satisfying the strong Wolfe conditions was found."""
 
@@ -301,7 +343,12 @@ def lm(
 ) -> OptimResult:
     """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
 
-    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r.  The damping
+    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r.  Every damped
+    system goes straight to numpy's LAPACK gufunc (``_lapack_pair``), with
+    the bits and the ``LinAlgError`` of ``np.linalg.solve``; an exactly
+    singular one gives the zero step.  The damped matrix is one buffer for
+    the whole run, rewritten at each step through a view of its diagonal,
+    and the diagonal is copied only when a step is rejected.  The damping
     shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
     the rate of convergence of the Levenberg-Marquardt method*, Computing
     Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
@@ -356,7 +403,9 @@ def lm(
     trace = [(0, f, 2.0 * float(np.abs(g).max()))]
     iterations = 0
     status = "max-iters"
-    rejected = None  # diagonal of the damped matrix of the last step rejected at x
+    damped = np.empty(a.shape)  # a + mu I, C-ordered, rewritten in place at every step
+    diagonal = damped.reshape(-1)[:: x.size + 1]  # a writeable view of its diagonal
+    rejected = None  # copy of that diagonal for the last step rejected at x
     while True:
         if f == 0.0:
             status = "converged-ftol"
@@ -364,14 +413,14 @@ def lm(
         if iterations >= cfg.max_iters:
             break
         iterations += 1
-        damped = a.copy()
-        damped.flat[:: x.size + 1] += mu  # a + mu I
-        if rejected is not None and np.array_equal(damped.diagonal(), rejected):
+        np.copyto(damped, a)
+        diagonal += mu
+        if rejected is not None and (diagonal == rejected).all():
             # mu below the diagonal's ulp: the same matrix, so the same rejected step
             mu, nu = mu * nu, 2.0 * nu
             continue
         try:
-            h = np.linalg.solve(damped, -g)
+            h = _solve(damped, -g)
         except np.linalg.LinAlgError:
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
@@ -381,21 +430,22 @@ def lm(
             break
         step = h
         if rvv is not None:
-            accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
+            accel = _solve(damped, -(jac.T @ rvv(h)))
             # the 2-norms as np.linalg.norm takes them, without its dispatch
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
-                mu, nu, rejected = mu * nu, 2.0 * nu, damped.diagonal()
+                mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
                 continue
             step = h + 0.5 * accel
-        r_new, j_new = rj(x + step)
+        x_new = x + step
+        r_new, j_new = rj(x_new)
         n_evals += 1
         f_new = math.inf if r_new is None else float(r_new @ r_new)
         if not f_new < f:
-            mu, nu, rejected = mu * nu, 2.0 * nu, damped.diagonal()
+            mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
             continue
         rho = (f - f_new) / predicted
         f_prev = f
-        x, f, jac = x + step, f_new, j_new
+        x, f, jac = x_new, f_new, j_new
         a, g = jac.T @ jac, jac.T @ r_new
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
         nu, rejected = 2.0, None

@@ -1,11 +1,12 @@
 import argparse
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from graybox import lsq, solve, solver
+from graybox import lsq, optim, solve, solver
 from graybox.cli import main
 from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eval_structure,
                            generate_instance, rcond, residuals)
@@ -484,6 +485,48 @@ def test_pipeline_skips_polish_of_max_iters_nullspace_within_residual_tol(tmp_pa
     assert report["diagnostics"]["polish"]["skipped"] is True
     assert report["status"] == "max-iters"
     assert max(report["residuals"].values()) <= 1e-8
+
+
+@pytest.mark.parametrize("structure, method, expected", [
+    ("compartment3", "nullspace", 3),
+    ("compartment3", "lsq", 3),
+    ("compartment3", "pipeline", 3),
+    ("mass-spring", "nullspace", 3),
+    ("mass-spring", "lsq", 4),
+    ("mass-spring", "pipeline", 4),
+])
+def test_all_zero_blackbox_exits_with_a_documented_code(tmp_path, monkeypatch, structure,
+                                                        method, expected):
+    # every null-space start has r constant and J = 0, so mu = 0 and the damped
+    # system is exactly singular: the LinAlgError path of lm's solve, end to end
+    singular = []
+    solve_damped = optim._solve
+
+    def recording(a, b):
+        try:
+            return solve_damped(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(1)
+            raise
+
+    monkeypatch.setattr(optim, "_solve", recording)
+    d = bundled_structure(structure)[0].dims
+    bb_path = tmp_path / "zero.json"
+    bb_path.write_text(json.dumps(StateSpace(
+        A=np.zeros((d.n_x, d.n_x)), B=np.zeros((d.n_x, d.n_u)), C=np.zeros((d.n_y, d.n_x))
+    ).to_dict()))
+    report_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("solve", "--method", method, "--blackbox", bb_path,
+                   "--structure", structure, "--out", report_path)
+    assert code == expected
+    report = json.load(open(report_path))
+    assert report["status"] == "converged-step"
+    if structure == "compartment3":
+        # C_bb T = 0 against the structure's fixed C = e_3^T
+        assert report["residuals"]["r_C"] == 1.0
+    assert bool(singular) == (method != "lsq")
 
 
 def test_solve_degenerate_transform_exits_4(tmp_path):

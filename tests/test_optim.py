@@ -1,8 +1,14 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from graybox import optim
+from graybox.lsq import CostPlan, default_init
+from graybox.model import generate_instance, vec
+from graybox.nullspace import ReducedResidual, structure_projector
 from graybox.optim import (
     GEODESIC_ALPHA,
     InfeasibleStartError,
@@ -15,6 +21,7 @@ from graybox.optim import (
     line_search_wolfe,
     lm,
 )
+from graybox.structures import bundled_structure
 
 from helpers import CONVERGED
 
@@ -362,6 +369,103 @@ def test_lm_evaluates_no_point_twice_in_a_row(rvv):
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert result.n_evals <= n_evals
+
+
+def _reference_problems():
+    """(name, rj, x0, rvv) on every bundled structure and chain6, at cond 100: the
+    null-space ``ReducedResidual`` from T = I and from a Gaussian T, and ``CostPlan``
+    with its curvature from ``default_init`` and from a 5 % perturbed truth."""
+    rng = np.random.default_rng(55)
+    for name in ("scalar", "mass-spring", "compartment3", "chain6"):
+        structure, theta = bundled_structure(name)
+        n_x, n_theta = structure.dims.n_x, structure.n_theta
+        for seed in (3, 11):
+            instance = generate_instance(structure, theta, seed=seed, cond_max=100.0)
+            bb = instance.blackbox
+            rj = ReducedResidual(bb, structure_projector(structure))
+            yield f"{name}-s{seed}-nullspace-eye", rj, vec(np.eye(n_x)), None
+            yield f"{name}-s{seed}-nullspace-drawn", rj, vec(rng.standard_normal((n_x, n_x))), None
+            plan = CostPlan(bb, structure)
+
+            def rj_lsq(z, plan=plan, n_theta=n_theta, n_x=n_x):
+                return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
+
+            theta0, t0 = default_init(bb, structure)
+            yield (f"{name}-s{seed}-lsq-default", rj_lsq,
+                   np.concatenate([theta0, vec(t0)]), plan.curvature)
+            warm = [x + 0.05 * np.linalg.norm(x) * d / np.linalg.norm(d)
+                    for x, d in ((theta, rng.standard_normal(n_theta)),
+                                 (vec(instance.T), rng.standard_normal(n_x * n_x)))]
+            yield f"{name}-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), plan.curvature
+
+
+@pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
+                                          for name, *problem in _reference_problems()])
+def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv):
+    # the reference solves every damped system by np.linalg.solve
+    result = lm(rj, x0, rvv=rvv)
+    x, f, status, iterations, n_evals, trace = _lm_reference(rj, x0, rvv=rvv)
+    assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
+    assert np.array_equal(result.x_best, x) and result.f_best == f
+    assert result.n_evals <= n_evals
+
+
+# (solve, inv) as bound from numpy's gufuncs, and the np.linalg fallback
+LAPACK_PAIRS = {
+    "gufuncs": optim._lapack_pair(optim._umath_linalg),
+    "fallback": optim._lapack_pair(None),
+}
+
+
+def test_lapack_pair_falls_back_to_np_linalg():
+    assert optim._lapack_pair(None) == (np.linalg.solve, np.linalg.inv)
+    # a module that lacks either gufunc gives the fallback too
+    assert optim._lapack_pair(SimpleNamespace(solve1=np.add)) == (np.linalg.solve, np.linalg.inv)
+    assert optim._lapack_pair(SimpleNamespace(inv=np.negative)) == (np.linalg.solve, np.linalg.inv)
+
+
+def _square_systems(rng):
+    """(a, b) for n = 1..80: C-ordered, an F-ordered view of a vector as the null-space
+    evaluator passes T, a transposed view, and a scaled by 1e200 and 1e-200."""
+    for n in range(1, 81):
+        a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        yield a, b
+        yield rng.standard_normal(n * n).reshape(n, n, order="F"), b
+        yield a.T, b
+        yield 1e200 * a, b
+        yield 1e-200 * a, 1e-200 * b
+
+
+@pytest.mark.parametrize("pair", LAPACK_PAIRS.values(), ids=LAPACK_PAIRS.keys())
+def test_lapack_pair_gives_np_linalg_bits(pair):
+    solve, inv = pair
+    rng = np.random.default_rng(56)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in _square_systems(rng):
+            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+            assert np.array_equal(inv(a), np.linalg.inv(a))
+
+
+@pytest.mark.parametrize("pair", LAPACK_PAIRS.values(), ids=LAPACK_PAIRS.keys())
+@pytest.mark.parametrize("a", [
+    np.zeros((1, 1)),
+    np.zeros((3, 3)),
+    np.ones((2, 2)),
+    np.ones((9, 9)),
+    np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+], ids=["zero1", "zero3", "ones2", "ones9", "rank1"])
+def test_lapack_pair_raises_on_an_exactly_singular_matrix(pair, a):
+    solve, inv = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(a, np.ones(len(a)))
+        with pytest.raises(np.linalg.LinAlgError):
+            inv(a)
+        # and on an F-ordered copy of the same matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            inv(np.asfortranarray(a))
 
 
 def test_line_search_quadratic_unit_step():

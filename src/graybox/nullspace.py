@@ -15,13 +15,15 @@ and its admissible slice s = 1 is parameterized by vec(T) alone
 (:func:`nullspace_point`).  The search minimizes, over T, the squared
 distance of the extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the
 admissible structured set by Levenberg-Marquardt on that distance's
-residual vector and its Jacobian in vec(T).  A solve builds one
-:class:`ReducedResidual`, which forms the Jacobian's black-box block
-I (x) C_bb once in a workspace; at each point it computes only T^-1,
-certified outside the excluded region by a norm bound rather than an SVD
-wherever the bound suffices (:func:`_checked_inverse`), the realization
-[A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that depend on
-them, written in place, with no stacked null-space point.
+residual vector and its Jacobian in vec(T).  The first start is T = s0 I,
+at the black box's own scale (:func:`_start_scale`), so it follows a
+rescaling of the black box's basis; the restarts are Gaussian draws.  A
+solve builds one :class:`ReducedResidual`, which forms the Jacobian's
+black-box block I (x) C_bb once in a workspace; at each point it computes
+only T^-1, certified outside the excluded region by a norm bound rather than
+an SVD wherever the bound suffices (:func:`_checked_inverse`), the
+realization [A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that
+depend on them, written in place, with no stacked null-space point.
 :func:`reduced_distance` is the same distance with its matrix-form gradient.
 The constraint matrix, its SVD null-space basis and the dense extraction
 Jacobians of the paper are kept as test oracles; the solve path uses none of
@@ -432,6 +434,25 @@ class ReducedResidual:
         return extract_realization(nullspace_point(self.blackbox, t), self.blackbox.dims)
 
 
+def _start_scale(blackbox: StateSpace, structure: AffineStructure) -> float:
+    """The multiple s0 of I at which the first start sets T.
+
+    s0 = ||kappa0_C||_F / ||C_bb||_F where the structure fixes C (its C rows
+    of K are all zero) and both norms, and so s0, are positive and finite; 1
+    otherwise.  Every solution has C_bb T = C = kappa0_C, so s0 I matches the
+    one norm the structure pins, and the first start follows a rescaling of
+    the black box's basis.  ``math.hypot`` takes the norms without
+    intermediate overflow, and scales exactly by a power of two.
+    """
+    _, _, sl_c = block_slices(structure.dims)
+    observed = math.hypot(*blackbox.C.ravel().tolist())
+    if structure.K[sl_c].any() or not observed > 0.0:
+        return 1.0
+    # a zero or infinite norm, or a ratio that overflows or underflows, is not in (0, inf)
+    s0 = math.hypot(*structure.kappa0[sl_c].tolist()) / observed
+    return s0 if 0.0 < s0 < math.inf else 1.0
+
+
 def solve_nullspace(
     blackbox: StateSpace,
     structure: AffineStructure,
@@ -441,18 +462,21 @@ def solve_nullspace(
 
     Minimizes the structure distance over the transform T of the closed-form
     null-space point by Levenberg-Marquardt on one :class:`ReducedResidual`,
-    from T = I and then from ``config.restarts`` seeded Gaussian draws, each
-    drawn just before it runs, and reads the parameter vector and transform
-    out of each completed start.  The first start whose read-out leaves a max
-    similarity residual <= ``RESIDUAL_TOL``, or whose structure distance
-    sqrt(objective) is <= ``RESIDUAL_TOL``, wins and ends the search: the
-    cost is zero at the truth, so no later start can do better.  (The read-out
-    residual scales with ||T||, so a start can reach the distance's roundoff
-    floor with a read-out above the tolerance; the pipeline polishes it.)  If
-    no start does, the start with the lowest objective wins.
+    from T = s0 I, with s0 from :func:`_start_scale`, and then from
+    ``config.restarts`` seeded Gaussian draws, each drawn just before it runs
+    from a generator that the first restart builds, and reads the parameter
+    vector and transform out of each completed start.  The first start whose
+    read-out leaves a max similarity residual <= ``RESIDUAL_TOL``, or whose
+    structure distance sqrt(objective) is <= ``RESIDUAL_TOL``, wins and ends
+    the search: the cost is zero at the truth, so no later start can do
+    better.  (The read-out residual scales with ||T||, so a start can reach
+    the distance's roundoff floor with a read-out above the tolerance; the
+    pipeline polishes it.)  If no start does, the start with the lowest
+    objective wins.
 
     Non-convergence is reported through ``result.status``; a search whose
-    every start lies inside the excluded region raises.
+    every start lies inside the excluded region raises.  The diagnostics
+    report s0 as ``start_scale``.
 
     Args:
         blackbox: the fully parameterized realization to re-structure.
@@ -467,12 +491,14 @@ def solve_nullspace(
     proj = structure_projector(structure)
     rj = ReducedResidual(blackbox, proj)
 
-    rng = np.random.default_rng(cfg.seed)
+    scale = _start_scale(blackbox, structure)
     n_starts = 1 + cfg.restarts
     outcomes = []
     winner = None  # (lm result, transform, theta, residuals) of the winning start
     for k in range(n_starts):
-        x0 = vec(np.eye(n_x)) if k == 0 else vec(rng.standard_normal((n_x, n_x)))
+        if k == 1:  # the first restart builds the generator; a passing first start never does
+            rng = np.random.default_rng(cfg.seed)
+        x0 = vec(scale * np.eye(n_x)) if k == 0 else vec(rng.standard_normal((n_x, n_x)))
         try:
             result = lm(rj, x0, cfg)
         except InfeasibleStartError:
@@ -510,6 +536,7 @@ def solve_nullspace(
         "nullspace_dim": n_x**2 + 1,
         "cond_T": 1.0 / rc,
         "starts": n_starts,
+        "start_scale": scale,
         "infeasible_starts": sum(o["status"] == "infeasible" for o in outcomes),
         "start_outcomes": outcomes,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,

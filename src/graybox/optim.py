@@ -400,7 +400,8 @@ def lm(
     f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
     mu = 1e-6 * float(a.diagonal().max())
     nu = 2.0
-    trace = [(0, f, 2.0 * float(np.abs(g).max()))]
+    x_tol = 1e-12 * np.abs(x)  # the step test's bound, once per accepted point
+    accepted = [(0, f, g)]  # the trace, with each gradient norm taken at the end
     iterations = 0
     status = "max-iters"
     damped = np.empty(a.shape)  # a + mu I, C-ordered, rewritten in place at every step
@@ -425,7 +426,7 @@ def lm(
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
         predicted = float(h @ (mu * h - g))
-        if not predicted > 0.0 or (np.abs(h) <= 1e-12 * np.abs(x)).all():
+        if not predicted > 0.0 or (np.abs(h) <= x_tol).all():
             status = "converged-step"
             break
         step = h
@@ -447,12 +448,16 @@ def lm(
         f_prev = f
         x, f, jac = x_new, f_new, j_new
         a, g = jac.T @ jac, jac.T @ r_new
+        x_tol = 1e-12 * np.abs(x)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
         nu, rejected = 2.0, None
-        trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
+        accepted.append((iterations, f, g))
         if f_prev - f <= cfg.f_tol * f_prev:
             status = "converged-ftol"
             break
+    # the max-norm of every kept gradient in one call; a max is exact in any order
+    maxima = np.abs(np.array([g_k for _, _, g_k in accepted])).max(axis=1).tolist()
+    trace = [(k, f_k, 2.0 * m) for (k, f_k, _), m in zip(accepted, maxima)]
     return OptimResult(
         x_best=x,
         f_best=f,

@@ -107,10 +107,10 @@ def test_pipeline_skips_polish_when_nullspace_passes(tmp_path):
 
 def test_pipeline_polish_reaches_the_tolerance_at_large_transform(tmp_path):
     # compartment3 at cond 1e4: the null-space search stops at its second start,
-    # on the distance's roundoff floor, with a read-out at 2.3e-8, and the
-    # polish over [theta; vec(T)], with ||T|| near 5.9e3, must still reach 1e-8
+    # on the distance's roundoff floor, with a read-out at 1.9e-7, and the
+    # polish over [theta; vec(T)], with ||T|| near 1.1e4, must still reach 1e-8
     bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2",
-                     seed=73, cond_max=1e4)
+                     seed=168, cond_max=1e4)
     report_path = tmp_path / "report.json"
     assert run("solve", "--blackbox", bb, "--structure", "compartment3",
                "--out", report_path) == 0
@@ -120,6 +120,17 @@ def test_pipeline_polish_reaches_the_tolerance_at_large_transform(tmp_path):
     assert max(report["residuals"].values()) <= 1e-8
     assert run("verify", "--result", report_path, "--blackbox", bb,
                "--structure", "compartment3", "--out", tmp_path / "verify.json") == 0
+
+
+def test_pipeline_recovers_chain6_at_large_transform_from_the_scaled_start(tmp_path):
+    # from T = I every start of this instance fell short and the pipeline exited 3
+    # at 3.8e-3; the first start at the black box's own scale reaches the tolerance
+    bb, truth = generate(tmp_path, structure="chain6", theta="1,0.86,0.72,0.58,0.44,0.3,2",
+                         seed=2, cond_max=1e4)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "chain6", "--out", report_path) == 0
+    assert run("verify", "--result", report_path, "--blackbox", bb, "--structure", "chain6",
+               "--truth", truth, "--out", tmp_path / "verify.json") == 0
 
 
 def test_pipeline_polishes_when_nullspace_falls_short(tmp_path):
@@ -260,8 +271,8 @@ def test_verify_reproduces_the_report_residuals(tmp_path, seed, cond_max, stage)
 
 @pytest.mark.parametrize("method", ["nullspace", "pipeline"])
 def test_solve_reports_each_start_outcome(tmp_path, method):
-    # the T = I start of this instance stops short of the tolerance, the next passes
-    bb, _ = generate(tmp_path, seed=11)
+    # the first start of this instance stops short of the tolerance, the next passes
+    bb, _ = generate(tmp_path, seed=21)
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", method, "--blackbox", bb, "--structure", "mass-spring",
                "--out", report_path) == 0
@@ -473,13 +484,13 @@ def test_solve_exits_0_on_max_iters_within_residual_tol(tmp_path):
 
 
 def test_pipeline_skips_polish_of_max_iters_nullspace_within_residual_tol(tmp_path):
-    # two lm steps from T = I end max-iters at a residual of 4.4e-16, which
-    # needs no polish
-    bb, _ = generate(tmp_path, structure="scalar", theta="3,2", seed=1)
+    # four lm steps from the first start end max-iters at a residual of 4.4e-12,
+    # which needs no polish
+    bb, _ = generate(tmp_path, seed=36)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"max_iters": 2, "restarts": 0}))
+    config.write_text(json.dumps({"max_iters": 4, "restarts": 0}))
     report_path = tmp_path / "report.json"
-    assert run("solve", "--blackbox", bb, "--structure", "scalar", "--config", config,
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--config", config,
                "--out", report_path) == 0
     report = json.load(open(report_path))
     assert report["diagnostics"]["polish"]["skipped"] is True

@@ -22,16 +22,9 @@ from .model import (
     unvec,
     vec,
 )
-from .nullspace import EmptyNullspaceError, SingularTransformError
+from .nullspace import SingularTransformError
 from .solver import solve
-from .optim import (
-    GradientCheck,
-    InfeasibleStartError,
-    OptimConfig,
-    OptimResult,
-    check_gradient,
-    fd_gradient,
-)
+from .optim import InfeasibleStartError, OptimConfig, OptimResult
 
 __version__ = "0.1.0"
 
@@ -48,14 +41,10 @@ __all__ = [
     "residuals",
     "unvec",
     "vec",
-    "EmptyNullspaceError",
     "SingularTransformError",
     "solve",
-    "GradientCheck",
     "InfeasibleStartError",
     "OptimConfig",
     "OptimResult",
-    "check_gradient",
-    "fd_gradient",
     "__version__",
 ]

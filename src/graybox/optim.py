@@ -11,9 +11,10 @@ onto one is rejected like a step that raises the objective.  An optional
 second callable gives the residual's second directional derivative, for
 geodesic acceleration.
 
-Also hosts the finite-difference oracles used throughout the test suite to
-validate analytic gradients; those take the objective and the gradient as
-separate callables.
+Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
+which ``check-grad`` and the test suite compare every analytic derivative
+through :func:`relative_errors`; a scalar objective's gradient is row 0 of
+its Jacobian.
 """
 
 from __future__ import annotations
@@ -28,20 +29,15 @@ import numpy as np
 __all__ = [
     "OptimConfig",
     "OptimResult",
-    "GradientCheck",
     "LineSearchError",
     "InfeasibleStartError",
     "bfgs",
     "lm",
     "line_search_wolfe",
-    "fd_gradient",
     "fd_jacobian",
-    "check_gradient",
     "relative_errors",
 ]
 
-Objective = Callable[[np.ndarray], float]
-Gradient = Callable[[np.ndarray], np.ndarray]
 # value and gradient at one point; the gradient may be None where f is not finite
 ValueAndGradient = Callable[[np.ndarray], tuple[float, np.ndarray | None]]
 # residual and Jacobian at one point; both None where the point is infeasible
@@ -118,7 +114,7 @@ class OptimConfig:
             ones included.
         restarts: extra random starts of the null-space multistart; they run
             only while no earlier start has passed the residual tolerance.
-        seed: seed for any randomized choices made by callers.
+        seed: nonnegative seed for any randomized choices made by callers.
     """
 
     f_tol: float = 1e-14
@@ -137,6 +133,8 @@ class OptimConfig:
             raise ValueError("max_iters must be at least 1")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @classmethod
     def from_dict(cls, data: dict) -> OptimConfig:
@@ -469,27 +467,6 @@ def lm(
     )
 
 
-def fd_gradient(f: Objective, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step h_scale*(1+|x_i|).
-
-    Raises:
-        ValueError: if the objective is non-finite at a probe point, naming
-            the offending coordinate.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = h_scale * (1.0 + abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = h
-        f_plus = float(f(x + e))
-        f_minus = float(f(x - e))
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise ValueError(f"objective not finite while probing coordinate {i}")
-        g[i] = (f_plus - f_minus) / (2.0 * h)
-    return g
-
-
 def fd_jacobian(
     fun: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -510,41 +487,8 @@ def fd_jacobian(
     return np.column_stack(columns)
 
 
-@dataclass(frozen=True)
-class GradientCheck:
-    """Agreement report between an analytic gradient and central differences."""
-
-    max_rel_err: float
-    worst_coord: int
-    passed: bool
-
-
-def check_gradient(
-    f: Objective,
-    grad: Gradient,
-    x: np.ndarray,
-    rel_tol: float = 1e-6,
-    h_scale: float = 1e-6,
-) -> GradientCheck:
-    """Compare an analytic gradient against :func:`fd_gradient` at ``x``.
-
-    The per-coordinate error is |analytic - fd| / max(1, |fd|); the check
-    passes when the maximum over coordinates is at most ``rel_tol``.
-    """
-    analytic = np.asarray(grad(x), dtype=float).reshape(-1)
-    approx = fd_gradient(f, x, h_scale=h_scale)
-    if analytic.shape != approx.shape:
-        raise ValueError(
-            f"gradient has shape {analytic.shape}, finite differences give {approx.shape}"
-        )
-    errors = np.abs(analytic - approx) / np.maximum(1.0, np.abs(approx))
-    worst = int(np.argmax(errors)) if errors.size else 0
-    max_err = float(errors[worst]) if errors.size else 0.0
-    return GradientCheck(max_rel_err=max_err, worst_coord=worst, passed=max_err <= rel_tol)
-
-
 def relative_errors(analytic: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """Elementwise |analytic - approx| / max(1, |approx|), used for matrix checks."""
+    """Elementwise |analytic - approx| / max(1, |approx|), the error every derivative check takes."""
     analytic = np.asarray(analytic, dtype=float)
     approx = np.asarray(approx, dtype=float)
     return np.abs(analytic - approx) / np.maximum(1.0, np.abs(approx))

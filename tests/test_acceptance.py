@@ -33,7 +33,7 @@ from graybox.nullspace import (
     structure_distance,
     structure_projector,
 )
-from graybox.optim import fd_gradient, fd_jacobian, lm, relative_errors
+from graybox.optim import fd_jacobian, lm, relative_errors
 from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
 from helpers import dims_grid, lsq_fg, random_structure, stacked_solution
@@ -107,7 +107,7 @@ def test_criterion_1_gradient_correctness():
                     sv = np.linalg.svd(unvec(anchor + delta, n_x, n_x), compute_uv=False)
                     if sv[-1] < 1e-2 * max(1.0, sv[0]):
                         continue
-                    approx = fd_gradient(fun, delta)
+                    approx = fd_jacobian(fun, delta)[0]
                     r, jac = reduced(anchor + delta)
                     worst["reduced"] = max(worst["reduced"], float(np.max(
                         relative_errors(grad, approx))))
@@ -124,11 +124,12 @@ def test_criterion_1_gradient_correctness():
                 theta = theta_true + 0.1 * rng.standard_normal(structure.n_theta)
                 t = instance.T + 0.1 * rng.standard_normal((n_x, n_x))
                 _, g_theta, g_t = lsq_fg(theta, t, blackbox, structure)
-                approx = fd_gradient(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)
+                approx = fd_jacobian(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)[0]
                 worst["lsq_theta"] = max(worst["lsq_theta"], float(np.max(
                     relative_errors(g_theta, approx))))
-                approx_t = fd_gradient(
-                    lambda tv: lsq_fg(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t))
+                approx_t = fd_jacobian(
+                    lambda tv: lsq_fg(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t)
+                )[0]
                 worst["lsq_t"] = max(worst["lsq_t"], float(np.max(
                     relative_errors(vec(g_t), approx_t))))
 

@@ -383,6 +383,7 @@ def test_solve_invalid_json_exits_2(tmp_path):
 
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
                         "B": [[0], [1]], "C": [[1, 0]]}
+MASS_SPRING_STRUCTURE = bundled_structure("mass-spring")[0].to_dict()
 
 
 @pytest.mark.parametrize("option, doc", [
@@ -397,8 +398,13 @@ MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
     ("--result", {"theta_hat": {}, "T_hat": [[1, 0], [0, 1]]}),
     ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_x": 2.5}),
     ("--blackbox", {**MASS_SPRING_BLACKBOX, "n_u": True}),
-    ("--structure", {**bundled_structure("mass-spring")[0].to_dict(), "n_theta": 3.5}),
+    ("--structure", {**MASS_SPRING_STRUCTURE, "n_theta": 3.5}),
     ("--truth", {"theta": [float("nan"), 0.5, 1.0]}),  # json.dumps writes NaN
+    ("--structure", {**MASS_SPRING_STRUCTURE,
+                     "K": [[float("nan"), 0, 0]] + MASS_SPRING_STRUCTURE["K"][1:]}),
+    ("--structure", {**MASS_SPRING_STRUCTURE, "kappa0": [float("inf")] + [0.0] * 7}),
+    ("--structure", {**MASS_SPRING_STRUCTURE, "n_theta": 4}),  # K has 3 columns
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "A": [[0, float("inf")], [-4, -0.5]]}),
 ])
 def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     bb, _ = generate(tmp_path, seed=4)
@@ -417,6 +423,7 @@ def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     {"max_line_search": 2.5},
     {"restarts": 1.5},
     {"seed": 1.5},
+    {"seed": -1},
     {"max_iters": True},
     {"grad_tol": float("nan")},
     {"f_tol": float("inf")},
@@ -431,6 +438,24 @@ def test_solve_bad_config_exits_2(tmp_path, capsys, options):
                "--config", config, "--out", report_path)
     assert code == 2
     assert "config file" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+@pytest.mark.parametrize("structure, theta, seed, cond_max", [
+    ("mass-spring", "4,0.5,1", 4, 100.0),  # the first start passes: no restart draws a seed
+    ("compartment3", "1,0.7,0.4,2", 907090482, 10.0),  # needs restarts
+])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_solve_negative_seed_exits_2(tmp_path, capsys, structure, theta, seed, cond_max,
+                                     via_config):
+    bb, _ = generate(tmp_path, structure=structure, theta=theta, seed=seed, cond_max=cond_max)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    report_path = tmp_path / "report.json"
+    given = ["--config", config] if via_config else ["--seed", -1]
+    code = run("solve", "--blackbox", bb, "--structure", structure, *given, "--out", report_path)
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert not report_path.exists()
 
 

@@ -17,7 +17,7 @@ from graybox.model import (
     vec,
 )
 from graybox.nullspace import solve_nullspace
-from graybox.optim import OptimConfig, fd_gradient, fd_jacobian, relative_errors
+from graybox.optim import OptimConfig, fd_jacobian, relative_errors
 from graybox.structures import mass_spring_damper, scalar
 
 from helpers import (CONVERGED, dims_grid, evaluator_cases, lsq_fg, random_structure,
@@ -87,14 +87,14 @@ def test_gradients_match_finite_differences():
             t = rng.standard_normal((n_x, n_x))
 
             _, analytic, g_t = lsq_fg(theta, t, blackbox, structure)
-            approx = fd_gradient(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)
+            approx = fd_jacobian(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)[0]
             assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
             analytic_t = vec(g_t)
-            approx_t = fd_gradient(
+            approx_t = fd_jacobian(
                 lambda tv: lsq_fg(theta, tv.reshape(n_x, n_x, order="F"), blackbox, structure)[0],
                 vec(t),
-            )
+            )[0]
             assert float(np.max(relative_errors(analytic_t, approx_t))) <= 1e-6
 
 

@@ -35,7 +35,7 @@ from graybox.nullspace import (
     structure_distance,
     structure_projector,
 )
-from graybox.optim import InfeasibleStartError, OptimConfig, fd_gradient, fd_jacobian, relative_errors
+from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relative_errors
 from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
 from helpers import (CONVERGED, dims_grid, evaluator_cases, rank_deficient_structure,
@@ -369,7 +369,7 @@ def test_distance_grad_matches_finite_differences():
         proj = structure_projector(structure)
         blackbox, t_vec = _random_blackbox_and_t(dims, rng)
         _, analytic = reduced_distance(t_vec, blackbox, proj)
-        approx = fd_gradient(lambda tv: reduced_distance(tv, blackbox, proj)[0], t_vec)
+        approx = fd_jacobian(lambda tv: reduced_distance(tv, blackbox, proj)[0], t_vec)[0]
         assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
 
@@ -417,7 +417,7 @@ def test_reduced_grad_matches_finite_differences():
         value, analytic = reduced_distance(t_vec, instance.blackbox, proj)
         if not np.isfinite(value):
             continue
-        approx = fd_gradient(lambda tv: reduced_distance(tv, instance.blackbox, proj)[0], t_vec)
+        approx = fd_jacobian(lambda tv: reduced_distance(tv, instance.blackbox, proj)[0], t_vec)[0]
         assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
         checked += 1
 

@@ -15,8 +15,6 @@ from graybox.optim import (
     LineSearchError,
     OptimConfig,
     bfgs,
-    check_gradient,
-    fd_gradient,
     fd_jacobian,
     line_search_wolfe,
     lm,
@@ -528,48 +526,24 @@ def test_line_search_exhaustion():
         line_search_wolfe(fused(f, g), np.array([0.0]), np.array([1.0]))
 
 
-def test_fd_gradient_quadratic():
-    g = fd_gradient(lambda x: float(x @ x), np.array([1.0, 2.0]))
-    assert np.allclose(g, [2.0, 4.0], atol=1e-8)
-
-
-def test_fd_gradient_linear_exact():
-    w = np.array([3.0, -1.0, 0.5])
-    g = fd_gradient(lambda x: float(w @ x), np.zeros(3))
-    assert np.allclose(g, w, atol=1e-10)
-
-
-def test_fd_gradient_reports_bad_coordinate():
-    def f(x):
-        return float("nan") if abs(x[1]) > 0.5 else float(x @ x)
-
-    with pytest.raises(ValueError, match="coordinate 1"):
-        fd_gradient(f, np.array([0.0, 0.5]))
+def test_fd_jacobian_quadratic():
+    j = fd_jacobian(lambda x: float(x @ x), np.array([1.0, 2.0]))
+    assert j.shape == (1, 2)
+    assert np.allclose(j[0], [2.0, 4.0], atol=1e-8)
 
 
 def test_fd_jacobian_linear_exact():
+    w = np.array([3.0, -1.0, 0.5])
+    assert np.allclose(fd_jacobian(lambda x: float(w @ x), np.zeros(3))[0], w, atol=1e-10)
     a = np.arange(6.0).reshape(2, 3)
     j = fd_jacobian(lambda x: a @ x, np.ones(3))
     assert np.allclose(j, a, atol=1e-9)
 
 
-def test_check_gradient_pass_and_fail():
-    f = lambda x: float(2.0 * x[0] ** 2 + x[1] ** 2)
-    good = lambda x: np.array([4.0 * x[0], 2.0 * x[1]])
-    flipped = lambda x: np.array([-4.0 * x[0], 2.0 * x[1]])
-    x = np.array([0.7, -0.3])
-    report = check_gradient(f, good, x)
-    assert report.passed
-    assert report.max_rel_err <= 1e-8
-    report = check_gradient(f, flipped, x)
-    assert not report.passed
-    assert report.worst_coord == 0
+def test_fd_jacobian_reports_bad_coordinate():
+    def f(x):
+        return np.array([float("nan") if abs(x[1]) > 0.5 else float(x @ x), x[0]])
 
-
-def test_check_gradient_against_itself():
-    f = lambda x: float(np.sin(x[0]) + x[1] ** 3)
-    analytic = lambda x: fd_gradient(f, x)
-    report = check_gradient(f, analytic, np.array([0.3, 1.1]))
-    assert report.passed
-    assert report.max_rel_err <= 1e-10
+    with pytest.raises(ValueError, match="coordinate 1"):
+        fd_jacobian(f, np.array([0.0, 0.5]))
 

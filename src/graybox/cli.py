@@ -101,11 +101,19 @@ def _check_tolerance(value: float, flag: str) -> None:
         raise ValueError(f"{flag} must be finite and at least 0, got {value}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
+
+
 def _parse_theta(text: str) -> np.ndarray:
     try:
-        return np.array([float(part) for part in text.replace(",", " ").split()])
+        theta = np.array([float(part) for part in text.replace(",", " ").split()])
     except ValueError as exc:
         raise ValueError(f"--theta must be a comma-separated list of numbers: {exc}") from exc
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"--theta must be finite, got {text}")
+    return theta
 
 
 def _load_config(args) -> optim.OptimConfig:
@@ -155,6 +163,7 @@ def _theta_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
 
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed)
     structure = _load_structure(args.structure)
     theta = _parse_theta(args.theta)
     instance = generate_instance(structure, theta, seed=args.seed, cond_max=args.cond_max)
@@ -257,6 +266,7 @@ def cmd_check_grad(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     _check_tolerance(args.rel_tol, "--rel-tol")
+    _check_seed(args.seed)
     blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)

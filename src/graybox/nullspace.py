@@ -15,19 +15,22 @@ and its admissible slice s = 1 is parameterized by vec(T) alone
 (:func:`nullspace_point`).  The search minimizes, over T, the squared
 distance of the extracted realization (T^-1 A_bb T, T^-1 B_bb, C_bb T) to the
 admissible structured set by Levenberg-Marquardt on that distance's
-residual vector and its Jacobian in vec(T).  The first start is T = s0 I,
-at the black box's own scale (:func:`_start_scale`), so it follows a
-rescaling of the black box's basis; the restarts are Gaussian draws.  A
-solve builds one :class:`ReducedResidual`, which forms the Jacobian's
-black-box block I (x) C_bb once in a workspace; at each point it computes
-only T^-1, certified outside the excluded region by a norm bound rather than
-an SVD wherever the bound suffices (:func:`_checked_inverse`), the
-realization [A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that
-depend on them, written in place, with no stacked null-space point.
-:func:`reduced_distance` is the same distance with its matrix-form gradient.
-The constraint matrix, its SVD null-space basis and the dense extraction
-Jacobians of the paper are kept as test oracles; the solve path uses none of
-them.
+residual vector and its Jacobian in vec(T), from T = s0 I at the black box's
+own scale (:func:`_start_scale`) and then from Gaussian draws.  A solve
+builds one :class:`ReducedResidual`, which forms the Jacobian's black-box
+block I (x) C_bb once; at each point it computes only T^-1, certified
+outside the excluded region by a norm bound rather than an SVD wherever the
+bound suffices (:func:`_checked_inverse`), the realization
+[A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that depend on
+them, in place.  Each completed start is read out by the same evaluator's
+fill at its best point: one read-out, the arithmetic ``lm`` minimized.
+
+Off the solve path: the stacked-vector forms :func:`nullspace_point`,
+:func:`extract_realization` and the paper's dense extraction Jacobians
+(:func:`realization_jacobians`, which ``check-grad --which jacobians``
+checks), and :func:`reduced_distance`, the same distance with its
+matrix-form gradient.  The constraint matrix and its SVD null-space basis
+live in ``tests/oracles.py``, as the oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -60,26 +63,19 @@ from .optim import InfeasibleStartError, OptimConfig, _inv, lm
 from .optim import bfgs  # noqa: F401
 
 __all__ = [
-    "EmptyNullspaceError",
     "SingularTransformError",
     "Realization",
     "StructureProjector",
-    "build_constraint_matrix",
-    "nullspace_basis",
     "nullspace_point",
     "extract_realization",
     "realization_vector",
     "structure_projector",
-    "structure_distance",
     "extract_theta",
     "realization_jacobians",
     "reduced_distance",
     "ReducedResidual",
     "solve_nullspace",
 ]
-
-class EmptyNullspaceError(RuntimeError):
-    """The constraint matrix has no null space: no admissible solution exists."""
 
 
 class SingularTransformError(RuntimeError):
@@ -100,59 +96,12 @@ class Realization(NamedTuple):
         return np.concatenate([vec(self.A), vec(self.B), vec(self.C)])
 
 
-def build_constraint_matrix(blackbox: StateSpace) -> np.ndarray:
-    """Coefficient matrix of the linearized similarity equations.
-
-    Multiplying it with a stacked vector [vec(T); vec(TA); vec(TB); vec(C); 1]
-    yields the three residual blocks vec(A_bb T - TA), vec(TB - B_bb) and
-    vec(C_bb T - C); the matrix therefore has full row rank (each block
-    carries its own identity sub-block) and its null space holds every
-    similarity solution.
-    """
-    d = blackbox.dims
-    n_x, n_u, n_y = d.n_x, d.n_u, d.n_y
-    nx2 = n_x**2
-    off_ta, off_tb, off_c = nx2, 2 * nx2, 2 * nx2 + n_x * n_u
-    m = np.zeros((d.n_abc, d.n_unknowns))
-
-    rows_a = slice(0, nx2)
-    m[rows_a, 0:nx2] = np.kron(np.eye(n_x), blackbox.A)
-    m[rows_a, off_ta:off_ta + nx2] = -np.eye(nx2)
-
-    rows_b = slice(nx2, nx2 + n_x * n_u)
-    m[rows_b, off_tb:off_tb + n_x * n_u] = np.eye(n_x * n_u)
-    m[rows_b, -1] = -vec(blackbox.B)
-
-    rows_c = slice(nx2 + n_x * n_u, d.n_abc)
-    m[rows_c, 0:nx2] = np.kron(np.eye(n_x), blackbox.C)
-    m[rows_c, off_c:off_c + n_x * n_y] = -np.eye(n_x * n_y)
-    return m
-
-
-def nullspace_basis(a: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis of ``a`` via SVD.
-
-    Singular values below max(rows, cols) * machine epsilon times the largest
-    are treated as zero.
-
-    Raises:
-        EmptyNullspaceError: if the matrix has full column rank.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    if rank >= a.shape[1]:
-        raise EmptyNullspaceError("no admissible solution: matrix has full column rank")
-    return vh[rank:].T.copy()
-
-
 def nullspace_point(blackbox: StateSpace, t: np.ndarray) -> np.ndarray:
     """Closed-form null-space point [vec(T); vec(A_bb T); vec(B_bb); vec(C_bb T); 1].
 
-    Every point of :func:`build_constraint_matrix`'s null space with unit last
+    Every point of the constraint matrix's null space with unit last
     component has this form, so ``t`` is a complete coordinate system for
-    the admissible solution set.
+    the admissible solution set (``tests/oracles.py`` checks it by SVD).
     """
     t = np.asarray(t, dtype=float)
     return np.concatenate(
@@ -264,16 +213,6 @@ def structure_projector(structure: AffineStructure) -> StructureProjector:
     )
 
 
-def structure_distance(stacked: np.ndarray, proj: StructureProjector) -> float:
-    """Squared distance of a stacked realization to the admissible structured set.
-
-    Zero exactly when some parameter vector reproduces ``stacked``; equal to
-    the least-squares minimum over parameters.
-    """
-    r = proj.residual_op @ (proj.offset - np.asarray(stacked, dtype=float))
-    return float(r @ r)
-
-
 def extract_theta(stacked: np.ndarray, proj: StructureProjector) -> np.ndarray:
     """Parameter vector minimizing the structured fit to a stacked realization."""
     return proj.theta_map @ (np.asarray(stacked, dtype=float) - proj.offset)
@@ -372,7 +311,8 @@ class ReducedResidual:
     vec([A, B]) and vec(C_bb T) blocks as transposed views.  A call reads
     T out of ``t_vec`` by an F-order reshape and then costs one inverse, with
     no SVD unless T is near the excluded region (:func:`_checked_inverse`),
-    [A, B] = T^-1 [A_bb T, B_bb] and T^-1 A_bb, one broadcast product that
+    [A, B] = T^-1 [A_bb T, B_bb] (the fill, which also reads a start out),
+    T^-1 A_bb, one broadcast product that
     writes [A, B]^T (x) T^-1 over the [A, B] rows, T^-1 A_bb subtracted on
     their block diagonal, and two products with P, one for r and one for J.
     Every entry of the workspace equals that of ``kron_t([A, B], T^-1)``
@@ -403,6 +343,19 @@ class ReducedResidual:
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
 
+    def _fill(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(T^-1, [A, B])`` at ``t``, with s written into ``self.stacked``.
+
+        Raises:
+            SingularTransformError: propagated from :func:`_checked_inverse`.
+        """
+        t_inv = _checked_inverse(t)
+        self.ab_bb[:, :self.n_x] = self.blackbox.A @ t
+        ab = t_inv @ self.ab_bb
+        self.s_ab[...] = ab.T
+        self.s_c[...] = (self.blackbox.C @ t).T
+        return t_inv, ab
+
     def __call__(self, t_vec: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """``(r, J)`` at ``unvec(t_vec)``, or ``(None, None)`` where ``rcond(T) < SINGULAR_RTOL``.
 
@@ -411,27 +364,14 @@ class ReducedResidual:
         n_x, bb, proj = self.n_x, self.blackbox, self.proj
         t = t_vec.reshape(n_x, n_x, order="F")  # unvec, by reshape alone
         try:
-            t_inv = _checked_inverse(t)
+            t_inv, ab = self._fill(t)
         except SingularTransformError:
             return None, None
-        self.ab_bb[:, :n_x] = bb.A @ t
-        ab = t_inv @ self.ab_bb
-        self.s_ab[...] = ab.T
-        self.s_c[...] = (bb.C @ t).T
         r = proj.residual_op @ (proj.offset - self.stacked)
         # [A, B]^T (x) T^-1, then minus I (x) T^-1 A_bb on its block diagonal
         np.multiply(ab.T[:, None, :, None], t_inv[None, :, None, :], out=self.ab_rows)
         self.a_diag -= t_inv @ bb.A
         return r, proj.residual_op @ self.minus_ds
-
-    def realization(self, t_vec: np.ndarray) -> Realization:
-        """The realization read out of the null-space point of ``unvec(t_vec)``.
-
-        Raises:
-            SingularTransformError: propagated from :func:`extract_realization`.
-        """
-        t = unvec(t_vec, self.n_x, self.n_x)
-        return extract_realization(nullspace_point(self.blackbox, t), self.blackbox.dims)
 
 
 def _start_scale(blackbox: StateSpace, structure: AffineStructure) -> float:
@@ -465,7 +405,8 @@ def solve_nullspace(
     from T = s0 I, with s0 from :func:`_start_scale`, and then from
     ``config.restarts`` seeded Gaussian draws, each drawn just before it runs
     from a generator that the first restart builds, and reads the parameter
-    vector and transform out of each completed start.  The first start whose
+    vector and transform out of each completed start by the evaluator's own
+    fill at its best point.  The first start whose
     read-out leaves a max similarity residual <= ``RESIDUAL_TOL``, or whose
     structure distance sqrt(objective) is <= ``RESIDUAL_TOL``, wins and ends
     the search: the cost is zero at the truth, so no later start can do
@@ -504,9 +445,10 @@ def solve_nullspace(
         except InfeasibleStartError:
             outcomes.append({"status": "infeasible"})
             continue
-        real = rj.realization(result.x_best)
-        theta = extract_theta(real.stacked(), proj)
-        t = np.ascontiguousarray(real.T)  # read out on the array that is returned and written
+        t = result.x_best.reshape(n_x, n_x, order="F")  # the F-order view lm's calls fill with
+        rj._fill(t)
+        theta = extract_theta(rj.stacked, proj)
+        t = np.ascontiguousarray(t)  # read out on the array that is returned and written
         res = _residual_norms(blackbox, t, *structured_matrices(structure, theta))
         worst = max(res)
         outcomes.append({

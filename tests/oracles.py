@@ -1,0 +1,109 @@
+"""Reference forms of the paper's null-space construction, for the tests only.
+
+The solve never builds the constraint matrix: its null space has a closed
+form (``graybox.nullspace.nullspace_point``), and the search runs over
+vec(T) alone.  The dense constraint matrix, its SVD null-space basis, the
+dense closed-form map and the stacked-vector read-out live here, as the
+oracles the closed form and the solver's read-out are checked against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from graybox.model import StateSpace, unvec, vec
+from graybox.nullspace import (
+    StructureProjector,
+    extract_realization,
+    extract_theta,
+    nullspace_point,
+)
+
+
+class EmptyNullspaceError(RuntimeError):
+    """The constraint matrix has no null space: no admissible solution exists."""
+
+
+def build_constraint_matrix(blackbox: StateSpace) -> np.ndarray:
+    """Coefficient matrix of the linearized similarity equations.
+
+    Multiplying it with a stacked vector [vec(T); vec(TA); vec(TB); vec(C); 1]
+    yields the three residual blocks vec(A_bb T - TA), vec(TB - B_bb) and
+    vec(C_bb T - C); the matrix therefore has full row rank (each block
+    carries its own identity sub-block) and its null space holds every
+    similarity solution.
+    """
+    d = blackbox.dims
+    n_x, n_u, n_y = d.n_x, d.n_u, d.n_y
+    nx2 = n_x**2
+    off_ta, off_tb, off_c = nx2, 2 * nx2, 2 * nx2 + n_x * n_u
+    m = np.zeros((d.n_abc, d.n_unknowns))
+
+    rows_a = slice(0, nx2)
+    m[rows_a, 0:nx2] = np.kron(np.eye(n_x), blackbox.A)
+    m[rows_a, off_ta:off_ta + nx2] = -np.eye(nx2)
+
+    rows_b = slice(nx2, nx2 + n_x * n_u)
+    m[rows_b, off_tb:off_tb + n_x * n_u] = np.eye(n_x * n_u)
+    m[rows_b, -1] = -vec(blackbox.B)
+
+    rows_c = slice(nx2 + n_x * n_u, d.n_abc)
+    m[rows_c, 0:nx2] = np.kron(np.eye(n_x), blackbox.C)
+    m[rows_c, off_c:off_c + n_x * n_y] = -np.eye(n_x * n_y)
+    return m
+
+
+def nullspace_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis of ``a`` via SVD.
+
+    Singular values below max(rows, cols) * machine epsilon times the largest
+    are treated as zero.
+
+    Raises:
+        EmptyNullspaceError: if the matrix has full column rank.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    cutoff = max(a.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > cutoff))
+    if rank >= a.shape[1]:
+        raise EmptyNullspaceError("no admissible solution: matrix has full column rank")
+    return vh[rank:].T.copy()
+
+
+def closed_form_map(blackbox: StateSpace) -> np.ndarray:
+    """Dense linear map (vec(T), s) -> [vec(T); vec(A_bb T); s vec(B_bb); vec(C_bb T); s]."""
+    d = blackbox.dims
+    nx2 = d.n_x**2
+    off_c = 2 * nx2 + d.n_x * d.n_u
+    eye_x = np.eye(d.n_x)
+    n = np.zeros((d.n_unknowns, nx2 + 1))
+    n[:nx2, :nx2] = np.eye(nx2)
+    n[nx2:2 * nx2, :nx2] = np.kron(eye_x, blackbox.A)
+    n[2 * nx2:off_c, -1] = vec(blackbox.B)
+    n[off_c:-1, :nx2] = np.kron(eye_x, blackbox.C)
+    n[-1, -1] = 1.0
+    return n
+
+
+def structure_distance(stacked: np.ndarray, proj: StructureProjector) -> float:
+    """Squared distance of a stacked realization to the admissible structured set.
+
+    Zero exactly when some parameter vector reproduces ``stacked``; equal to
+    the least-squares minimum over parameters.
+    """
+    r = proj.residual_op @ (proj.offset - np.asarray(stacked, dtype=float))
+    return float(r @ r)
+
+
+def stacked_readout(blackbox: StateSpace, proj: StructureProjector,
+                    t_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(theta, T)`` read out of the stacked null-space point of ``unvec(t_vec)``.
+
+    The read-out as the paper writes it: build the stacked point, extract
+    T, A = T^-1 (TA), B = T^-1 (TB) and C from it, and fit theta to
+    [vec(A); vec(B); vec(C)].
+    """
+    d = blackbox.dims
+    real = extract_realization(nullspace_point(blackbox, unvec(t_vec, d.n_x, d.n_x)), d)
+    return extract_theta(real.stacked(), proj), real.T

@@ -24,19 +24,17 @@ from graybox.model import (
 )
 from graybox.nullspace import (
     ReducedResidual,
-    build_constraint_matrix,
-    nullspace_basis,
     realization_jacobians,
     realization_vector,
     reduced_distance,
     solve_nullspace,
-    structure_distance,
     structure_projector,
 )
 from graybox.optim import fd_jacobian, lm, relative_errors
 from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
 from helpers import dims_grid, lsq_fg, random_structure, stacked_solution
+from oracles import build_constraint_matrix, nullspace_basis, structure_distance
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 

@@ -56,6 +56,31 @@ def test_generate_rejects_bad_theta_length(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("theta", ["nan,2", "3,inf", "3,-inf"])
+def test_generate_rejects_non_finite_theta(tmp_path, capsys, theta):
+    code = run("generate", "--structure", "scalar", "--theta", theta,
+               "--out-prefix", tmp_path / "x")
+    assert code == 2
+    assert "--theta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.blackbox.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "check-grad"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    # before any work: numpy's own message named neither the flag nor the command
+    bb, _ = generate(tmp_path, seed=4)
+    argv = (["generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
+             "--out-prefix", tmp_path / "neg"] if command == "generate"
+            else ["check-grad", "--which", "hbar", "--blackbox", bb,
+                  "--structure", "mass-spring", "--points", 1])
+    capsys.readouterr()
+    assert run(*argv, "--seed", -1) == 2
+    captured = capsys.readouterr()
+    assert "--seed must be nonnegative, got -1" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "neg.blackbox.json").exists()
+
+
 def test_generate_accepts_structure_file(tmp_path):
     structure, _ = bundled_structure("scalar")
     path = tmp_path / "structure.json"

@@ -21,18 +21,14 @@ from graybox.model import (
     vec,
 )
 from graybox.nullspace import (
-    EmptyNullspaceError,
     SingularTransformError,
-    build_constraint_matrix,
     extract_realization,
     extract_theta,
-    nullspace_basis,
     nullspace_point,
     realization_jacobians,
     realization_vector,
     reduced_distance,
     solve_nullspace,
-    structure_distance,
     structure_projector,
 )
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relative_errors
@@ -40,6 +36,8 @@ from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
 from helpers import (CONVERGED, dims_grid, evaluator_cases, rank_deficient_structure,
                      random_structure, stacked_solution, transform_with_rcond)
+from oracles import (EmptyNullspaceError, build_constraint_matrix, closed_form_map,
+                     nullspace_basis, stacked_readout, structure_distance)
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -113,21 +111,6 @@ def test_nullspace_basis_empty_raises():
 # ---------------------------------------------------------------------------
 # closed-form null space against the SVD oracle
 # ---------------------------------------------------------------------------
-
-def closed_form_map(blackbox: StateSpace) -> np.ndarray:
-    """Dense linear map (vec(T), s) -> [vec(T); vec(A_bb T); s vec(B_bb); vec(C_bb T); s]."""
-    d = blackbox.dims
-    nx2 = d.n_x**2
-    off_c = 2 * nx2 + d.n_x * d.n_u
-    eye_x = np.eye(d.n_x)
-    n = np.zeros((d.n_unknowns, nx2 + 1))
-    n[:nx2, :nx2] = np.eye(nx2)
-    n[nx2:2 * nx2, :nx2] = np.kron(eye_x, blackbox.A)
-    n[2 * nx2:off_c, -1] = vec(blackbox.B)
-    n[off_c:-1, :nx2] = np.kron(eye_x, blackbox.C)
-    n[-1, -1] = 1.0
-    return n
-
 
 def test_nullspace_point_is_the_closed_form_map_at_unit_s():
     structure, theta = mass_spring_damper()
@@ -657,12 +640,14 @@ def test_solve_mass_spring_instance():
 
 
 def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
+    # the constraint matrix and its SVD basis are test oracles, and the search
+    # reads its starts out through the evaluator, never the stacked vector
     def oracle_only(*args, **kwargs):
-        raise AssertionError("the solve path must not build the SVD null space")
+        raise AssertionError("the solve path must not build a stacked or Kronecker form")
 
-    monkeypatch.setattr(ns, "build_constraint_matrix", oracle_only)
-    monkeypatch.setattr(ns, "nullspace_basis", oracle_only)
     monkeypatch.setattr(np, "kron", oracle_only)
+    monkeypatch.setattr(ns, "nullspace_point", oracle_only)
+    monkeypatch.setattr(ns, "extract_realization", oracle_only)
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
     sol = solve_nullspace(instance.blackbox, structure)
@@ -675,17 +660,18 @@ def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
 def test_solve_extracts_each_point_once(monkeypatch):
     # residual and Jacobian come from one evaluation, so the search never
     # evaluates a point twice, and the winner, here the first and only start,
-    # which takes over 100 steps, is read out once
-    evaluated, read_out = [], []
+    # which takes over 100 steps, is read out once: every evaluation fills
+    # the evaluator once, and the read-out is the one fill besides
+    evaluated, filled = [], []
 
     class Recording(ns.ReducedResidual):
         def __call__(self, t_vec):
             evaluated.append(np.asarray(t_vec).tobytes())
             return super().__call__(t_vec)
 
-        def realization(self, t_vec):
-            read_out.append(np.asarray(t_vec).tobytes())
-            return super().realization(t_vec)
+        def _fill(self, t):
+            filled.append(vec(t).tobytes())
+            return super()._fill(t)
 
     monkeypatch.setattr(ns, "ReducedResidual", Recording)
     structure, theta = compartment3()
@@ -696,7 +682,7 @@ def test_solve_extracts_each_point_once(monkeypatch):
     assert len(evaluated) > 100
     assert len(evaluated) == sol.result.n_evals
     assert len(set(evaluated)) == len(evaluated)
-    assert read_out == [vec(sol.T).tobytes()]
+    assert filled == evaluated + [vec(sol.T).tobytes()]
 
 
 def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
@@ -827,11 +813,39 @@ def test_solve_without_passing_start_keeps_lowest_objective():
     assert [o["objective_final"] for o in outcomes] == [r.f_best for r in runs]
     best = min(runs, key=lambda r: r.f_best)
     assert best is not runs[0]  # the winner is not simply the first start
-    t_best = unvec(best.x_best, 3, 3)
-    stacked = realization_vector(nullspace_point(instance.blackbox, t_best), instance.blackbox.dims)
-    assert np.array_equal(sol.T, t_best)
-    assert np.array_equal(sol.theta, extract_theta(stacked, proj))
+    assert np.array_equal(sol.T, unvec(best.x_best, 3, 3))
     assert sol.result.f_best == best.f_best
+
+
+@pytest.mark.parametrize("cfg", [OptimConfig(max_iters=20, restarts=2), OptimConfig()],
+                         ids=["20-iters", "default"])
+def test_solve_reads_the_winner_out_as_the_stacked_vector_oracle_does(monkeypatch, cfg):
+    # the solve reads each start out with the evaluator's fill at its best
+    # point; the paper's read-out through the stacked null-space point gives
+    # the same bits, for winners that pass, that stop early, and that are
+    # not the first start, on every evaluator shape, chain(8) included
+    fills = []
+
+    class Recording(ns.ReducedResidual):
+        def _fill(self, t):
+            fills.append(1)
+            return super()._fill(t)
+
+    monkeypatch.setattr(ns, "ReducedResidual", Recording)
+    rng = np.random.default_rng(54)
+    later_winners = 0
+    for blackbox, structure in evaluator_cases(rng):
+        fills.clear()
+        sol = solve_nullspace(blackbox, structure, cfg)
+        proj = structure_projector(structure)
+        theta, t = stacked_readout(blackbox, proj, sol.result.x_best)
+        assert np.array_equal(sol.theta, theta) and np.array_equal(sol.T, t)
+        outcomes = sol.diagnostics["start_outcomes"]
+        # one read-out per completed start, besides one fill per evaluation
+        completed = [o for o in outcomes if o["status"] != "infeasible"]
+        assert len(fills) == sum(o["n_evals"] for o in completed) + len(completed)
+        later_winners += sol.result.f_best != completed[0]["objective_final"]
+    assert later_winners >= 5
 
 
 def test_solve_counts_infeasible_start_and_stops_at_next(monkeypatch):

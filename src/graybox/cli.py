@@ -34,6 +34,8 @@ from .model import (
     SINGULAR_RTOL,
     AffineStructure,
     StateSpace,
+    _as_matrix,
+    _as_vector,
     check_dims,
     eval_structure,
     generate_instance,
@@ -71,9 +73,11 @@ def _load(path: str, what: str, parse):
         raise ValueError(f"{what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _arrays(*keys: str):
-    """Parser of a document's ``keys`` as float arrays."""
-    return lambda doc: tuple(np.asarray(doc[key], dtype=float) for key in keys)
+def _arrays(structure: AffineStructure, theta_key: str, t_key: str):
+    """Parser of a document's ``theta_key`` and ``t_key``, checked against ``structure``."""
+    n_x = structure.dims.n_x
+    return lambda doc: (_as_vector(doc[theta_key], structure.n_theta, theta_key),
+                        _as_matrix(doc[t_key], n_x, n_x, t_key))
 
 
 def _load_structure(spec: str) -> AffineStructure:
@@ -86,14 +90,7 @@ def _load_truth(path: str | None, structure: AffineStructure) -> np.ndarray | No
     """The truth file's ``theta``, finite and of the structure's length, or None without a file."""
     if not path:
         return None
-
-    def parse(doc: dict) -> np.ndarray:
-        theta = np.asarray(doc["theta"], dtype=float).reshape(structure.n_theta)
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta contains non-finite entries")
-        return theta
-
-    return _load(path, "truth", parse)
+    return _load(path, "truth", lambda doc: _as_vector(doc["theta"], structure.n_theta, "theta"))
 
 
 def _check_tolerance(value: float, flag: str) -> None:
@@ -106,14 +103,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
-def _parse_theta(text: str) -> np.ndarray:
+def _parse_theta(text: str) -> list[float]:
     try:
-        theta = np.array([float(part) for part in text.replace(",", " ").split()])
+        return [float(part) for part in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ValueError(f"--theta must be a comma-separated list of numbers: {exc}") from exc
-    if not np.all(np.isfinite(theta)):
-        raise ValueError(f"--theta must be finite, got {text}")
-    return theta
 
 
 def _load_config(args) -> optim.OptimConfig:
@@ -124,32 +118,17 @@ def _load_config(args) -> optim.OptimConfig:
     return dataclasses.replace(cfg, **overrides)  # validates the overrides too
 
 
-def _jsonable(value):
-    """Recursively convert arrays and non-finite floats for strict JSON output."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, float)):
-        return float(value) if math.isfinite(value) else None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def _write_report(report: dict, out: str | None) -> None:
     """Write ``report`` as one line of strict JSON to ``out``, or to standard output.
 
-    Compact, so the C encoder writes it.  A report that strict JSON cannot
-    hold as it is, with a non-finite number or a numpy type, goes through
-    :func:`_jsonable` first, which writes a non-finite number as ``null``.
+    Compact, so the C encoder writes it.  A report with a non-finite number at
+    any depth is encoded again from its Python-JSON text, decoded with ``NaN``
+    and ``(-)Infinity`` read as ``None``: such a number is written ``null``.
     """
     try:
         text = json.dumps(report, allow_nan=False)
-    except (TypeError, ValueError):
-        text = json.dumps(_jsonable(report), allow_nan=False)
+    except ValueError:
+        text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None))
     text += "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -165,7 +144,7 @@ def _theta_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
 def cmd_generate(args) -> int:
     _check_seed(args.seed)
     structure = _load_structure(args.structure)
-    theta = _parse_theta(args.theta)
+    theta = _as_vector(_parse_theta(args.theta), structure.n_theta, "--theta")
     instance = generate_instance(structure, theta, seed=args.seed, cond_max=args.cond_max)
     truth_doc = {
         "theta": theta.tolist(),
@@ -191,7 +170,7 @@ def cmd_solve(args) -> int:
     if args.init and args.method != "lsq":
         raise ValueError("--init applies to --method lsq only")
     started = time.perf_counter()
-    init = _load(args.init, "init", _arrays("theta", "T")) if args.init else None
+    init = _load(args.init, "init", _arrays(structure, "theta", "T")) if args.init else None
     sol = solver.solve(blackbox, structure, args.method, cfg, init)
     res = sol.residuals  # the solver's one read-out, made on the T_hat written here
     report = {
@@ -297,9 +276,10 @@ def cmd_check_grad(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_tolerance(args.tol, "--tol")
-    theta_hat, t_hat = _load(args.result, "result", _arrays("theta_hat", "T_hat"))
     blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
+    check_dims(blackbox, structure)
+    theta_hat, t_hat = _load(args.result, "result", _arrays(structure, "theta_hat", "T_hat"))
     theta_true = _load_truth(args.truth, structure)
     res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
     worst = max(res)
@@ -334,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="create a synthetic black-box/truth pair")
     gen.add_argument("--structure", required=True, help=STRUCTURE_HELP)
-    gen.add_argument("--theta", required=True, help="comma-separated parameter values")
+    gen.add_argument("--theta", required=True,
+                     help="comma-separated parameter values; write --theta=-3,2 when the "
+                          "first value is negative")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--cond-max", type=float, default=100.0,
                      help="condition-number bound for the hidden transform (default 100)")

@@ -82,13 +82,30 @@ def _count(data: dict, key: str) -> int:
     return int(value)
 
 
+# Every array read from outside passes _as_matrix or _as_vector; each error names it ``name``.
+def _floats(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must hold numbers only: {exc}") from exc
+
+
 def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
+    m = _floats(value, name)
     if m.shape != (rows, cols):
         raise ValueError(f"{name} must have shape ({rows}, {cols}), got {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} must be finite")
     return m
+
+
+def _as_vector(value, size: int, name: str) -> np.ndarray:
+    v = _floats(value, name).reshape(-1)
+    if v.size != size:
+        raise ValueError(f"{name} must have length {size}, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -105,12 +122,12 @@ class StateSpace:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
+        a = np.atleast_2d(_floats(self.A, "A"))
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
         n_x = a.shape[0]
-        b = np.atleast_2d(np.asarray(self.B, dtype=float))
-        c = np.atleast_2d(np.asarray(self.C, dtype=float))
+        b = np.atleast_2d(_floats(self.B, "B"))
+        c = np.atleast_2d(_floats(self.C, "C"))
         object.__setattr__(self, "A", _as_matrix(a, n_x, n_x, "A"))
         object.__setattr__(self, "B", _as_matrix(b, n_x, b.shape[1], "B"))
         object.__setattr__(self, "C", _as_matrix(c, c.shape[0], n_x, "C"))
@@ -169,19 +186,12 @@ class AffineStructure:
     dims: Dims
 
     def __post_init__(self) -> None:
-        k = np.atleast_2d(np.asarray(self.K, dtype=float))
-        k0 = np.asarray(self.kappa0, dtype=float).reshape(-1)
         n_abc = self.dims.n_abc
-        if k0.size != n_abc:
-            raise ValueError(f"kappa0 must have length {n_abc}, got {k0.size}")
-        if k.shape[0] != n_abc:
-            raise ValueError(f"K must have {n_abc} rows, got {k.shape[0]}")
+        k = np.atleast_2d(_floats(self.K, "K"))
         if k.shape[1] < 1:
             raise ValueError("K must have at least one column")
-        if not (np.all(np.isfinite(k0)) and np.all(np.isfinite(k))):
-            raise ValueError("structure contains non-finite entries")
-        object.__setattr__(self, "kappa0", k0)
-        object.__setattr__(self, "K", k)
+        object.__setattr__(self, "kappa0", _as_vector(self.kappa0, n_abc, "kappa0"))
+        object.__setattr__(self, "K", _as_matrix(k, n_abc, k.shape[1], "K"))
 
     @property
     def n_theta(self) -> int:
@@ -204,9 +214,7 @@ class AffineStructure:
             if key not in data:
                 raise ValueError(f"structure document is missing key {key!r}")
         dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
-        structure = cls(kappa0=np.asarray(data["kappa0"], dtype=float),
-                        K=np.asarray(data["K"], dtype=float),
-                        dims=dims)
+        structure = cls(kappa0=data["kappa0"], K=data["K"], dims=dims)
         if structure.n_theta != _count(data, "n_theta"):
             raise ValueError(
                 f"n_theta={data['n_theta']} does not match K with {structure.n_theta} columns"
@@ -304,12 +312,7 @@ def structured_matrices(
 
 def eval_structure(structure: AffineStructure, theta: np.ndarray) -> StateSpace:
     """Evaluate the structured model at a parameter point."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.size != structure.n_theta:
-        raise ValueError(
-            f"theta must have length {structure.n_theta}, got {theta.size}"
-        )
-    a, b, c = structured_matrices(structure, theta)
+    a, b, c = structured_matrices(structure, _as_vector(theta, structure.n_theta, "theta"))
     return StateSpace(A=a, B=b, C=c)
 
 

@@ -7,23 +7,17 @@ from dataclasses import replace
 import numpy as np
 
 from . import lsq, nullspace
-from .model import RESIDUAL_TOL, AffineStructure, Solution, StateSpace, check_dims
+from .model import (RESIDUAL_TOL, AffineStructure, Solution, StateSpace, _as_matrix,
+                    _as_vector, check_dims)
 from .optim import OptimConfig
 
 METHODS = ("nullspace", "lsq", "pipeline")
 
 
 def _checked_init(init: tuple, structure: AffineStructure) -> tuple[np.ndarray, np.ndarray]:
-    theta0 = np.asarray(init[0], dtype=float).reshape(-1)
-    t0 = np.asarray(init[1], dtype=float)
     n_x = structure.dims.n_x
-    if theta0.size != structure.n_theta:
-        raise ValueError(f"init theta must have length {structure.n_theta}, got {theta0.size}")
-    if t0.shape != (n_x, n_x):
-        raise ValueError(f"init T must have shape ({n_x}, {n_x}), got {t0.shape}")
-    if not (np.all(np.isfinite(theta0)) and np.all(np.isfinite(t0))):
-        raise ValueError("init contains non-finite entries")
-    return theta0, t0
+    return (_as_vector(init[0], structure.n_theta, "init theta"),
+            _as_matrix(init[1], n_x, n_x, "init T"))
 
 
 def solve(

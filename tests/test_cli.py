@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graybox import lsq, optim, solve, solver
+from graybox import cli
 from graybox.cli import main
 from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eval_structure,
                            generate_instance, rcond, residuals)
@@ -63,6 +64,29 @@ def test_generate_rejects_non_finite_theta(tmp_path, capsys, theta):
     assert code == 2
     assert "--theta must be finite" in capsys.readouterr().err
     assert not (tmp_path / "x.blackbox.json").exists()
+
+
+@pytest.mark.parametrize("theta, message", [
+    ("1,2,3", "--theta must have length 2, got 3"),  # was theta's, without the flag
+    ("1,x", "--theta must be a comma-separated list of numbers"),
+])
+def test_generate_theta_errors_name_the_flag(tmp_path, capsys, theta, message):
+    code = run("generate", "--structure", "scalar", "--theta", theta,
+               "--out-prefix", tmp_path / "x")
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.blackbox.json").exists()
+
+
+def test_generate_negative_first_theta_needs_the_equals_form(tmp_path, capsys):
+    # argparse reads a separate "-3,2" as an option, not as the value of --theta
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--structure", "scalar", "--theta", "-3,2", "--out-prefix", tmp_path / "x")
+    assert exc.value.code == 2
+    assert "argument --theta: expected one argument" in capsys.readouterr().err
+    assert run("generate", "--structure", "scalar", "--theta=-3,2",
+               "--out-prefix", tmp_path / "x") == 0
+    assert json.load(open(tmp_path / "x.truth.json"))["theta"] == [-3.0, 2.0]
 
 
 @pytest.mark.parametrize("command", ["generate", "check-grad"])
@@ -444,6 +468,58 @@ def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     assert not report_path.exists()
 
 
+I2, I3 = np.eye(2).tolist(), np.eye(3).tolist()
+
+
+@pytest.mark.parametrize("option, doc, message", [
+    ("--result", {"theta_hat": [4.0, None, 1.0], "T_hat": I2}, "theta_hat must be finite"),
+    ("--result", {"theta_hat": [4.0, 0.5], "T_hat": I2}, "theta_hat must have length 3, got 2"),
+    ("--result", {"theta_hat": [4.0, 0.5, 1.0], "T_hat": I3},
+     "T_hat must have shape (2, 2), got (3, 3)"),
+    ("--result", {"theta_hat": "abc", "T_hat": I2}, "theta_hat must hold numbers only"),
+    ("--init", {"theta": [4.0, 0.5, 1.0], "T": I3}, "T must have shape (2, 2), got (3, 3)"),
+    ("--init", {"theta": [4.0, 0.5, 1.0], "T": [[1.0, 0.0], [0.0]]}, "T must hold numbers only"),
+    ("--init", {"theta": [4.0, 0.5, 1.0, 2.0], "T": I2}, "theta must have length 3, got 4"),
+    ("--truth", {"theta": [4.0, 0.5]}, "theta must have length 3, got 2"),
+    ("--truth", {"theta": {}}, "theta must hold numbers only"),
+])
+def test_malformed_array_names_its_file_and_key(tmp_path, capsys, option, doc, message):
+    bb, _ = generate(tmp_path, seed=4)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files = {"--blackbox": bb, "--structure": "mass-spring", option: bad}
+    command = ["verify"] if option == "--result" else ["solve", "--method", "lsq"]
+    report_path = tmp_path / "report.json"
+    code = run(*command, *(x for pair in files.items() for x in pair), "--out", report_path)
+    assert code == 2
+    kind = option.removeprefix("--")
+    assert f"error: {kind} file {bad}: {message}" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_verify_checks_dimensions_before_reading_the_result(tmp_path, capsys):
+    bb, _ = generate(tmp_path, seed=4)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({"theta_hat": [4.0, 0.5, 1.0], "T_hat": I2}))
+    code = run("verify", "--result", result, "--blackbox", bb, "--structure", "scalar")
+    assert code == 2
+    assert "error: dimension mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, init, message", [
+    ("bogus", None, "unknown method 'bogus'"),
+    ("nullspace", ([3.0, 2.0], [[1.0]]), "init applies to method 'lsq' only, not 'nullspace'"),
+    ("lsq", ([3.0], [[1.0]]), "init theta must have length 2, got 1"),
+    ("lsq", ([3.0, 2.0], np.eye(2)), r"init T must have shape \(1, 1\), got \(2, 2\)"),
+    ("lsq", ([3.0, 2.0], [[float("nan")]]), "init T must be finite"),
+])
+def test_library_solve_rejects_bad_input(method, init, message):
+    structure, theta = bundled_structure("scalar")
+    blackbox = generate_instance(structure, theta, seed=2).blackbox
+    with pytest.raises(ValueError, match=message):
+        solve(blackbox, structure, method, init=init)
+
+
 @pytest.mark.parametrize("options", [
     {"max_line_search": 2.5},
     {"restarts": 1.5},
@@ -676,6 +752,14 @@ def test_verify_writes_non_finite_residuals_as_null(tmp_path):
     doc = json.loads(out.read_text(), parse_constant=_strict_constant)
     assert doc["residuals"] == {"r_A": None, "r_B": None, "r_C": None}
     assert doc["max_residual"] is None and doc["pass"] is False
+
+
+def test_write_report_writes_nested_non_finite_numbers_as_null(tmp_path):
+    out = tmp_path / "report.json"
+    cli._write_report({"a": [1.5, [float("nan"), float("inf")], -float("inf")],
+                       "b": {"c": (float("nan"), 2)}}, str(out))
+    expected = {"a": [1.5, [None, None], None], "b": {"c": [None, 2]}}
+    assert out.read_text() == json.dumps(expected) + "\n"
 
 
 def test_verify_missing_key_exits_2(tmp_path):

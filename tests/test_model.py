@@ -125,6 +125,16 @@ def test_eval_structure_length_mismatch():
         eval_structure(structure, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("theta, message", [
+    ([3.0, float("nan")], "theta must be finite"),  # not A, which the structure would make
+    ([3.0, "x"], "theta must hold numbers only"),
+])
+def test_eval_structure_names_theta(theta, message):
+    structure, _ = scalar()
+    with pytest.raises(ValueError, match=message):
+        eval_structure(structure, theta)
+
+
 def test_apply_similarity_identity():
     structure, theta = mass_spring_damper()
     truth = eval_structure(structure, theta)
@@ -252,6 +262,29 @@ def test_statespace_from_dict_validation():
     with pytest.raises(ValueError, match="n_y must be an integer"):
         StateSpace.from_dict({"n_x": 1, "n_u": 1, "n_y": "1", "A": [[1.0]], "B": [[1.0]],
                               "C": [[1.0]]})
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ((np.ones((2, 3)), np.ones((2, 1)), np.ones((1, 2))), r"A must be square, got shape \(2, 3\)"),
+    ((np.eye(2), [[1.0], ["b"]], np.ones((1, 2))), "B must hold numbers only"),
+    ((np.eye(2), np.ones((2, 1)), [[1.0, float("inf")]]), "C must be finite"),
+])
+def test_statespace_validation(matrices, message):
+    with pytest.raises(ValueError, match=message):
+        StateSpace(*matrices)
+
+
+@pytest.mark.parametrize("kappa0, k, message", [
+    (np.zeros(7), np.ones((8, 3)), "kappa0 must have length 8, got 7"),
+    (np.zeros(8), np.ones((7, 3)), r"K must have shape \(8, 3\), got \(7, 3\)"),
+    (np.zeros(8), np.ones((8, 0)), "K must have at least one column"),
+    (np.zeros(8), [[1.0, 2.0]] * 7 + [[1.0]], "K must hold numbers only"),
+    ([0.0] * 7 + [float("nan")], np.ones((8, 3)), "kappa0 must be finite"),
+    (np.zeros(8), np.full((8, 3), np.inf), "K must be finite"),
+])
+def test_structure_validation(kappa0, k, message):
+    with pytest.raises(ValueError, match=message):
+        AffineStructure(kappa0=kappa0, K=k, dims=Dims(2, 1, 1))
 
 
 def test_structure_json_round_trip():

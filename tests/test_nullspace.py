@@ -164,6 +164,12 @@ def test_extract_realization_singular_raises():
         extract_realization(v, Dims(1, 1, 1))
 
 
+@pytest.mark.parametrize("size", [4, 6])
+def test_extract_realization_rejects_a_vector_of_the_wrong_length(size):
+    with pytest.raises(ValueError, match=f"stacked vector must have length 5, got {size}"):
+        extract_realization(np.ones(size), Dims(1, 1, 1))
+
+
 def test_extracted_realization_satisfies_similarity():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=4, cond_max=10.0)

@@ -80,6 +80,15 @@ def test_config_validation():
         OptimConfig.from_dict({"graad_tol": 1e-9})
 
 
+@pytest.mark.parametrize("options, message", [
+    ({"max_iters": 0}, "max_iters must be at least 1"),
+    ({"restarts": -1}, "restarts must be nonnegative"),
+])
+def test_config_rejects_out_of_range_counts(options, message):
+    with pytest.raises(ValueError, match=message):
+        OptimConfig(**options)
+
+
 def test_config_from_partial_dict():
     cfg = OptimConfig.from_dict({"max_iters": 7, "restarts": 2})
     assert cfg.max_iters == 7

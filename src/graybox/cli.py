@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 failed check/verification, 2 input or schema error,
 3 max similarity residual above ``RESIDUAL_TOL`` whatever the optimizer status
-(report still written), 4 degenerate or infeasible solution.  So ``solve``
-exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at its
-default tolerance accepts the report.
+(report still written), 4 degenerate or infeasible solution; a NaN residual or
+derivative error fails.  ``solve`` and ``verify`` read residuals out by one call,
+so ``solve`` exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at
+its default tolerance accepts the report.
 
 ``solve`` and ``verify`` write their reports as compact, one-line JSON,
 with a non-finite number written as ``null``; ``python -m json.tool``
@@ -36,10 +37,11 @@ from .model import (
     StateSpace,
     _as_matrix,
     _as_vector,
+    _residual_norms,
+    _worst,
     check_dims,
-    eval_structure,
     generate_instance,
-    residuals,
+    structured_matrices,
     unvec,
     vec,
 )
@@ -178,7 +180,7 @@ def cmd_solve(args) -> int:
         "status": sol.result.status,
         "theta_hat": sol.theta.tolist(),
         "T_hat": sol.T.tolist(),
-        "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
+        "residuals": res.to_dict(),
         "objective_final": sol.result.f_best,
         "timing_ms": (time.perf_counter() - started) * 1e3,
         "diagnostics": sol.diagnostics,
@@ -189,7 +191,7 @@ def cmd_solve(args) -> int:
     if sol.rcond_T < SINGULAR_RTOL:  # the stage's rcond of the T_hat written here
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
-    worst = max(res)
+    worst = _worst(res)
     if not worst <= RESIDUAL_TOL:
         print(f"max residual {worst:.3e} exceeds the tolerance {RESIDUAL_TOL:g} "
               f"(status: {sol.result.status})", file=sys.stderr)
@@ -253,10 +255,9 @@ def cmd_check_grad(args) -> int:
     reduced = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
                if args.which == "hbar" else None)
 
-    worst = 0.0
-    produced = 0
+    errors = []
     resampled = 0
-    while produced < args.points:
+    while len(errors) < args.points:
         try:
             err = _point_error(args, blackbox, structure, rng, reduced)
         except (ValueError, nullspace.SingularTransformError):
@@ -266,9 +267,9 @@ def cmd_check_grad(args) -> int:
             if resampled > 50 * args.points:
                 raise ValueError("too many degenerate sample points; check the instance")
             continue
-        produced += 1
-        worst = max(worst, err)
-        print(f"point {produced:3d}  max_rel_err {err:.3e}")
+        errors.append(err)
+        print(f"point {len(errors):3d}  max_rel_err {err:.3e}")
+    worst = _worst(errors)
     print(f"resampled {resampled} degenerate point(s)")
     print(f"worst {worst:.3e}  tolerance {args.rel_tol:.3e}")
     return EXIT_OK if worst <= args.rel_tol else EXIT_FAIL
@@ -281,18 +282,14 @@ def cmd_verify(args) -> int:
     check_dims(blackbox, structure)
     theta_hat, t_hat = _load(args.result, "result", _arrays(structure, "theta_hat", "T_hat"))
     theta_true = _load_truth(args.truth, structure)
-    res = residuals(blackbox, t_hat, eval_structure(structure, theta_hat))
-    worst = max(res)
-    report = {
-        "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
-        "max_residual": worst,
-        "tol": args.tol,
-        "pass": bool(worst <= args.tol),
-    }
+    res = _residual_norms(blackbox, t_hat, *structured_matrices(structure, theta_hat))
+    worst = _worst(res)
+    report = {"residuals": res.to_dict(), "max_residual": worst, "tol": args.tol,
+              "pass": worst <= args.tol}
     if theta_true is not None:
         report["theta_error"] = _theta_error(theta_hat, theta_true)
     _write_report(report, args.out)
-    return EXIT_OK if worst <= args.tol else EXIT_FAIL
+    return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
 @functools.cache

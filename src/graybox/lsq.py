@@ -210,7 +210,7 @@ def solve_lsq(
         "grad_norm": result.grad_norm,
         "n_evals": result.n_evals,
         "iterations": result.iterations,
-        "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
+        "residuals": res.to_dict(),
         "degenerate_transform": degenerate,
         "cond_T": 1.0 / rc if not degenerate else None,
         "wall_time_ms": (time.perf_counter() - started) * 1e3,

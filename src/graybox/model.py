@@ -7,6 +7,7 @@ convention.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,7 +86,10 @@ def _count(data: dict, key: str) -> int:
 # Every array read from outside passes _as_matrix or _as_vector; each error names it ``name``.
 def _floats(value, name: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        if array.dtype.kind in "USb":  # strings or booleans, which astype would cast
+            raise TypeError(f"got an array of {array.dtype}")
+        return array.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must hold numbers only: {exc}") from exc
 
@@ -231,11 +235,20 @@ class Instance(NamedTuple):
 
 
 class Residuals(NamedTuple):
-    """Frobenius norms of the three similarity-equation residuals."""
+    """Frobenius norms of the three similarity residuals; they pass if ``_worst`` is <= tol."""
 
     r_a: float
     r_b: float
     r_c: float
+
+    def to_dict(self) -> dict:
+        """The ``residuals`` object of a solve or verify report."""
+        return {"r_A": self.r_a, "r_B": self.r_b, "r_C": self.r_c}
+
+
+def _worst(values) -> float:
+    """The "worst" of every accept test: ``max``, but NaN (which fails) if any value is NaN."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 @dataclass
@@ -380,8 +393,8 @@ def _residual_norms(blackbox: StateSpace, t: np.ndarray, a: np.ndarray, b: np.nd
                     c: np.ndarray) -> Residuals:
     """:func:`residuals` of the structured matrices ``(a, b, c)``, without input validation.
 
-    The solvers read their solutions out through this, on the matrices of
-    :func:`structured_matrices`, so ``verify`` recomputes the same bits.
+    Both solver stages and ``verify`` read a solution out through this, on the
+    matrices of :func:`structured_matrices`; an overflow gives ``inf`` or NaN.
     """
     r_a = np.linalg.norm(blackbox.A @ t - t @ a)
     r_b = np.linalg.norm(blackbox.B - t @ b)

@@ -50,6 +50,7 @@ from .model import (
     Solution,
     StateSpace,
     _residual_norms,
+    _worst,
     block_slices,
     check_dims,
     kron_t,
@@ -450,7 +451,7 @@ def solve_nullspace(
         theta = extract_theta(rj.stacked, proj)
         t = np.ascontiguousarray(t)  # read out on the array that is returned and written
         res = _residual_norms(blackbox, t, *structured_matrices(structure, theta))
-        worst = max(res)
+        worst = _worst(res)
         outcomes.append({
             "iterations": result.iterations,
             "n_evals": result.n_evals,
@@ -474,7 +475,7 @@ def solve_nullspace(
     diagnostics = {
         "objective_final": best.f_best,
         "grad_norm": best.grad_norm,
-        "residuals": {"r_A": res.r_a, "r_B": res.r_b, "r_C": res.r_c},
+        "residuals": res.to_dict(),
         "nullspace_dim": n_x**2 + 1,
         "cond_T": 1.0 / rc,
         "starts": n_starts,

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import lsq, nullspace
 from .model import (RESIDUAL_TOL, AffineStructure, Solution, StateSpace, _as_matrix,
-                    _as_vector, check_dims)
+                    _as_vector, _worst, check_dims)
 from .optim import OptimConfig
 
 METHODS = ("nullspace", "lsq", "pipeline")
@@ -30,7 +30,7 @@ def solve(
     """Recover ``theta`` and ``T`` by ``method``: "nullspace", "lsq" or "pipeline".
 
     The pipeline returns the null-space solution when its max similarity
-    residual is <= ``RESIDUAL_TOL``, whatever the optimizer status, and
+    residual is <= ``RESIDUAL_TOL`` (a NaN is not), whatever the optimizer status, and
     otherwise polishes it with lsq.  Its ``result``, ``residuals`` and ``rcond_T``
     are those of the stage it returns, and its ``diagnostics`` hold each stage's under
     "nullspace" and "polish"; a skipped polish is ``{"skipped": True, "reason":
@@ -53,7 +53,7 @@ def solve(
     if method == "lsq":
         return lsq.solve_lsq(blackbox, structure, init=init, config=config)
     first = nullspace.solve_nullspace(blackbox, structure, config)
-    if max(first.residuals) <= RESIDUAL_TOL:
+    if _worst(first.residuals) <= RESIDUAL_TOL:
         stage = first
         polish = {"skipped": True, "reason": "null-space solution within the residual tolerance"}
     else:

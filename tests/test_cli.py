@@ -454,6 +454,7 @@ MASS_SPRING_STRUCTURE = bundled_structure("mass-spring")[0].to_dict()
     ("--structure", {**MASS_SPRING_STRUCTURE, "kappa0": [float("inf")] + [0.0] * 7}),
     ("--structure", {**MASS_SPRING_STRUCTURE, "n_theta": 4}),  # K has 3 columns
     ("--blackbox", {**MASS_SPRING_BLACKBOX, "A": [[0, float("inf")], [-4, -0.5]]}),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "A": [["0", 1], [-4, -0.5]]}),
 ])
 def test_wrongly_typed_document_exits_2(tmp_path, capsys, option, doc):
     bb, _ = generate(tmp_path, seed=4)
@@ -482,6 +483,10 @@ I2, I3 = np.eye(2).tolist(), np.eye(3).tolist()
     ("--init", {"theta": [4.0, 0.5, 1.0, 2.0], "T": I2}, "theta must have length 3, got 4"),
     ("--truth", {"theta": [4.0, 0.5]}, "theta must have length 3, got 2"),
     ("--truth", {"theta": {}}, "theta must hold numbers only"),
+    # a JSON string or boolean in an array is refused, not cast to a number
+    ("--truth", {"theta": ["4", True, 1]}, "theta must hold numbers only"),
+    ("--result", {"theta_hat": [True, True, True], "T_hat": I2},
+     "theta_hat must hold numbers only"),
 ])
 def test_malformed_array_names_its_file_and_key(tmp_path, capsys, option, doc, message):
     bb, _ = generate(tmp_path, seed=4)
@@ -754,6 +759,33 @@ def test_verify_writes_non_finite_residuals_as_null(tmp_path):
     assert doc["max_residual"] is None and doc["pass"] is False
 
 
+def test_verify_fails_a_nan_residual_that_max_would_drop(tmp_path):
+    # B(theta) = theta [1, -1, 0, 0]^T is finite at theta = 1e308, but row 0 of
+    # T_hat B is 1e308^2 - 1e308^2 = inf - inf: r_B is NaN while r_A = r_C = 0
+    zeros = [[0.0] * 4] * 4
+    k = [[0.0]] * 24
+    k[16], k[17] = [1.0], [-1.0]
+    docs = {
+        "blackbox": {"n_x": 4, "n_u": 1, "n_y": 1, "A": zeros, "B": [[1.0]] * 4,
+                     "C": [[0.0] * 4]},
+        "structure": {"n_x": 4, "n_u": 1, "n_y": 1, "n_theta": 1, "kappa0": [0.0] * 24,
+                      "K": k},
+        "result": {"theta_hat": [1e308], "T_hat": [[1e308, 1e308, 0.0, 0.0]] + zeros[1:]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):  # 1e308^2, inf - inf
+        code = run("verify", "--result", paths["result"], "--blackbox", paths["blackbox"],
+                   "--structure", paths["structure"], "--out", out)
+    assert code == 1
+    doc = json.loads(out.read_text(), parse_constant=_strict_constant)
+    assert doc["residuals"] == {"r_A": 0.0, "r_B": None, "r_C": 0.0}
+    assert doc["max_residual"] is None and doc["pass"] is False
+
+
 def test_write_report_writes_nested_non_finite_numbers_as_null(tmp_path):
     out = tmp_path / "report.json"
     cli._write_report({"a": [1.5, [float("nan"), float("inf")], -float("inf")],
@@ -816,6 +848,25 @@ def test_check_grad_fails_a_gradient_of_the_wrong_length(tmp_path, monkeypatch, 
     assert code == 1
     out = capsys.readouterr().out
     assert "max_rel_err inf" in out and "resampled 0 degenerate point(s)" in out
+
+
+def test_check_grad_fails_a_nan_derivative(tmp_path, monkeypatch, capsys):
+    # max() would drop every NaN point error after the first and pass the check
+    bb, _ = generate(tmp_path, seed=8)
+    full = lsq.CostPlan.__call__
+
+    def nan_column(self, theta, t):
+        r, jac = full(self, theta, t)
+        jac = jac.copy()
+        jac[:, -1] = np.nan
+        return r, jac
+
+    monkeypatch.setattr(lsq.CostPlan, "__call__", nan_column)
+    code = run("check-grad", "--which", "lsq-T", "--blackbox", bb,
+               "--structure", "mass-spring", "--points", 3)
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "max_rel_err nan" in out and "worst nan" in out
 
 
 @pytest.mark.parametrize("command, flag", [("verify", "--tol"), ("check-grad", "--rel-tol")])

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from graybox.model import (
     AffineStructure,
     Dims,
     StateSpace,
+    _worst,
     apply_similarity,
     eval_structure,
     generate_instance,
@@ -241,6 +245,24 @@ def test_residuals_scalar_anchor():
     assert r.r_a == pytest.approx(0.0)
     assert r.r_b == pytest.approx(2.0)
     assert r.r_c == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_worst_is_nan_when_any_value_is_nan(slot):
+    values = [0.0, 1.0, 2.0]
+    values[slot] = math.nan  # max() would drop it in slots 1 and 2
+    assert math.isnan(_worst(values))
+
+
+def test_worst_of_an_infinite_value_is_inf():
+    assert _worst((0.0, math.inf, 1.0)) == math.inf
+
+
+@pytest.mark.parametrize("values", [
+    (1e-9, 3e-9, 2e-9), (0.0, -0.0, -1.0), (-0.0, 0.0, -1.0), (5e-324, 0.0, 0.0), (-2.0, -1.0),
+])
+def test_worst_of_finite_values_is_max_bit_for_bit(values):
+    assert struct.pack("<d", _worst(values)) == struct.pack("<d", max(values))
 
 
 def test_statespace_json_round_trip():

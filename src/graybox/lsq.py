@@ -175,9 +175,13 @@ def solve_lsq(
     """Minimize ``r @ r`` of :func:`cost` over [theta; vec(T)] by Levenberg-Marquardt.
 
     Each step is corrected by geodesic acceleration from the exact second
-    derivative of :meth:`CostPlan.curvature` (see :func:`graybox.optim.lm`).  The
-    diagnostics count the residual evaluations in ``n_evals`` and the damped
-    steps, rejected ones included, in ``iterations``.
+    derivative of :meth:`CostPlan.curvature` (see :func:`graybox.optim.lm`), so
+    the run ends "converged-step" at the first rejected step whose damped
+    matrix would repeat bit for bit, where rounding rejects even the
+    undamped step.  The diagnostics count the residual evaluations in
+    ``n_evals``, the damped steps, rejected ones included, in
+    ``iterations``, and those steps by outcome in ``steps``
+    (:meth:`graybox.optim.OptimResult.steps`).
 
     Non-convergence is reported through ``result.status`` with the best point
     still returned.  The diagnostics flag ``degenerate_transform`` marks a
@@ -210,6 +214,7 @@ def solve_lsq(
         "grad_norm": result.grad_norm,
         "n_evals": result.n_evals,
         "iterations": result.iterations,
+        "steps": result.steps(),
         "residuals": res.to_dict(),
         "degenerate_transform": degenerate,
         "cond_T": 1.0 / rc if not degenerate else None,

@@ -418,7 +418,8 @@ def solve_nullspace(
 
     Non-convergence is reported through ``result.status``; a search whose
     every start lies inside the excluded region raises.  The diagnostics
-    report s0 as ``start_scale``.
+    report s0 as ``start_scale``, and each completed start's damped steps
+    by outcome as ``steps`` (:meth:`graybox.optim.OptimResult.steps`).
 
     Args:
         blackbox: the fully parameterized realization to re-structure.
@@ -455,6 +456,7 @@ def solve_nullspace(
         outcomes.append({
             "iterations": result.iterations,
             "n_evals": result.n_evals,
+            "steps": result.steps(),
             "status": result.status,
             "objective_final": result.f_best,
             "max_residual": worst,

@@ -153,6 +153,10 @@ class OptimResult:
     ``trace`` holds one ``(iteration, f, grad_inf_norm)`` entry per accepted
     iterate, starting with the initial point; the f column is non-increasing.
     ``n_evals`` counts the objective evaluations, the start point included.
+    :func:`lm` also counts its steps that were not accepted: ``n_rejected``
+    were evaluated and rejected, ``n_geodesic_rejected`` were rejected by the
+    acceleration test without an evaluation, and ``n_skipped`` repeated a
+    rejected damped matrix and were neither solved nor evaluated.
     """
 
     x_best: np.ndarray
@@ -162,6 +166,17 @@ class OptimResult:
     status: str
     n_evals: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
+    n_rejected: int = 0
+    n_geodesic_rejected: int = 0
+    n_skipped: int = 0
+
+    def steps(self) -> dict[str, int]:
+        """The damped steps of an :func:`lm` run by outcome, as a report writes them.
+
+        With the step that ended a "converged-step" run, they add up to ``iterations``.
+        """
+        return {"accepted": len(self.trace) - 1, "rejected": self.n_rejected,
+                "geodesic_rejected": self.n_geodesic_rejected, "skipped": self.n_skipped}
 
 
 def line_search_wolfe(
@@ -362,18 +377,24 @@ def lm(
     rejected and multiplies mu by nu, which then doubles.  So accepted
     iterates stay feasible.  The run stops when f is
     zero or changes by at most ``f_tol`` relative between accepted iterates
-    ("converged-ftol"); when |h_i| <= 1e-12 |x_i| for every component, or
+    ("converged-ftol"); when |h_i| <= 1e-12 |x_i| for every component,
     when the damped system is too ill-conditioned to give a step with a
-    positive predicted decrease ("converged-step"); or after ``max_iters``
+    positive predicted decrease, or, with ``rvv``, when a rejected step's
+    damped matrix would repeat ("converged-step"); or after ``max_iters``
     steps.  The step test is componentwise so that a component much smaller
     than ||x|| (a parameter next to a large transform) still converges to
     its own relative precision; any step it lets through moves x.  At the
     roundoff floor mu can fall below the ulp of diag(J'J), so that raising
     it leaves the damped matrix of a rejected step unchanged, bit for bit.
     The same matrix gives the same step, rejected again, so that step is
-    neither solved nor evaluated: it counts as a step and raises mu again.
-    So no trial point is evaluated twice.  There is no absolute gradient
-    test: the gradient 2 J'r scales with the size of x.
+    neither solved nor evaluated: without ``rvv`` it counts as a step and
+    raises mu again, so no trial point is evaluated twice.  With ``rvv``
+    the repeat ends the run "converged-step" instead: the undamped step
+    failed even with its exact second-order correction, so rounding, of f
+    at its floor or of normal equations at cond(J)^2 beyond 1/eps, is what
+    rejects it, and raising mu from there only buys more rejections.  There
+    is no absolute gradient test: the gradient 2 J'r scales with the size
+    of x.
 
     ``rvv(v)``, when given, is the second directional derivative of r along
     v, exact for a residual quadratic in x, and turns on geodesic
@@ -405,6 +426,7 @@ def lm(
     damped = np.empty(a.shape)  # a + mu I, C-ordered, rewritten in place at every step
     diagonal = damped.reshape(-1)[:: x.size + 1]  # a writeable view of its diagonal
     rejected = None  # copy of that diagonal for the last step rejected at x
+    n_rejected = n_geodesic_rejected = n_skipped = 0
     while True:
         if f == 0.0:
             status = "converged-ftol"
@@ -416,7 +438,10 @@ def lm(
         diagonal += mu
         if rejected is not None and (diagonal == rejected).all():
             # mu below the diagonal's ulp: the same matrix, so the same rejected step
-            mu, nu = mu * nu, 2.0 * nu
+            if rvv is not None:
+                status = "converged-step"
+                break
+            mu, nu, n_skipped = mu * nu, 2.0 * nu, n_skipped + 1
             continue
         try:
             h = _solve(damped, -g)
@@ -433,6 +458,7 @@ def lm(
             # the 2-norms as np.linalg.norm takes them, without its dispatch
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
                 mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
+                n_geodesic_rejected += 1
                 continue
             step = h + 0.5 * accel
         x_new = x + step
@@ -441,6 +467,7 @@ def lm(
         f_new = math.inf if r_new is None else float(r_new @ r_new)
         if not f_new < f:
             mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
+            n_rejected += 1
             continue
         rho = (f - f_new) / predicted
         f_prev = f
@@ -464,6 +491,9 @@ def lm(
         status=status,
         n_evals=n_evals,
         trace=trace,
+        n_rejected=n_rejected,
+        n_geodesic_rejected=n_geodesic_rejected,
+        n_skipped=n_skipped,
     )
 
 

@@ -65,6 +65,17 @@ def rank_deficient_structure(dims: Dims, rng: np.random.Generator) -> AffineStru
     return AffineStructure(kappa0=structure.kappa0, K=k, dims=dims)
 
 
+def perturbed(x: np.ndarray, rng: np.random.Generator, rel: float = 0.05) -> np.ndarray:
+    """``x`` plus a random direction scaled to ``rel`` times its Frobenius norm.
+
+    The warm-start error of the benchmark's ``polish`` workload: drawn from
+    ``default_rng([seed, 1])``, for theta first and then T, it rebuilds that
+    workload's init of instance ``seed``.
+    """
+    d = rng.standard_normal(x.shape)
+    return x + rel * np.linalg.norm(x) * d / np.linalg.norm(d)
+
+
 def stacked_solution(instance: Instance) -> np.ndarray:
     """Ground-truth stacked vector [vec(T); vec(TA); vec(TB); vec(C); 1]."""
     t, truth = instance.T, instance.truth

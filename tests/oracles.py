@@ -1,13 +1,17 @@
-"""Reference forms of the paper's null-space construction, for the tests only.
+"""Reference forms of the paper's null-space construction and of ``lm``, for the tests only.
 
 The solve never builds the constraint matrix: its null space has a closed
 form (``graybox.nullspace.nullspace_point``), and the search runs over
 vec(T) alone.  The dense constraint matrix, its SVD null-space basis, the
 dense closed-form map and the stacked-vector read-out live here, as the
 oracles the closed form and the solver's read-out are checked against.
+So does :func:`lm_reference`, the frozen plain form of
+``graybox.optim.lm`` that its runs are checked against bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +22,7 @@ from graybox.nullspace import (
     extract_theta,
     nullspace_point,
 )
+from graybox.optim import GEODESIC_ALPHA, OptimConfig
 
 
 class EmptyNullspaceError(RuntimeError):
@@ -107,3 +112,72 @@ def stacked_readout(blackbox: StateSpace, proj: StructureProjector,
     d = blackbox.dims
     real = extract_realization(nullspace_point(blackbox, unvec(t_vec, d.n_x, d.n_x)), d)
     return extract_theta(real.stacked(), proj), real.T
+
+
+def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True):
+    """``lm`` before it skipped a rejected step's repeat, frozen, as
+    ``(x, f, status, iterations, n_evals, trace)``.
+
+    At the roundoff floor it solves the same damped matrix again and
+    evaluates the same point.  With ``rvv`` and ``stop_on_repeat``, a damped
+    matrix equal, bit for bit, to that of the last rejected step ends the
+    run "converged-step" before it is solved; ``stop_on_repeat=False`` is
+    the run before that stop, which goes on raising mu.  Every damped
+    system is solved by ``np.linalg.solve``.
+    """
+    cfg = config if config is not None else OptimConfig()
+    x = np.asarray(x0, dtype=float).reshape(-1).copy()
+    r, jac = rj(x)
+    n_evals = 1
+    f, a, g = float(r @ r), jac.T @ jac, jac.T @ r
+    mu = 1e-6 * float(a.diagonal().max())
+    nu = 2.0
+    trace = [(0, f, 2.0 * float(np.abs(g).max()))]
+    iterations = 0
+    status = "max-iters"
+    last_rejected = None  # the damped matrix of the last step rejected at x
+    while True:
+        if f == 0.0:
+            status = "converged-ftol"
+            break
+        if iterations >= cfg.max_iters:
+            break
+        iterations += 1
+        damped = a.copy()
+        damped.flat[:: x.size + 1] += mu
+        if (rvv is not None and stop_on_repeat and last_rejected is not None
+                and np.array_equal(damped, last_rejected)):
+            status = "converged-step"
+            break
+        try:
+            h = np.linalg.solve(damped, -g)
+        except np.linalg.LinAlgError:
+            h = np.zeros_like(x)
+        predicted = float(h @ (mu * h - g))
+        if not predicted > 0.0 or (np.abs(h) <= 1e-12 * np.abs(x)).all():
+            status = "converged-step"
+            break
+        step = h
+        if rvv is not None:
+            accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
+            if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
+                mu, nu, last_rejected = mu * nu, 2.0 * nu, damped
+                continue
+            step = h + 0.5 * accel
+        r_new, j_new = rj(x + step)
+        n_evals += 1
+        f_new = math.inf if r_new is None else float(r_new @ r_new)
+        if not f_new < f:
+            mu, nu, last_rejected = mu * nu, 2.0 * nu, damped
+            continue
+        rho = (f - f_new) / predicted
+        f_prev = f
+        x, f, jac = x + step, f_new, j_new
+        a, g = jac.T @ jac, jac.T @ r_new
+        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
+        nu, last_rejected = 2.0, None
+        trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
+        if f_prev - f <= cfg.f_tol * f_prev:
+            status = "converged-ftol"
+            break
+    return x, f, status, iterations, n_evals, trace

@@ -13,6 +13,8 @@ from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eva
                            generate_instance, rcond, residuals)
 from graybox.structures import bundled_structure
 
+from helpers import perturbed
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -205,11 +207,6 @@ def test_solve_lsq_with_init_file(tmp_path):
     assert np.allclose(json.load(open(report_path))["theta_hat"], [3.0, 2.0], atol=1e-5)
 
 
-def _perturbed(x, rng, rel=0.05):
-    d = rng.standard_normal(x.shape)
-    return x + rel * np.linalg.norm(x) * d / np.linalg.norm(d)
-
-
 def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
     # mass-spring at cond 1e4 from a 5 % perturbed truth; BFGS stopped here
     # line-search-failed at a residual of 2.2e-6
@@ -218,9 +215,9 @@ def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
     _, theta = bundled_structure("mass-spring")
     rng = np.random.default_rng([seed, 1])
     init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": _perturbed(theta, rng).tolist(),
-                                "T": _perturbed(np.array(json.load(open(truth))["T"]),
-                                                rng).tolist()}))
+    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
+                                "T": perturbed(np.array(json.load(open(truth))["T"]),
+                                               rng).tolist()}))
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
                "--init", init, "--out", report_path) == 0
@@ -238,9 +235,9 @@ def test_solve_lsq_chain8_from_perturbed_init_at_cond_1e4(tmp_path):
                          seed=seed, cond_max=1e4)
     rng = np.random.default_rng([seed, 1])
     init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": _perturbed(theta, rng).tolist(),
-                                "T": _perturbed(np.array(json.load(open(truth))["T"]),
-                                                rng).tolist()}))
+    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
+                                "T": perturbed(np.array(json.load(open(truth))["T"]),
+                                               rng).tolist()}))
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "chain8",
                "--init", init, "--out", report_path) == 0
@@ -248,6 +245,9 @@ def test_solve_lsq_chain8_from_perturbed_init_at_cond_1e4(tmp_path):
     assert max(report["residuals"].values()) <= 1e-8
     diagnostics = report["diagnostics"]
     assert diagnostics["iterations"] >= diagnostics["n_evals"] - 1
+    steps = diagnostics["steps"]
+    assert diagnostics["n_evals"] == 1 + steps["accepted"] + steps["rejected"]
+    assert steps["skipped"] == 0  # with geodesic acceleration a repeat stops the run
     assert run("verify", "--result", report_path, "--blackbox", bb,
                "--structure", "chain8", "--out", tmp_path / "verify.json") == 0
 
@@ -263,9 +263,9 @@ def test_solve_lsq_polishes_a_warm_start_in_few_evaluations(tmp_path, structure,
                          theta=",".join(str(x) for x in theta), seed=seed)
     rng = np.random.default_rng([seed, 1])
     init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": _perturbed(theta, rng).tolist(),
-                                "T": _perturbed(np.array(json.load(open(truth))["T"]),
-                                                rng).tolist()}))
+    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
+                                "T": perturbed(np.array(json.load(open(truth))["T"]),
+                                               rng).tolist()}))
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", structure,
                "--init", init, "--out", report_path) == 0
@@ -332,8 +332,12 @@ def test_solve_reports_each_start_outcome(tmp_path, method):
     assert 2 <= len(outcomes) <= diagnostics["starts"]
     for outcome in outcomes:
         if outcome["status"] != "infeasible":
-            assert set(outcome) == {"iterations", "n_evals", "status", "objective_final",
-                                    "max_residual"}
+            assert set(outcome) == {"iterations", "n_evals", "steps", "status",
+                                    "objective_final", "max_residual"}
+            steps = outcome["steps"]
+            stopped = outcome["status"] == "converged-step"
+            assert sum(steps.values()) + stopped == outcome["iterations"]
+            assert outcome["n_evals"] == 1 + steps["accepted"] + steps["rejected"]
         else:
             assert outcome == {"status": "infeasible"}
     assert diagnostics["infeasible_starts"] == sum(o["status"] == "infeasible" for o in outcomes)

@@ -6,6 +6,7 @@ import graybox.optim as optim
 from graybox.lsq import (CostPlan, cost, default_init, grad_t, grad_theta, residual_matrices,
                          solve_lsq)
 from graybox.model import (
+    RESIDUAL_TOL,
     AffineStructure,
     Dims,
     StateSpace,
@@ -18,10 +19,11 @@ from graybox.model import (
 )
 from graybox.nullspace import solve_nullspace
 from graybox.optim import OptimConfig, fd_jacobian, relative_errors
-from graybox.structures import mass_spring_damper, scalar
+from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
-from helpers import (CONVERGED, dims_grid, evaluator_cases, lsq_fg, random_structure,
+from helpers import (CONVERGED, dims_grid, evaluator_cases, lsq_fg, perturbed, random_structure,
                      rank_deficient_structure)
+from oracles import lm_reference
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -273,6 +275,43 @@ def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
     assert max(res) <= 1e-8
     assert sol.diagnostics["n_evals"] == sol.result.n_evals
     assert sol.diagnostics["iterations"] == sol.result.iterations
+    assert sol.diagnostics["steps"] == sol.result.steps()
+
+
+# (structure, instance seed, whether the run ends at a repeated rejection) of
+# warm-started solves at cond 1e4; chain8 seed 2 misses the tolerance either way
+WARM_POLISH_RUNS = [("chain6", 0, True), ("chain6", 4, True), ("chain6", 9, False),
+                    ("chain8", 1, True), ("chain8", 2, True), ("chain8", 6, False)]
+
+
+@pytest.mark.parametrize("name, seed, repeats", WARM_POLISH_RUNS)
+def test_warm_polish_ends_at_its_first_repeated_rejection(name, seed, repeats):
+    structure, theta = bundled_structure(name)
+    n_theta, n_x = structure.n_theta, structure.dims.n_x
+    instance = generate_instance(structure, theta, seed=seed, cond_max=1e4)
+    rng = np.random.default_rng([seed, 1])
+    init = (perturbed(theta, rng), perturbed(instance.T, rng))
+    sol = solve_lsq(instance.blackbox, structure, init=init)
+    plan = CostPlan(instance.blackbox, structure)
+
+    def rj(z):
+        return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
+
+    # the frozen run before the stop, which raises mu through every repeat
+    x, f, status, iterations, n_evals, trace = lm_reference(
+        rj, np.concatenate([init[0], vec(init[1])]), rvv=plan.curvature, stop_on_repeat=False)
+    result = sol.result
+    if repeats:
+        assert result.status == "converged-step"
+        assert result.iterations < iterations and result.n_evals < n_evals
+        assert trace[:len(result.trace)] == result.trace
+        before = max(residuals(instance.blackbox, x[n_theta:].reshape(n_x, n_x, order="F"),
+                               eval_structure(structure, x[:n_theta])))
+        assert (max(sol.residuals) <= RESIDUAL_TOL) == (before <= RESIDUAL_TOL)
+    else:
+        assert (result.status, result.iterations, result.n_evals, result.trace) == (
+            status, iterations, n_evals, trace)
+        assert np.array_equal(result.x_best, x) and result.f_best == f
 
 
 def test_solve_from_truth_is_stationary():

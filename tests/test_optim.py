@@ -1,4 +1,3 @@
-import math
 import warnings
 from types import SimpleNamespace
 
@@ -10,7 +9,6 @@ from graybox.lsq import CostPlan, default_init
 from graybox.model import generate_instance, vec
 from graybox.nullspace import ReducedResidual, structure_projector
 from graybox.optim import (
-    GEODESIC_ALPHA,
     InfeasibleStartError,
     LineSearchError,
     OptimConfig,
@@ -22,6 +20,7 @@ from graybox.optim import (
 from graybox.structures import bundled_structure
 
 from helpers import CONVERGED
+from oracles import lm_reference
 
 
 def rosenbrock(x):
@@ -288,62 +287,6 @@ def test_lm_acceleration_rejection_costs_no_evaluation():
     assert result.iterations > result.n_evals
 
 
-def _lm_reference(rj, x0, config=None, rvv=None):
-    """``lm`` before it skipped a rejected step's repeat, frozen: at the roundoff
-    floor it solves the same damped matrix again and evaluates the same point."""
-    cfg = config if config is not None else OptimConfig()
-    x = np.asarray(x0, dtype=float).reshape(-1).copy()
-    r, jac = rj(x)
-    n_evals = 1
-    f, a, g = float(r @ r), jac.T @ jac, jac.T @ r
-    mu = 1e-6 * float(a.diagonal().max())
-    nu = 2.0
-    trace = [(0, f, 2.0 * float(np.abs(g).max()))]
-    iterations = 0
-    status = "max-iters"
-    while True:
-        if f == 0.0:
-            status = "converged-ftol"
-            break
-        if iterations >= cfg.max_iters:
-            break
-        iterations += 1
-        damped = a.copy()
-        damped.flat[:: x.size + 1] += mu
-        try:
-            h = np.linalg.solve(damped, -g)
-        except np.linalg.LinAlgError:
-            h = np.zeros_like(x)
-        predicted = float(h @ (mu * h - g))
-        if not predicted > 0.0 or (np.abs(h) <= 1e-12 * np.abs(x)).all():
-            status = "converged-step"
-            break
-        step = h
-        if rvv is not None:
-            accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
-            if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
-                mu, nu = mu * nu, 2.0 * nu
-                continue
-            step = h + 0.5 * accel
-        r_new, j_new = rj(x + step)
-        n_evals += 1
-        f_new = math.inf if r_new is None else float(r_new @ r_new)
-        if not f_new < f:
-            mu, nu = mu * nu, 2.0 * nu
-            continue
-        rho = (f - f_new) / predicted
-        f_prev = f
-        x, f, jac = x + step, f_new, j_new
-        a, g = jac.T @ jac, jac.T @ r_new
-        mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
-        nu = 2.0
-        trace.append((iterations, f, 2.0 * float(np.abs(g).max())))
-        if f_prev - f <= cfg.f_tol * f_prev:
-            status = "converged-ftol"
-            break
-    return x, f, status, iterations, n_evals, trace
-
-
 # a consistent linear system whose solution (0, 0.1) is not a float: lm
 # reaches the roundoff floor of f with mu far below the ulp of diag(J'J), and
 # the zero component keeps the step test from stopping it there
@@ -370,12 +313,50 @@ def test_lm_evaluates_no_point_twice_in_a_row(rvv):
     for seen in (points, velocities):
         assert not any(np.array_equal(p, q) for p, q in zip(seen, seen[1:]))
     assert result.n_evals == len(points)
-    # the skipped repeats change nothing else
-    x, f, status, iterations, n_evals, trace = _lm_reference(floor_rj, np.array([2.0, 2.0]),
-                                                             rvv=rvv)
+    # without rvv the skipped repeats change nothing else; with it the first repeat stops
+    x, f, status, iterations, n_evals, trace = lm_reference(floor_rj, np.array([2.0, 2.0]),
+                                                            rvv=rvv)
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert result.n_evals <= n_evals
+    if rvv is not None:
+        assert result.status == "converged-step"
+        # the run stops at an iterate the run before the stop also accepted
+        *_, old_evals, old_trace = lm_reference(floor_rj, np.array([2.0, 2.0]), rvv=rvv,
+                                                stop_on_repeat=False)
+        assert old_trace[:len(result.trace)] == result.trace
+        assert result.n_evals < old_evals
+
+
+# (residual, x0, rvv) -> the steps a run takes by outcome, its status and iterations
+LM_STEP_RUNS = {
+    "floor-no-rvv": ((floor_rj, [2.0, 2.0], None),
+                     ({"accepted": 2, "rejected": 9, "geodesic_rejected": 0, "skipped": 7},
+                      "converged-step", 19)),
+    "floor-zero-rvv": ((floor_rj, [2.0, 2.0], lambda v: np.zeros(3)),
+                       ({"accepted": 2, "rejected": 1, "geodesic_rejected": 0, "skipped": 0},
+                        "converged-step", 4)),
+    "rosenbrock-rvv": ((rosenbrock_rj, [-1.2, 1.0], rosenbrock_rvv),
+                       ({"accepted": 14, "rejected": 0, "geodesic_rejected": 15, "skipped": 0},
+                        "converged-ftol", 29)),
+    "wall": ((wall_rj, [0.0, 1.0], None),
+             ({"accepted": 27, "rejected": 55, "geodesic_rejected": 0, "skipped": 0},
+              "converged-step", 83)),
+}
+
+
+@pytest.mark.parametrize("run, expected", LM_STEP_RUNS.values(), ids=LM_STEP_RUNS.keys())
+def test_lm_counts_each_step_by_outcome(run, expected):
+    rj, x0, rvv = run
+    calls = []
+    result = lm(lambda x: calls.append(1) or rj(x), np.array(x0), rvv=rvv)
+    steps = result.steps()
+    assert (steps, result.status, result.iterations) == expected
+    assert steps["accepted"] == len(result.trace) - 1
+    # the start and every accepted or rejected step is one evaluation; nothing else is
+    assert result.n_evals == len(calls) == 1 + steps["accepted"] + steps["rejected"]
+    # every step has one outcome, and a "converged-step" stop is one step more
+    assert sum(steps.values()) + (result.status == "converged-step") == result.iterations
 
 
 def _reference_problems():
@@ -411,10 +392,19 @@ def _reference_problems():
 def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv):
     # the reference solves every damped system by np.linalg.solve
     result = lm(rj, x0, rvv=rvv)
-    x, f, status, iterations, n_evals, trace = _lm_reference(rj, x0, rvv=rvv)
+    x, f, status, iterations, n_evals, trace = lm_reference(rj, x0, rvv=rvv)
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert result.n_evals <= n_evals
+    steps = result.steps()
+    assert sum(steps.values()) + (result.status == "converged-step") == result.iterations
+    if rvv is None:
+        assert steps["geodesic_rejected"] == 0
+    else:
+        assert steps["skipped"] == 0
+        # a stop at a repeated rejection cuts the run before that stop short, nothing else
+        old_trace = lm_reference(rj, x0, rvv=rvv, stop_on_repeat=False)[-1]
+        assert old_trace[:len(result.trace)] == result.trace
 
 
 # (solve, inv) as bound from numpy's gufuncs, and the np.linalg fallback

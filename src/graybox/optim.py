@@ -9,7 +9,11 @@ Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
 ``rj(x) -> (r, J)``; ``(None, None)`` marks an infeasible point, and a step
 onto one is rejected like a step that raises the objective.  An optional
 second callable gives the residual's second directional derivative, for
-geodesic acceleration.
+geodesic acceleration; with it, each damped matrix is factored once, by
+the ``dgesv`` of the LAPACK bundled with numpy, and the acceleration reuses
+those factors through ``dgetrs``.  The results are the bits of two
+``np.linalg.solve`` calls, and where that library is not found they are
+two such calls.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -19,8 +23,11 @@ its Jacobian.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,6 +101,101 @@ except ImportError:
     _umath_linalg = None
 # the damped solves of lm and the inverse of T in the null-space evaluator
 _solve, _inv = _lapack_pair(_umath_linalg)
+
+
+def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, type] | None:
+    """``(dgesv, dgetrs, index)`` from the LAPACK inside numpy's own install, or None.
+
+    numpy's wheels bundle scipy-openblas (in ``numpy.libs/`` or
+    ``numpy/.dylibs/``), and ``np.linalg.solve`` calls its ``dgesv``; the
+    symbols carry the ``scipy_`` prefix and, with 64-bit LAPACK integers
+    (``_umath_linalg._ilp64``), the ``_64_`` suffix.  ``index`` is the numpy
+    integer type of that width.  None where the module, the library or
+    either symbol is not found.
+    """
+    ilp64 = getattr(gufuncs, "_ilp64", None)
+    if ilp64 is None:
+        return None
+    root = os.path.dirname(np.__file__)
+    suffix = "_64_" if ilp64 else "_"
+    for pattern in (os.path.join(os.path.dirname(root), "numpy.libs", "*openblas*"),
+                    os.path.join(root, ".dylibs", "*openblas*")):
+        for path in sorted(glob.glob(pattern)):
+            try:
+                library = ctypes.CDLL(path)
+                routines = (getattr(library, "scipy_dgesv" + suffix),
+                            getattr(library, "scipy_dgetrs" + suffix))
+            except (OSError, AttributeError):
+                continue
+            # every argument is a pointer: dgetrs takes TRANS, then dgesv's eight
+            for routine, n_args in zip(routines, (8, 9)):
+                routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
+            return (*routines, np.int64 if ilp64 else np.int32)
+    return None
+
+
+def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable:
+    """``factor(n) -> (solve, resolve)``: two solves with one damped matrix.
+
+    ``solve(a, b)`` returns ``np.linalg.solve(a, b)``, bit for bit, with its
+    ``LinAlgError`` on an exactly singular ``a``; ``resolve(b)`` then solves
+    with the same ``a``.  With ``lapack`` from :func:`_bundled_lapack`,
+    ``solve`` runs ``dgesv`` on an F-ordered copy of ``a``, as numpy's
+    gufunc does, and ``resolve`` runs ``dgetrs`` on the LU factors and pivots
+    it left behind, which gives the bits of factoring ``a`` again.
+    (``dgetrf`` in place of ``dgesv`` does not: with two OpenBLAS threads
+    its results differ from numpy's in the last bits at n = 100-149.)  The
+    buffers and the raw pointers to them are built once per ``factor`` call,
+    since setting up the ctypes arguments on every solve costs more than
+    the second factorization saves.  Without ``lapack``, both are
+    ``_solve`` calls on ``a``, which must not change before ``resolve``.
+    The arguments are trusted: square float64 matrices of order ``n``, and
+    matching vectors.
+    """
+    if lapack is None:
+        def refactoring(n: int) -> tuple[Callable, Callable]:
+            held = []
+
+            def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+                held[:] = [a]
+                return _solve(a, b)
+
+            return solve, lambda b: _solve(held[0], b)
+
+        return refactoring
+    dgesv, dgetrs, index = lapack
+
+    def factor(n: int) -> tuple[Callable, Callable]:
+        lu = np.empty((n, n), order="F")
+        rhs = np.empty(n)
+        pivots = np.empty(n, dtype=index)
+        order, nrhs, lead, info = (np.array([v], dtype=index) for v in (n, 1, max(n, 1), 0))
+        # each pointer keeps its array alive
+        order_p, nrhs_p, lead_p, info_p, lu_p, rhs_p, pivots_p = (
+            v.ctypes.data_as(ctypes.c_void_p) for v in (order, nrhs, lead, info, lu, rhs, pivots))
+        gesv_args = (order_p, nrhs_p, lu_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
+        getrs_args = (ctypes.c_char_p(b"N"), *gesv_args)
+
+        def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            lu[...] = a
+            rhs[...] = b
+            dgesv(*gesv_args)
+            if info[0] > 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return rhs.copy()
+
+        def resolve(b: np.ndarray) -> np.ndarray:
+            rhs[...] = b
+            dgetrs(*getrs_args)
+            return rhs.copy()
+
+        return solve, resolve
+
+    return factor
+
+
+# lm's two solves per step with geodesic acceleration, one factorization apart
+_factor = _factored_solver(_bundled_lapack(_umath_linalg))
 
 
 class LineSearchError(RuntimeError):
@@ -356,12 +458,17 @@ def lm(
 ) -> OptimResult:
     """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
 
-    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r.  Every damped
-    system goes straight to numpy's LAPACK gufunc (``_lapack_pair``), with
-    the bits and the ``LinAlgError`` of ``np.linalg.solve``; an exactly
-    singular one gives the zero step.  The damped matrix is one buffer for
-    the whole run, rewritten at each step through a view of its diagonal,
-    and the diagonal is copied only when a step is rejected.  The damping
+    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r, with the
+    bits and the ``LinAlgError`` of ``np.linalg.solve``; an exactly singular
+    system gives the zero step.  Without ``rvv`` each damped system goes
+    straight to numpy's LAPACK gufunc (``_lapack_pair``).  With ``rvv`` the
+    step's two systems share one matrix, which is factored once by the
+    per-run solver of ``_factored_solver``: ``dgesv`` for h, ``dgetrs`` on
+    its LU factors for the acceleration, or two gufunc solves where numpy's
+    bundled LAPACK is not found; both give the same bits.  The damped
+    matrix is one buffer for the whole run, rewritten at each step through
+    a view of its diagonal, and the diagonal is copied only when a step is
+    rejected; the solves never write to it.  The damping
     shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
     the rate of convergence of the Levenberg-Marquardt method*, Computing
     Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
@@ -427,6 +534,8 @@ def lm(
     diagonal = damped.reshape(-1)[:: x.size + 1]  # a writeable view of its diagonal
     rejected = None  # copy of that diagonal for the last step rejected at x
     n_rejected = n_geodesic_rejected = n_skipped = 0
+    # with rvv, both solves of a step share one factorization of damped
+    solve, resolve = (_solve, None) if rvv is None else _factor(x.size)
     while True:
         if f == 0.0:
             status = "converged-ftol"
@@ -444,7 +553,7 @@ def lm(
             mu, nu, n_skipped = mu * nu, 2.0 * nu, n_skipped + 1
             continue
         try:
-            h = _solve(damped, -g)
+            h = solve(damped, -g)
         except np.linalg.LinAlgError:
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
@@ -454,7 +563,7 @@ def lm(
             break
         step = h
         if rvv is not None:
-            accel = _solve(damped, -(jac.T @ rvv(h)))
+            accel = resolve(-(jac.T @ rvv(h)))
             # the 2-norms as np.linalg.norm takes them, without its dispatch
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
                 mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()

@@ -190,12 +190,18 @@ def test_lm_zero_residual_stops_at_once():
     assert (result.iterations, result.n_evals) == (0, 1)
 
 
-def test_lm_singular_damped_system_stops():
+def test_lm_singular_damped_system_stops(rvv=None):
     # J = 0 with r != 0: the damping starts at 0 and the damped system is singular
-    result = lm(lambda x: (np.array([1.0]), np.zeros((1, 2))), np.ones(2))
+    result = lm(lambda x: (np.array([1.0]), np.zeros((1, 2))), np.ones(2), rvv=rvv)
     assert result.status == "converged-step"
     assert (result.n_evals, result.f_best) == (1, 1.0)
     assert np.array_equal(result.x_best, np.ones(2))
+
+
+def test_lm_singular_damped_system_stops_with_zero_rvv():
+    # with rvv the per-run solver factors the damped matrix, and its LinAlgError
+    # gives the zero step too
+    test_lm_singular_damped_system_stops(rvv=lambda v: np.zeros(1))
 
 
 def test_lm_infeasible_region_never_accepted():
@@ -407,6 +413,16 @@ def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj,
         assert old_trace[:len(result.trace)] == result.trace
 
 
+@pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
+                                          for name, *problem in _reference_problems()
+                                          if problem[-1] is not None])
+def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_reference(
+        rj, x0, rvv, monkeypatch):
+    # the lsq problems once more, each step's two solves each factoring the damped matrix
+    monkeypatch.setattr(optim, "_factor", optim._factored_solver(None))
+    test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv)
+
+
 # (solve, inv) as bound from numpy's gufuncs, and the np.linalg fallback
 LAPACK_PAIRS = {
     "gufuncs": optim._lapack_pair(optim._umath_linalg),
@@ -444,14 +460,18 @@ def test_lapack_pair_gives_np_linalg_bits(pair):
             assert np.array_equal(inv(a), np.linalg.inv(a))
 
 
+# exactly singular matrices, on which every solve must raise LinAlgError
+SINGULAR = {
+    "zero1": np.zeros((1, 1)),
+    "zero3": np.zeros((3, 3)),
+    "ones2": np.ones((2, 2)),
+    "ones9": np.ones((9, 9)),
+    "rank1": np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+}
+
+
 @pytest.mark.parametrize("pair", LAPACK_PAIRS.values(), ids=LAPACK_PAIRS.keys())
-@pytest.mark.parametrize("a", [
-    np.zeros((1, 1)),
-    np.zeros((3, 3)),
-    np.ones((2, 2)),
-    np.ones((9, 9)),
-    np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
-], ids=["zero1", "zero3", "ones2", "ones9", "rank1"])
+@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
 def test_lapack_pair_raises_on_an_exactly_singular_matrix(pair, a):
     solve, inv = pair
     with warnings.catch_warnings():
@@ -463,6 +483,86 @@ def test_lapack_pair_raises_on_an_exactly_singular_matrix(pair, a):
         # and on an F-ordered copy of the same matrix
         with pytest.raises(np.linalg.LinAlgError):
             inv(np.asfortranarray(a))
+
+
+BUNDLED = optim._bundled_lapack(optim._umath_linalg)
+# the per-run solver on numpy's bundled dgesv and dgetrs, and the fallback's two solves
+FACTORED = [
+    pytest.param(BUNDLED, id="bundled", marks=pytest.mark.skipif(
+        BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")),
+    pytest.param(None, id="fallback"),
+]
+
+
+def test_bundled_lapack_is_none_without_the_library_or_the_module(monkeypatch):
+    assert optim._bundled_lapack(None) is None
+    assert optim._bundled_lapack(SimpleNamespace()) is None
+    monkeypatch.setattr(optim.glob, "glob", lambda pattern: [])
+    assert optim._bundled_lapack(optim._umath_linalg) is None
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+def test_factored_solver_gives_np_linalg_bits(lapack):
+    # n = 100..150 is where dgetrf + dgetrs, unlike dgesv, left numpy's bits
+    # with two OpenBLAS threads
+    rng = np.random.default_rng(57)
+    systems = list(_square_systems(rng))
+    systems += [(rng.standard_normal((n, n)), rng.standard_normal(n)) for n in range(100, 151)]
+    factor = optim._factored_solver(lapack)
+    solvers = {}  # one per order, reused as lm reuses its own for a whole run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in systems:
+            solve, resolve = solvers.setdefault(len(a), factor(len(a)))
+            second = rng.standard_normal(len(a))
+            a_before = a.copy()
+            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+            assert np.array_equal(resolve(second), np.linalg.solve(a, second))
+            assert np.array_equal(a, a_before)
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
+def test_factored_solver_raises_on_an_exactly_singular_matrix(lapack, a):
+    solve, _ = optim._factored_solver(lapack)(len(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(a, np.ones(len(a)))
+        # and on an F-ordered copy of the same matrix
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.asfortranarray(a), np.ones(len(a)))
+
+
+@pytest.mark.skipif(BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")
+@pytest.mark.parametrize("run", LM_STEP_RUNS.values(), ids=LM_STEP_RUNS.keys())
+def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
+    (rj, x0, rvv), (expected_steps, *_) = run
+    calls = []  # lm's solves by name, through wrappers that log each call
+
+    def logged(name, routine):
+        def call(*args):
+            calls.append(name)
+            return routine(*args)
+        return call
+
+    dgesv, dgetrs, index = BUNDLED
+    monkeypatch.setattr(optim, "_factor", optim._factored_solver(
+        (logged("dgesv", dgesv), logged("dgetrs", dgetrs), index)))
+    monkeypatch.setattr(optim, "_solve", logged("_solve", optim._solve))
+    result = lm(rj, np.array(x0), rvv=rvv)
+    steps = result.steps()
+    assert steps == expected_steps
+    if rvv is None:
+        # one gufunc solve per step that was not skipped, as before
+        assert calls == ["_solve"] * (result.iterations - steps["skipped"])
+        return
+    # every step that got an acceleration made one dgesv, then one dgetrs on its factors
+    reached = steps["accepted"] + steps["rejected"] + steps["geodesic_rejected"]
+    assert calls[:2 * reached] == ["dgesv", "dgetrs"] * reached
+    # and a "converged-step" stop makes at most one more dgesv, for its velocity alone
+    assert calls[2 * reached:] in ([], ["dgesv"])
+    assert len(calls) == 2 * reached or result.status == "converged-step"
 
 
 def test_line_search_quadratic_unit_step():

@@ -83,9 +83,26 @@ def _count(data: dict, key: str) -> int:
     return int(value)
 
 
+def _holds_bool(value) -> bool:
+    """Whether ``value``, or an entry at any depth of its nested lists, is a bool."""
+    level = [value]
+    while level:
+        nested = []
+        for entry in level:
+            if type(entry) is list:
+                nested.extend(entry)
+            elif type(entry) is bool:
+                return True
+        level = nested
+    return False
+
+
 # Every array read from outside passes _as_matrix or _as_vector; each error names it ``name``.
 def _floats(value, name: str) -> np.ndarray:
     try:
+        # a JSON boolean among numbers, which np.asarray would already have made a number
+        if _holds_bool(value):
+            raise TypeError("got a boolean")
         array = np.asarray(value)
         if array.dtype.kind in "USb":  # strings or booleans, which astype would cast
             raise TypeError(f"got an array of {array.dtype}")

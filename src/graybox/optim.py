@@ -10,10 +10,11 @@ Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
 onto one is rejected like a step that raises the objective.  An optional
 second callable gives the residual's second directional derivative, for
 geodesic acceleration; with it, each damped matrix is factored once, by
-the ``dgesv`` of the LAPACK bundled with numpy, and the acceleration reuses
-those factors through ``dgetrs``.  The results are the bits of two
-``np.linalg.solve`` calls, and where that library is not found they are
-two such calls.
+the Cholesky ``dposv`` of the LAPACK bundled with numpy, and the
+acceleration reuses that factor through ``dpotrs``.  A damped matrix that
+is not numerically positive definite falls back to LU, ``dgesv`` and
+``dgetrs``, with the bits of two ``np.linalg.solve`` calls; where that
+library is not found, every step makes two such calls.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -103,15 +104,15 @@ except ImportError:
 _solve, _inv = _lapack_pair(_umath_linalg)
 
 
-def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, type] | None:
-    """``(dgesv, dgetrs, index)`` from the LAPACK inside numpy's own install, or None.
+def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, Callable, Callable, type] | None:
+    """``(dgesv, dgetrs, dposv, dpotrs, index)`` from the LAPACK inside numpy's own install.
 
     numpy's wheels bundle scipy-openblas (in ``numpy.libs/`` or
     ``numpy/.dylibs/``), and ``np.linalg.solve`` calls its ``dgesv``; the
     symbols carry the ``scipy_`` prefix and, with 64-bit LAPACK integers
     (``_umath_linalg._ilp64``), the ``_64_`` suffix.  ``index`` is the numpy
-    integer type of that width.  None where the module, the library or
-    either symbol is not found.
+    integer type of that width.  None where the module, the library or any
+    of the four symbols is not found.
     """
     ilp64 = getattr(gufuncs, "_ilp64", None)
     if ilp64 is None:
@@ -123,34 +124,39 @@ def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, type] | None:
         for path in sorted(glob.glob(pattern)):
             try:
                 library = ctypes.CDLL(path)
-                routines = (getattr(library, "scipy_dgesv" + suffix),
-                            getattr(library, "scipy_dgetrs" + suffix))
+                routines = tuple(getattr(library, f"scipy_{name}{suffix}")
+                                 for name in ("dgesv", "dgetrs", "dposv", "dpotrs"))
             except (OSError, AttributeError):
                 continue
-            # every argument is a pointer: dgetrs takes TRANS, then dgesv's eight
-            for routine, n_args in zip(routines, (8, 9)):
+            # every argument is a pointer: dgetrs takes TRANS, then dgesv's eight;
+            # dposv and dpotrs take the same eight, UPLO first and no pivots
+            for routine, n_args in zip(routines, (8, 9, 8, 8)):
                 routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
             return (*routines, np.int64 if ilp64 else np.int32)
     return None
 
 
-def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable:
-    """``factor(n) -> (solve, resolve)``: two solves with one damped matrix.
+def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type] | None
+                     ) -> Callable:
+    """``factor(n) -> (solve, resolve)``: two solves with one symmetric damped matrix.
 
-    ``solve(a, b)`` returns ``np.linalg.solve(a, b)``, bit for bit, with its
+    ``solve(a, b)`` solves ``a x = b``, with ``np.linalg.solve``'s
     ``LinAlgError`` on an exactly singular ``a``; ``resolve(b)`` then solves
     with the same ``a``.  With ``lapack`` from :func:`_bundled_lapack`,
-    ``solve`` runs ``dgesv`` on an F-ordered copy of ``a``, as numpy's
-    gufunc does, and ``resolve`` runs ``dgetrs`` on the LU factors and pivots
-    it left behind, which gives the bits of factoring ``a`` again.
-    (``dgetrf`` in place of ``dgesv`` does not: with two OpenBLAS threads
-    its results differ from numpy's in the last bits at n = 100-149.)  The
-    buffers and the raw pointers to them are built once per ``factor`` call,
-    since setting up the ctypes arguments on every solve costs more than
-    the second factorization saves.  Without ``lapack``, both are
-    ``_solve`` calls on ``a``, which must not change before ``resolve``.
-    The arguments are trusted: square float64 matrices of order ``n``, and
-    matching vectors.
+    ``solve`` runs ``dposv`` (Cholesky, lower triangle) on an F-ordered copy
+    of ``a``, and ``resolve`` runs ``dpotrs`` on the factor it left, which
+    gives the bits of factoring ``a`` again.  Where ``dpotrf`` finds ``a``
+    not numerically positive definite, ``solve`` copies ``a`` again and runs
+    ``dgesv``, as numpy's gufunc does, so that step has
+    ``np.linalg.solve``'s bits, and ``resolve`` runs ``dgetrs`` on the LU
+    factors and pivots.  (``dgetrf`` in place of ``dgesv`` would not: with
+    two OpenBLAS threads its results differ from numpy's in the last bits at
+    n = 100-149.)  The buffers and the raw pointers to them are built once
+    per ``factor`` call, since setting up the ctypes arguments on every
+    solve costs more than the second factorization saves.  Without
+    ``lapack``, both are ``_solve`` calls on ``a``, which must not change
+    before ``resolve``.  The arguments are trusted: symmetric float64
+    matrices of order ``n``, and matching vectors.
     """
     if lapack is None:
         def refactoring(n: int) -> tuple[Callable, Callable]:
@@ -163,30 +169,42 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
             return solve, lambda b: _solve(held[0], b)
 
         return refactoring
-    dgesv, dgetrs, index = lapack
+    dgesv, dgetrs, dposv, dpotrs, index = lapack
 
     def factor(n: int) -> tuple[Callable, Callable]:
-        lu = np.empty((n, n), order="F")
+        factors = np.empty((n, n), order="F")
         rhs = np.empty(n)
         pivots = np.empty(n, dtype=index)
         order, nrhs, lead, info = (np.array([v], dtype=index) for v in (n, 1, max(n, 1), 0))
         # each pointer keeps its array alive
-        order_p, nrhs_p, lead_p, info_p, lu_p, rhs_p, pivots_p = (
-            v.ctypes.data_as(ctypes.c_void_p) for v in (order, nrhs, lead, info, lu, rhs, pivots))
-        gesv_args = (order_p, nrhs_p, lu_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
-        getrs_args = (ctypes.c_char_p(b"N"), *gesv_args)
+        order_p, nrhs_p, lead_p, info_p, factors_p, rhs_p, pivots_p = (
+            v.ctypes.data_as(ctypes.c_void_p)
+            for v in (order, nrhs, lead, info, factors, rhs, pivots))
+        posv_args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, factors_p, lead_p, rhs_p, lead_p,
+                     info_p)
+        gesv_args = (order_p, nrhs_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
+        cholesky, lu = (dpotrs, posv_args), (dgetrs, (ctypes.c_char_p(b"N"), *gesv_args))
+        last = cholesky  # the routine that reuses the factors the last solve left
 
         def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            lu[...] = a
+            nonlocal last
+            factors[...] = a
             rhs[...] = b
-            dgesv(*gesv_args)
-            if info[0] > 0:
-                raise np.linalg.LinAlgError("Singular matrix")
+            dposv(*posv_args)
+            last = cholesky
+            if info[0] > 0:  # a leading minor is not positive definite
+                factors[...] = a
+                rhs[...] = b
+                dgesv(*gesv_args)
+                if info[0] > 0:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                last = lu
             return rhs.copy()
 
         def resolve(b: np.ndarray) -> np.ndarray:
             rhs[...] = b
-            dgetrs(*getrs_args)
+            routine, args = last
+            routine(*args)
             return rhs.copy()
 
         return solve, resolve
@@ -229,6 +247,8 @@ class OptimConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.f_tol, numbers.Real) or isinstance(self.f_tol, bool):
+            raise ValueError(f"f_tol must be a number, got {self.f_tol!r}")
         if not 0.0 < self.f_tol < math.inf:
             raise ValueError("f_tol must be positive and finite")
         if self.max_iters < 1:
@@ -458,14 +478,15 @@ def lm(
 ) -> OptimResult:
     """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
 
-    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r, with the
-    bits and the ``LinAlgError`` of ``np.linalg.solve``; an exactly singular
-    system gives the zero step.  Without ``rvv`` each damped system goes
-    straight to numpy's LAPACK gufunc (``_lapack_pair``).  With ``rvv`` the
+    Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
+    singular system raises ``LinAlgError`` and gives the zero step.  Without
+    ``rvv`` each damped system goes straight to numpy's LAPACK gufunc
+    (``_lapack_pair``), with ``np.linalg.solve``'s bits.  With ``rvv`` the
     step's two systems share one matrix, which is factored once by the
-    per-run solver of ``_factored_solver``: ``dgesv`` for h, ``dgetrs`` on
-    its LU factors for the acceleration, or two gufunc solves where numpy's
-    bundled LAPACK is not found; both give the same bits.  The damped
+    per-run solver of ``_factored_solver``: Cholesky, ``dposv`` for h and
+    ``dpotrs`` on its factor for the acceleration; LU, ``dgesv`` and
+    ``dgetrs``, where the matrix is not numerically positive definite; or
+    two gufunc solves where numpy's bundled LAPACK is not found.  The damped
     matrix is one buffer for the whole run, rewritten at each step through
     a view of its diagonal, and the diagonal is copied only when a step is
     rejected; the solves never write to it.  The damping

@@ -6,7 +6,8 @@ vec(T) alone.  The dense constraint matrix, its SVD null-space basis, the
 dense closed-form map and the stacked-vector read-out live here, as the
 oracles the closed form and the solver's read-out are checked against.
 So does :func:`lm_reference`, the frozen plain form of
-``graybox.optim.lm`` that its runs are checked against bit for bit.
+``graybox.optim.lm`` that its runs are checked against bit for bit, with
+the damped solver :func:`lm_solver` names.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from graybox import optim
 from graybox.model import StateSpace, unvec, vec
 from graybox.nullspace import (
     StructureProjector,
@@ -114,7 +116,17 @@ def stacked_readout(blackbox: StateSpace, proj: StructureProjector,
     return extract_theta(real.stacked(), proj), real.T
 
 
-def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True):
+def lm_solver(rvv):
+    """``solve(a, b)`` with the bits of ``lm``'s damped solves: ``np.linalg.solve``
+    without ``rvv``; with it, ``optim._factor``'s per-run solver, factoring ``a``
+    afresh, which gives the bits of a ``resolve`` on the factors ``a`` left.
+    """
+    if rvv is None:
+        return np.linalg.solve
+    return lambda a, b: optim._factor(len(a))[0](a, b)
+
+
+def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True, solve=np.linalg.solve):
     """``lm`` before it skipped a rejected step's repeat, frozen, as
     ``(x, f, status, iterations, n_evals, trace)``.
 
@@ -123,7 +135,8 @@ def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True):
     matrix equal, bit for bit, to that of the last rejected step ends the
     run "converged-step" before it is solved; ``stop_on_repeat=False`` is
     the run before that stop, which goes on raising mu.  Every damped
-    system is solved by ``np.linalg.solve``.
+    system, the velocity's and the acceleration's alike, is solved by a
+    fresh ``solve(a, b)`` call; ``lm_solver(rvv)`` gives ``lm``'s bits.
     """
     cfg = config if config is not None else OptimConfig()
     x = np.asarray(x0, dtype=float).reshape(-1).copy()
@@ -150,7 +163,7 @@ def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True):
             status = "converged-step"
             break
         try:
-            h = np.linalg.solve(damped, -g)
+            h = solve(damped, -g)
         except np.linalg.LinAlgError:
             h = np.zeros_like(x)
         predicted = float(h @ (mu * h - g))
@@ -159,7 +172,7 @@ def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True):
             break
         step = h
         if rvv is not None:
-            accel = np.linalg.solve(damped, -(jac.T @ rvv(h)))
+            accel = solve(damped, -(jac.T @ rvv(h)))
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
                 mu, nu, last_rejected = mu * nu, 2.0 * nu, damped
                 continue

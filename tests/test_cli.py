@@ -491,6 +491,15 @@ I2, I3 = np.eye(2).tolist(), np.eye(3).tolist()
     ("--truth", {"theta": ["4", True, 1]}, "theta must hold numbers only"),
     ("--result", {"theta_hat": [True, True, True], "T_hat": I2},
      "theta_hat must hold numbers only"),
+    # and so is a boolean mixed with numbers, which numpy would read as 1 or 0
+    ("--truth", {"theta": [True, 0.5, 1]}, "theta must hold numbers only: got a boolean"),
+    ("--init", {"theta": [4.0, 0.5, 1.0], "T": [[1.0, False], [0.0, 1.0]]},
+     "T must hold numbers only: got a boolean"),
+    ("--blackbox", {**MASS_SPRING_BLACKBOX, "A": [[0, True], [-4, -0.5]]},
+     "A must hold numbers only: got a boolean"),
+    ("--structure", {**MASS_SPRING_STRUCTURE,
+                     "K": [[True, 0, 0]] + MASS_SPRING_STRUCTURE["K"][1:]},
+     "K must hold numbers only: got a boolean"),
 ])
 def test_malformed_array_names_its_file_and_key(tmp_path, capsys, option, doc, message):
     bb, _ = generate(tmp_path, seed=4)
@@ -501,7 +510,7 @@ def test_malformed_array_names_its_file_and_key(tmp_path, capsys, option, doc, m
     report_path = tmp_path / "report.json"
     code = run(*command, *(x for pair in files.items() for x in pair), "--out", report_path)
     assert code == 2
-    kind = option.removeprefix("--")
+    kind = option.removeprefix("--").replace("blackbox", "black-box")
     assert f"error: {kind} file {bad}: {message}" in capsys.readouterr().err
     assert not report_path.exists()
 
@@ -537,6 +546,7 @@ def test_library_solve_rejects_bad_input(method, init, message):
     {"max_iters": True},
     {"grad_tol": float("nan")},
     {"f_tol": float("inf")},
+    {"f_tol": True},
     {"max_iters": float("inf")},
 ])
 def test_solve_bad_config_exits_2(tmp_path, capsys, options):

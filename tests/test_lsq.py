@@ -23,7 +23,7 @@ from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
 from helpers import (CONVERGED, dims_grid, evaluator_cases, lsq_fg, perturbed, random_structure,
                      rank_deficient_structure)
-from oracles import lm_reference
+from oracles import lm_reference, lm_solver
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 
@@ -280,8 +280,9 @@ def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
 
 # (structure, instance seed, whether the run ends at a repeated rejection) of
 # warm-started solves at cond 1e4; chain8 seed 2 misses the tolerance either way
-WARM_POLISH_RUNS = [("chain6", 0, True), ("chain6", 4, True), ("chain6", 9, False),
-                    ("chain8", 1, True), ("chain8", 2, True), ("chain8", 6, False)]
+WARM_POLISH_RUNS = [("chain6", 0, True), ("chain6", 4, True), ("chain6", 9, True),
+                    ("chain6", 11, False), ("chain8", 1, True), ("chain8", 2, True),
+                    ("chain8", 6, False)]
 
 
 @pytest.mark.parametrize("name, seed, repeats", WARM_POLISH_RUNS)
@@ -299,7 +300,8 @@ def test_warm_polish_ends_at_its_first_repeated_rejection(name, seed, repeats):
 
     # the frozen run before the stop, which raises mu through every repeat
     x, f, status, iterations, n_evals, trace = lm_reference(
-        rj, np.concatenate([init[0], vec(init[1])]), rvv=plan.curvature, stop_on_repeat=False)
+        rj, np.concatenate([init[0], vec(init[1])]), rvv=plan.curvature, stop_on_repeat=False,
+        solve=lm_solver(plan.curvature))
     result = sol.result
     if repeats:
         assert result.status == "converged-step"

@@ -20,7 +20,7 @@ from graybox.optim import (
 from graybox.structures import bundled_structure
 
 from helpers import CONVERGED
-from oracles import lm_reference
+from oracles import lm_reference, lm_solver
 
 
 def rosenbrock(x):
@@ -75,6 +75,10 @@ LINEAR_B = np.array([1.0, -2.0, 0.5])
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
         OptimConfig(f_tol=0.0)
+    # a bool is refused, not read as 1, and so is a string
+    for value in (True, "1e-9"):
+        with pytest.raises(ValueError, match="f_tol must be a number"):
+            OptimConfig(f_tol=value)
     with pytest.raises(ValueError, match="unknown"):
         OptimConfig.from_dict({"graad_tol": 1e-9})
 
@@ -252,16 +256,21 @@ LM_REFERENCE_RUNS = [
 @pytest.mark.parametrize("run, expected", LM_REFERENCE_RUNS)
 def test_lm_without_rvv_is_bit_identical_to_plain_lm(run, expected):
     rj, x0, max_iters = run
-    result = lm(rj, np.array(x0), OptimConfig(max_iters=max_iters))
+    config = OptimConfig(max_iters=max_iters)
+    result = lm(rj, np.array(x0), config)
     got = (result.status, result.iterations, result.n_evals,
            [float(v).hex() for v in result.x_best], float(result.f_best).hex())
     assert got == expected
-    # a zero second derivative gives a zero acceleration, so the same run
-    with_zero = lm(rj, np.array(x0), OptimConfig(max_iters=max_iters),
-                   rvv=lambda v: np.zeros(len(rj(np.array(x0))[0])))
-    assert with_zero.trace == result.trace
-    assert np.array_equal(with_zero.x_best, result.x_best)
-    assert (with_zero.iterations, with_zero.n_evals) == (result.iterations, result.n_evals)
+    # a zero second derivative gives a zero acceleration, so the same steps; their
+    # damped systems are solved as with any rvv, so the bits are the plain run's
+    # with that solver
+    zero = lambda v: np.zeros(len(rj(np.array(x0))[0]))
+    with_zero = lm(rj, np.array(x0), config, rvv=zero)
+    assert (with_zero.status, with_zero.iterations, with_zero.n_evals) == (
+        result.status, result.iterations, result.n_evals)
+    x, f, *_, trace = lm_reference(rj, np.array(x0), config, rvv=zero, solve=lm_solver(zero))
+    assert with_zero.trace == trace and with_zero.f_best == f
+    assert np.array_equal(with_zero.x_best, x)
 
 
 @pytest.mark.parametrize("x0", [(-1.2, 1.0), (-3.0, -4.0), (2.0, 5.0)])
@@ -321,7 +330,7 @@ def test_lm_evaluates_no_point_twice_in_a_row(rvv):
     assert result.n_evals == len(points)
     # without rvv the skipped repeats change nothing else; with it the first repeat stops
     x, f, status, iterations, n_evals, trace = lm_reference(floor_rj, np.array([2.0, 2.0]),
-                                                            rvv=rvv)
+                                                            rvv=rvv, solve=lm_solver(rvv))
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert result.n_evals <= n_evals
@@ -329,9 +338,19 @@ def test_lm_evaluates_no_point_twice_in_a_row(rvv):
         assert result.status == "converged-step"
         # the run stops at an iterate the run before the stop also accepted
         *_, old_evals, old_trace = lm_reference(floor_rj, np.array([2.0, 2.0]), rvv=rvv,
-                                                stop_on_repeat=False)
+                                                stop_on_repeat=False, solve=lm_solver(rvv))
         assert old_trace[:len(result.trace)] == result.trace
         assert result.n_evals < old_evals
+
+
+# nearly rank one: once mu is below the ulp of diag(J'J), the damped matrix is
+# not numerically positive definite, and singular
+RANK1_A = np.array([[1.0, 1.0], [2.0, 2.0 + 1e-8], [3.0, 3.0]])
+RANK1_B = RANK1_A @ np.array([0.0, 0.1])
+
+
+def rank1_rj(x):
+    return RANK1_A @ x - RANK1_B, RANK1_A
 
 
 # (residual, x0, rvv) -> the steps a run takes by outcome, its status and iterations
@@ -348,6 +367,9 @@ LM_STEP_RUNS = {
     "wall": ((wall_rj, [0.0, 1.0], None),
              ({"accepted": 27, "rejected": 55, "geodesic_rejected": 0, "skipped": 0},
               "converged-step", 83)),
+    "rank1-zero-rvv": ((rank1_rj, [2.0, 2.0], lambda v: np.zeros(3)),
+                       ({"accepted": 2, "rejected": 0, "geodesic_rejected": 0, "skipped": 0},
+                        "converged-step", 3)),
 }
 
 
@@ -396,9 +418,9 @@ def _reference_problems():
 @pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
                                           for name, *problem in _reference_problems()])
 def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv):
-    # the reference solves every damped system by np.linalg.solve
+    # the reference solves every damped system afresh, with lm's bits
     result = lm(rj, x0, rvv=rvv)
-    x, f, status, iterations, n_evals, trace = lm_reference(rj, x0, rvv=rvv)
+    x, f, status, iterations, n_evals, trace = lm_reference(rj, x0, rvv=rvv, solve=lm_solver(rvv))
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert result.n_evals <= n_evals
@@ -409,7 +431,8 @@ def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj,
     else:
         assert steps["skipped"] == 0
         # a stop at a repeated rejection cuts the run before that stop short, nothing else
-        old_trace = lm_reference(rj, x0, rvv=rvv, stop_on_repeat=False)[-1]
+        old_trace = lm_reference(rj, x0, rvv=rvv, stop_on_repeat=False,
+                                 solve=lm_solver(rvv))[-1]
         assert old_trace[:len(result.trace)] == result.trace
 
 
@@ -486,12 +509,31 @@ def test_lapack_pair_raises_on_an_exactly_singular_matrix(pair, a):
 
 
 BUNDLED = optim._bundled_lapack(optim._umath_linalg)
-# the per-run solver on numpy's bundled dgesv and dgetrs, and the fallback's two solves
+# the per-run solver on numpy's bundled LAPACK, and the fallback's two solves
 FACTORED = [
     pytest.param(BUNDLED, id="bundled", marks=pytest.mark.skipif(
         BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")),
     pytest.param(None, id="fallback"),
 ]
+LAPACK_NAMES = ("dgesv", "dgetrs", "dposv", "dpotrs")
+
+
+def logged(calls, name, routine):
+    """``routine``, appending ``name`` to ``calls`` at each call."""
+    def call(*args):
+        calls.append(name)
+        return routine(*args)
+    return call
+
+
+def logged_lapack(lapack, calls):
+    """``lapack`` from ``_bundled_lapack`` with each routine logged to ``calls``;
+    None stays None."""
+    if lapack is None:
+        return None
+    *routines, index = lapack
+    return (*(logged(calls, name, routine) for name, routine in zip(LAPACK_NAMES, routines)),
+            index)
 
 
 def test_bundled_lapack_is_none_without_the_library_or_the_module(monkeypatch):
@@ -501,24 +543,87 @@ def test_bundled_lapack_is_none_without_the_library_or_the_module(monkeypatch):
     assert optim._bundled_lapack(optim._umath_linalg) is None
 
 
+@pytest.mark.skipif(BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")
+def test_bundled_lapack_binds_its_four_routines():
+    suffix = "_64_" if optim._umath_linalg._ilp64 else "_"
+    assert [routine.__name__ for routine in BUNDLED[:-1]] == [
+        f"scipy_{name}{suffix}" for name in LAPACK_NAMES]
+
+
+def _solver_systems(rng, matrix):
+    """(a, b) for n = 1..80 and 100..150 from ``matrix(n)``: C-ordered, F-ordered,
+    and scaled by 1e200 and by 1e-200 (b too); n = 100..150 is where dgetrf + dgetrs,
+    unlike dgesv, left numpy's bits with two OpenBLAS threads."""
+    for n in range(1, 81):
+        a, b = matrix(n), rng.standard_normal(n)
+        yield a, b
+        yield np.asfortranarray(a), b
+        yield 1e200 * a, b
+        yield 1e-200 * a, 1e-200 * b
+    for n in range(100, 151):
+        yield matrix(n), rng.standard_normal(n)
+
+
+def backward_error(a, x, b):
+    """Normwise backward error ||b - a x|| / (||a|| ||x|| + ||b||), in the max norm."""
+    residual = np.abs(b - a @ x).max()
+    return residual / (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+
+
 @pytest.mark.parametrize("lapack", FACTORED)
-def test_factored_solver_gives_np_linalg_bits(lapack):
-    # n = 100..150 is where dgetrf + dgetrs, unlike dgesv, left numpy's bits
-    # with two OpenBLAS threads
-    rng = np.random.default_rng(57)
-    systems = list(_square_systems(rng))
-    systems += [(rng.standard_normal((n, n)), rng.standard_normal(n)) for n in range(100, 151)]
-    factor = optim._factored_solver(lapack)
+def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack):
+    # damped normal matrices J'J + mu I as lm builds them, at conditions up to ~1e9
+    rng = np.random.default_rng(58)
+
+    def damped(n):
+        jac = rng.standard_normal((n + 3, n)) * np.geomspace(1.0, 1e-6, n)
+        a = jac.T @ jac
+        a.flat[:: n + 1] += 1e-6 * a.diagonal().max() * rng.uniform()
+        return a
+
+    calls = []
+    factor = optim._factored_solver(logged_lapack(lapack, calls))
     solvers = {}  # one per order, reused as lm reuses its own for a whole run
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, b in systems:
+        for a, b in _solver_systems(rng, damped):
             solve, resolve = solvers.setdefault(len(a), factor(len(a)))
             second = rng.standard_normal(len(a))
             a_before = a.copy()
+            calls.clear()
+            x, y = solve(a, b), resolve(second)
+            # Cholesky's bound is c n eps; numpy's LU meets n eps on these systems too
+            bound = len(a) * np.finfo(float).eps
+            assert backward_error(a, x, b) <= bound
+            assert backward_error(a, y, second) <= bound
+            assert np.array_equal(a, a_before)
+            assert calls == ([] if lapack is None else ["dposv", "dpotrs"])
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+def test_factored_solver_gives_np_linalg_bits(lapack):
+    # symmetric and not positive definite, where the bundled solver falls back to dgesv
+    rng = np.random.default_rng(57)
+
+    def indefinite(n):
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        return a if np.linalg.eigvalsh(a)[0] < 0.0 else -a
+
+    calls = []
+    factor = optim._factored_solver(logged_lapack(lapack, calls))
+    solvers = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in _solver_systems(rng, indefinite):
+            solve, resolve = solvers.setdefault(len(a), factor(len(a)))
+            second = rng.standard_normal(len(a))
+            a_before = a.copy()
+            calls.clear()
             assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
             assert np.array_equal(resolve(second), np.linalg.solve(a, second))
             assert np.array_equal(a, a_before)
+            assert calls == ([] if lapack is None else ["dposv", "dgesv", "dgetrs"])
 
 
 @pytest.mark.parametrize("lapack", FACTORED)
@@ -539,17 +644,8 @@ def test_factored_solver_raises_on_an_exactly_singular_matrix(lapack, a):
 def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     (rj, x0, rvv), (expected_steps, *_) = run
     calls = []  # lm's solves by name, through wrappers that log each call
-
-    def logged(name, routine):
-        def call(*args):
-            calls.append(name)
-            return routine(*args)
-        return call
-
-    dgesv, dgetrs, index = BUNDLED
-    monkeypatch.setattr(optim, "_factor", optim._factored_solver(
-        (logged("dgesv", dgesv), logged("dgetrs", dgetrs), index)))
-    monkeypatch.setattr(optim, "_solve", logged("_solve", optim._solve))
+    monkeypatch.setattr(optim, "_factor", optim._factored_solver(logged_lapack(BUNDLED, calls)))
+    monkeypatch.setattr(optim, "_solve", logged(calls, "_solve", optim._solve))
     result = lm(rj, np.array(x0), rvv=rvv)
     steps = result.steps()
     assert steps == expected_steps
@@ -557,12 +653,21 @@ def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
         # one gufunc solve per step that was not skipped, as before
         assert calls == ["_solve"] * (result.iterations - steps["skipped"])
         return
-    # every step that got an acceleration made one dgesv, then one dgetrs on its factors
+    # the routines of each damped matrix, from its dposv on
+    solves = []
+    for name in calls:
+        if name == "dposv":
+            solves.append([])
+        solves[-1].append(name)
+    # every step that got an acceleration factored its matrix once: a Cholesky factor
+    # for dpotrs, or, where dposv found it not positive definite, LU factors for dgetrs
     reached = steps["accepted"] + steps["rejected"] + steps["geodesic_rejected"]
-    assert calls[:2 * reached] == ["dgesv", "dgetrs"] * reached
-    # and a "converged-step" stop makes at most one more dgesv, for its velocity alone
-    assert calls[2 * reached:] in ([], ["dgesv"])
-    assert len(calls) == 2 * reached or result.status == "converged-step"
+    assert all(names in (["dposv", "dpotrs"], ["dposv", "dgesv", "dgetrs"])
+               for names in solves[:reached])
+    # and a "converged-step" stop makes at most one more solve, for its velocity alone;
+    # an exactly singular matrix fails both factorizations
+    assert solves[reached:] in ([], [["dposv"]], [["dposv", "dgesv"]])
+    assert len(solves) == reached or result.status == "converged-step"
 
 
 def test_line_search_quadratic_unit_step():

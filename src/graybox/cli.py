@@ -60,8 +60,9 @@ STRUCTURE_HELP = (f"structure JSON file or bundled name ({', '.join(sorted(BUNDL
 def _load(path: str, what: str, parse):
     """``parse`` of the JSON object in ``path``.
 
-    Whatever goes wrong while reading or parsing the document becomes one
-    ``ValueError`` that names the file, so a malformed input exits 2.
+    Whatever goes wrong while reading or parsing the document, a nesting too
+    deep for the parser included, becomes one ``ValueError`` that names the
+    file, so a malformed input exits 2.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,7 +72,7 @@ def _load(path: str, what: str, parse):
         return parse(doc)
     except KeyError as exc:
         raise ValueError(f"{what} file {path}: missing key {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"{what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
@@ -120,6 +121,14 @@ def _load_config(args) -> optim.OptimConfig:
     return dataclasses.replace(cfg, **overrides)  # validates the overrides too
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is an input error (exit 2)."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_report(report: dict, out: str | None) -> None:
     """Write ``report`` as one line of strict JSON to ``out``, or to standard output.
 
@@ -133,7 +142,7 @@ def _write_report(report: dict, out: str | None) -> None:
         text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None))
     text += "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -155,10 +164,8 @@ def cmd_generate(args) -> int:
     }
     blackbox_path = f"{args.out_prefix}.blackbox.json"
     truth_path = f"{args.out_prefix}.truth.json"
-    Path(blackbox_path).write_text(
-        json.dumps(instance.blackbox.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    Path(truth_path).write_text(json.dumps(truth_doc, indent=2) + "\n", encoding="utf-8")
+    _write(blackbox_path, json.dumps(instance.blackbox.to_dict(), indent=2) + "\n")
+    _write(truth_path, json.dumps(truth_doc, indent=2) + "\n")
     print(blackbox_path)
     print(truth_path)
     return EXIT_OK

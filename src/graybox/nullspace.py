@@ -59,7 +59,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, _inv, lm
+from .optim import InfeasibleStartError, OptimConfig, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -130,15 +130,13 @@ def _checked_inverse(t: np.ndarray) -> np.ndarray:
     or not finite, or ``inv`` finds t singular, ``rcond(t)`` (an SVD) decides
     alone, so what is accepted and returned is what rcond then inv gave.
     ``math.hypot`` takes the norms, over the entries as Python floats, without
-    intermediate overflow or a warning.  The inverse comes from numpy's LAPACK
-    gufunc (``graybox.optim._inv``), with the bits and the ``LinAlgError`` of
-    ``np.linalg.inv``.
+    intermediate overflow or a warning.
 
     Raises:
         SingularTransformError: when ``rcond(t) < SINGULAR_RTOL``.
     """
     try:
-        t_inv = _inv(t)
+        t_inv = np.linalg.inv(t)
     except np.linalg.LinAlgError:
         pass  # an exactly singular factorization: rcond decides below
     else:
@@ -148,7 +146,7 @@ def _checked_inverse(t: np.ndarray) -> np.ndarray:
     r = rcond(t)
     if r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
-    return _inv(t)
+    return np.linalg.inv(t)
 
 
 def extract_realization(v: np.ndarray, dims: Dims) -> Realization:

@@ -7,14 +7,15 @@ infeasible; the line search treats that as a failed sufficient-decrease
 test, so accepted iterates never leave the feasible region.
 Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
 ``rj(x) -> (r, J)``; ``(None, None)`` marks an infeasible point, and a step
-onto one is rejected like a step that raises the objective.  An optional
-second callable gives the residual's second directional derivative, for
-geodesic acceleration; with it, each damped matrix is factored once, by
-the Cholesky ``dposv`` of the LAPACK bundled with numpy, and the
-acceleration reuses that factor through ``dpotrs``.  A damped matrix that
-is not numerically positive definite falls back to LU, ``dgesv`` and
-``dgetrs``, with the bits of two ``np.linalg.solve`` calls; where that
-library is not found, every step makes two such calls.
+onto one is rejected like a step that raises the objective.  Each damped
+system is one ``np.linalg.solve`` call, unless an optional second callable
+gives the residual's second directional derivative, for geodesic
+acceleration; with it, each damped matrix is factored once, by the
+Cholesky ``dposv`` of the LAPACK bundled with numpy, and the acceleration
+reuses that factor through ``dpotrs``.  A damped matrix that is not
+numerically positive definite falls back to LU, ``dgesv`` and ``dgetrs``,
+with the bits of two ``np.linalg.solve`` calls; where that library is not
+found, every step makes two such calls.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -62,46 +63,11 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 MAX_LINE_SEARCH = 40
 
 
-def _raise_singular(err, flag):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _lapack_pair(gufuncs) -> tuple[Callable, Callable]:
-    """``(solve, inv)`` for float64 arrays, as ``np.linalg.solve`` and ``np.linalg.inv``.
-
-    ``gufuncs`` is numpy's private ``numpy.linalg._umath_linalg`` module, or
-    None.  Its ``solve1`` and ``inv`` gufuncs are the LAPACK calls that
-    ``np.linalg.solve`` (for a 1-D right-hand side) and ``np.linalg.inv`` make
-    after their input conversion; here they run under the same error state,
-    so the results are numpy's own bits, an exactly singular matrix raises
-    ``LinAlgError`` and no ``RuntimeWarning`` escapes.  Where the module or
-    either gufunc is missing, the pair is ``np.linalg.solve`` and
-    ``np.linalg.inv`` themselves.  The arguments are trusted: square float64
-    matrices, and a matching vector for ``solve``.
-    """
-    solve1, inv = getattr(gufuncs, "solve1", None), getattr(gufuncs, "inv", None)
-    if solve1 is None or inv is None:
-        return np.linalg.solve, np.linalg.inv
-
-    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            return solve1(a, b, signature="dd->d")
-
-    def inverse(a: np.ndarray) -> np.ndarray:
-        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            return inv(a, signature="d->d")
-
-    return solve, inverse
-
-
+# read for _ilp64 alone: the integer width of the LAPACK bundled with numpy
 try:
     from numpy.linalg import _umath_linalg
 except ImportError:
     _umath_linalg = None
-# the damped solves of lm and the inverse of T in the null-space evaluator
-_solve, _inv = _lapack_pair(_umath_linalg)
 
 
 def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, Callable, Callable, type] | None:
@@ -154,8 +120,8 @@ def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type]
     n = 100-149.)  The buffers and the raw pointers to them are built once
     per ``factor`` call, since setting up the ctypes arguments on every
     solve costs more than the second factorization saves.  Without
-    ``lapack``, both are ``_solve`` calls on ``a``, which must not change
-    before ``resolve``.  The arguments are trusted: symmetric float64
+    ``lapack``, both are ``np.linalg.solve`` calls on ``a``, which must not
+    change before ``resolve``.  The arguments are trusted: symmetric float64
     matrices of order ``n``, and matching vectors.
     """
     if lapack is None:
@@ -164,9 +130,9 @@ def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type]
 
             def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 held[:] = [a]
-                return _solve(a, b)
+                return np.linalg.solve(a, b)
 
-            return solve, lambda b: _solve(held[0], b)
+            return solve, lambda b: np.linalg.solve(held[0], b)
 
         return refactoring
     dgesv, dgetrs, dposv, dpotrs, index = lapack
@@ -480,16 +446,15 @@ def lm(
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
     singular system raises ``LinAlgError`` and gives the zero step.  Without
-    ``rvv`` each damped system goes straight to numpy's LAPACK gufunc
-    (``_lapack_pair``), with ``np.linalg.solve``'s bits.  With ``rvv`` the
-    step's two systems share one matrix, which is factored once by the
+    ``rvv`` each damped system is one ``np.linalg.solve`` call.  With ``rvv``
+    the step's two systems share one matrix, which is factored once by the
     per-run solver of ``_factored_solver``: Cholesky, ``dposv`` for h and
     ``dpotrs`` on its factor for the acceleration; LU, ``dgesv`` and
     ``dgetrs``, where the matrix is not numerically positive definite; or
-    two gufunc solves where numpy's bundled LAPACK is not found.  The damped
-    matrix is one buffer for the whole run, rewritten at each step through
-    a view of its diagonal, and the diagonal is copied only when a step is
-    rejected; the solves never write to it.  The damping
+    two ``np.linalg.solve`` calls where numpy's bundled LAPACK is not found.
+    The damped matrix is one buffer for the whole run, rewritten at each
+    step through a view of its diagonal, and the diagonal is copied only
+    when a step is rejected; the solves never write to it.  The damping
     shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
     the rate of convergence of the Levenberg-Marquardt method*, Computing
     Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
@@ -556,7 +521,7 @@ def lm(
     rejected = None  # copy of that diagonal for the last step rejected at x
     n_rejected = n_geodesic_rejected = n_skipped = 0
     # with rvv, both solves of a step share one factorization of damped
-    solve, resolve = (_solve, None) if rvv is None else _factor(x.size)
+    solve, resolve = (np.linalg.solve, None) if rvv is None else _factor(x.size)
     while True:
         if f == 0.0:
             status = "converged-ftol"

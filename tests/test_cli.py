@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graybox import lsq, optim, solve, solver
+from graybox import lsq, solve, solver
 from graybox import cli
 from graybox.cli import main
 from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eval_structure,
@@ -434,6 +434,37 @@ def test_solve_invalid_json_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("what", ["black-box", "config"])
+def test_too_deeply_nested_json_exits_2(tmp_path, capsys, what):
+    # json.load raises RecursionError long before numpy's 64-dimension limit is reached
+    bb, _ = generate(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"A": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    inputs = ["--blackbox", deep] if what == "black-box" else ["--blackbox", bb, "--config", deep]
+    assert run("solve", *inputs, "--structure", "mass-spring") == 2
+    assert f"error: {what} file {deep}: maximum recursion depth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "generate"])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
+    bb, _ = generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", report) == 0
+    missing = tmp_path / "missing"
+    argv = {
+        "solve": ["solve", "--blackbox", bb, "--structure", "mass-spring",
+                  "--out", missing / "r.json"],
+        "verify": ["verify", "--result", report, "--blackbox", bb, "--structure",
+                   "mass-spring", "--out", missing / "v.json"],
+        "generate": ["generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
+                     "--out-prefix", missing / "case"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
                         "B": [[0], [1]], "C": [[1, 0]]}
 MASS_SPRING_STRUCTURE = bundled_structure("mass-spring")[0].to_dict()
@@ -656,7 +687,7 @@ def test_all_zero_blackbox_exits_with_a_documented_code(tmp_path, monkeypatch, s
     # every null-space start has r constant and J = 0, so mu = 0 and the damped
     # system is exactly singular: the LinAlgError path of lm's solve, end to end
     singular = []
-    solve_damped = optim._solve
+    solve_damped = np.linalg.solve
 
     def recording(a, b):
         try:
@@ -665,7 +696,7 @@ def test_all_zero_blackbox_exits_with_a_documented_code(tmp_path, monkeypatch, s
             singular.append(1)
             raise
 
-    monkeypatch.setattr(optim, "_solve", recording)
+    monkeypatch.setattr(np.linalg, "solve", recording)
     d = bundled_structure(structure)[0].dims
     bb_path = tmp_path / "zero.json"
     bb_path.write_text(json.dumps(StateSpace(

@@ -446,43 +446,6 @@ def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_referen
     test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv)
 
 
-# (solve, inv) as bound from numpy's gufuncs, and the np.linalg fallback
-LAPACK_PAIRS = {
-    "gufuncs": optim._lapack_pair(optim._umath_linalg),
-    "fallback": optim._lapack_pair(None),
-}
-
-
-def test_lapack_pair_falls_back_to_np_linalg():
-    assert optim._lapack_pair(None) == (np.linalg.solve, np.linalg.inv)
-    # a module that lacks either gufunc gives the fallback too
-    assert optim._lapack_pair(SimpleNamespace(solve1=np.add)) == (np.linalg.solve, np.linalg.inv)
-    assert optim._lapack_pair(SimpleNamespace(inv=np.negative)) == (np.linalg.solve, np.linalg.inv)
-
-
-def _square_systems(rng):
-    """(a, b) for n = 1..80: C-ordered, an F-ordered view of a vector as the null-space
-    evaluator passes T, a transposed view, and a scaled by 1e200 and 1e-200."""
-    for n in range(1, 81):
-        a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
-        yield a, b
-        yield rng.standard_normal(n * n).reshape(n, n, order="F"), b
-        yield a.T, b
-        yield 1e200 * a, b
-        yield 1e-200 * a, 1e-200 * b
-
-
-@pytest.mark.parametrize("pair", LAPACK_PAIRS.values(), ids=LAPACK_PAIRS.keys())
-def test_lapack_pair_gives_np_linalg_bits(pair):
-    solve, inv = pair
-    rng = np.random.default_rng(56)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for a, b in _square_systems(rng):
-            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
-            assert np.array_equal(inv(a), np.linalg.inv(a))
-
-
 # exactly singular matrices, on which every solve must raise LinAlgError
 SINGULAR = {
     "zero1": np.zeros((1, 1)),
@@ -491,21 +454,6 @@ SINGULAR = {
     "ones9": np.ones((9, 9)),
     "rank1": np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
 }
-
-
-@pytest.mark.parametrize("pair", LAPACK_PAIRS.values(), ids=LAPACK_PAIRS.keys())
-@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
-def test_lapack_pair_raises_on_an_exactly_singular_matrix(pair, a):
-    solve, inv = pair
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError):
-            solve(a, np.ones(len(a)))
-        with pytest.raises(np.linalg.LinAlgError):
-            inv(a)
-        # and on an F-ordered copy of the same matrix
-        with pytest.raises(np.linalg.LinAlgError):
-            inv(np.asfortranarray(a))
 
 
 BUNDLED = optim._bundled_lapack(optim._umath_linalg)
@@ -645,13 +593,13 @@ def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     (rj, x0, rvv), (expected_steps, *_) = run
     calls = []  # lm's solves by name, through wrappers that log each call
     monkeypatch.setattr(optim, "_factor", optim._factored_solver(logged_lapack(BUNDLED, calls)))
-    monkeypatch.setattr(optim, "_solve", logged(calls, "_solve", optim._solve))
+    monkeypatch.setattr(np.linalg, "solve", logged(calls, "solve", np.linalg.solve))
     result = lm(rj, np.array(x0), rvv=rvv)
     steps = result.steps()
     assert steps == expected_steps
     if rvv is None:
-        # one gufunc solve per step that was not skipped, as before
-        assert calls == ["_solve"] * (result.iterations - steps["skipped"])
+        # one np.linalg.solve per step that was not skipped, as before
+        assert calls == ["solve"] * (result.iterations - steps["skipped"])
         return
     # the routines of each damped matrix, from its dposv on
     solves = []

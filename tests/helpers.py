@@ -11,6 +11,15 @@ from graybox.structures import chain
 # statuses of an optimizer run that stopped on one of its convergence tests
 CONVERGED = ("converged-grad", "converged-ftol", "converged-step")
 
+# exactly singular matrices, on which every solve and inverse must raise LinAlgError
+SINGULAR = {
+    "zero1": np.zeros((1, 1)),
+    "zero3": np.zeros((3, 3)),
+    "ones2": np.ones((2, 2)),
+    "ones9": np.ones((9, 9)),
+    "rank1": np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+}
+
 
 def dims_grid() -> list[Dims]:
     """Every dimension combination exercised by the acceptance criteria."""

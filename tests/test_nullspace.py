@@ -34,7 +34,7 @@ from graybox.nullspace import (
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relative_errors
 from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
-from helpers import (CONVERGED, dims_grid, evaluator_cases, rank_deficient_structure,
+from helpers import (CONVERGED, SINGULAR, dims_grid, evaluator_cases, rank_deficient_structure,
                      random_structure, stacked_solution, transform_with_rcond)
 from oracles import (EmptyNullspaceError, build_constraint_matrix, closed_form_map,
                      nullspace_basis, stacked_readout, structure_distance)
@@ -574,6 +574,57 @@ def test_checked_inverse_decides_alike_at_extreme_scales(scale):
         # ||T||_F overflows to inf: the bound is not finite, so the SVD decides
         t = np.diag([1.5e308, 1.5e308])
         assert np.array_equal(ns._checked_inverse(t), np.linalg.inv(t))
+
+
+@pytest.mark.parametrize("t", SINGULAR.values(), ids=SINGULAR.keys())
+def test_checked_inverse_refuses_an_exactly_singular_transform_in_the_evaluator(t):
+    # np.linalg.inv raises LinAlgError on each, and rcond = 0 decides; the evaluator
+    # reads T as an F-order view of t_vec, so both layouts are checked
+    n_x = len(t)
+    rng = np.random.default_rng(59)
+    blackbox = StateSpace(A=rng.standard_normal((n_x, n_x)), B=rng.standard_normal((n_x, 1)),
+                          C=rng.standard_normal((1, n_x)))
+    proj = structure_projector(random_structure(Dims(n_x, 1, 1), rng, n_theta=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularTransformError):
+            ns._checked_inverse(t)
+        assert ns.ReducedResidual(blackbox, proj)(vec(t)) == (None, None)
+
+
+def _strided(t):
+    """``t`` as a view into every other entry of a larger array."""
+    wide = np.full((2 * len(t), 2 * len(t)), np.nan)
+    wide[::2, ::2] = t
+    return wide[::2, ::2]
+
+
+# the same matrix in four memory layouts: C-ordered, the F-order view of a vector that
+# the evaluator passes, a non-contiguous view, and a view with negative strides
+LAYOUTS = {
+    "C": lambda t: t,
+    "F-view": lambda t: vec(t).reshape(t.shape, order="F"),
+    "strided": _strided,
+    "reversed": lambda t: np.flip(np.flip(t).copy()),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_checked_inverse_decides_and_inverts_alike_in_any_layout(layout):
+    rng = np.random.default_rng(60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_x in range(1, 9):
+            # accepted by the norm bound, accepted by the SVD, rejected
+            for rc in (1e-3, 1.2e-8, 1e-9):
+                t = transform_with_rcond(n_x, rc, rng)
+                laid_out = layout(t)
+                assert np.array_equal(laid_out, t)
+                got, want = _inverse_or_none(laid_out), _inverse_or_none(t)
+                assert (got is None) == (want is None) == (n_x > 1 and rc < SINGULAR_RTOL)
+                if want is not None:
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, np.linalg.inv(t))
 
 
 def _reduced_residual_reference(blackbox, proj, t_vec):

@@ -19,7 +19,7 @@ from graybox.optim import (
 )
 from graybox.structures import bundled_structure
 
-from helpers import CONVERGED
+from helpers import CONVERGED, SINGULAR
 from oracles import lm_reference, lm_solver
 
 
@@ -444,16 +444,6 @@ def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_referen
     # the lsq problems once more, each step's two solves each factoring the damped matrix
     monkeypatch.setattr(optim, "_factor", optim._factored_solver(None))
     test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv)
-
-
-# exactly singular matrices, on which every solve must raise LinAlgError
-SINGULAR = {
-    "zero1": np.zeros((1, 1)),
-    "zero3": np.zeros((3, 3)),
-    "ones2": np.ones((2, 2)),
-    "ones9": np.ones((9, 9)),
-    "rank1": np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
-}
 
 
 BUNDLED = optim._bundled_lapack(optim._umath_linalg)

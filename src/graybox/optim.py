@@ -12,10 +12,9 @@ system is one ``np.linalg.solve`` call, unless an optional second callable
 gives the residual's second directional derivative, for geodesic
 acceleration; with it, each damped matrix is factored once, by the
 Cholesky ``dposv`` of the LAPACK bundled with numpy, and the acceleration
-reuses that factor through ``dpotrs``.  A damped matrix that is not
-numerically positive definite falls back to LU, ``dgesv`` and ``dgetrs``,
-with the bits of two ``np.linalg.solve`` calls; where that library is not
-found, every step makes two such calls.
+reuses that factor through ``dpotrs``.  A step whose damped matrix is not
+numerically positive definite, and every step where that library is not
+found, makes two ``np.linalg.solve`` calls instead.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -63,47 +62,38 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 MAX_LINE_SEARCH = 40
 
 
-# read for _ilp64 alone: the integer width of the LAPACK bundled with numpy
-try:
-    from numpy.linalg import _umath_linalg
-except ImportError:
-    _umath_linalg = None
-
-
-def _bundled_lapack(gufuncs) -> tuple[Callable, Callable, Callable, Callable, type] | None:
-    """``(dgesv, dgetrs, dposv, dpotrs, index)`` from the LAPACK inside numpy's own install.
+def _bundled_lapack() -> tuple[Callable, Callable, type] | None:
+    """``(dposv, dpotrs, index)`` from the LAPACK inside numpy's own install.
 
     numpy's wheels bundle scipy-openblas (in ``numpy.libs/`` or
-    ``numpy/.dylibs/``), and ``np.linalg.solve`` calls its ``dgesv``; the
-    symbols carry the ``scipy_`` prefix and, with 64-bit LAPACK integers
-    (``_umath_linalg._ilp64``), the ``_64_`` suffix.  ``index`` is the numpy
-    integer type of that width.  None where the module, the library or any
-    of the four symbols is not found.
+    ``numpy/.dylibs/``), whose symbols carry the ``scipy_`` prefix and the
+    suffix of their integer width: ``_64_`` for 64-bit LAPACK integers,
+    ``_`` for 32-bit ones.  The first library that exports both routines
+    under one suffix, ``_64_`` tried first, gives them, and ``index`` is the
+    numpy integer type of that width.  None where no such library is found.
     """
-    ilp64 = getattr(gufuncs, "_ilp64", None)
-    if ilp64 is None:
-        return None
     root = os.path.dirname(np.__file__)
-    suffix = "_64_" if ilp64 else "_"
     for pattern in (os.path.join(os.path.dirname(root), "numpy.libs", "*openblas*"),
                     os.path.join(root, ".dylibs", "*openblas*")):
         for path in sorted(glob.glob(pattern)):
             try:
                 library = ctypes.CDLL(path)
-                routines = tuple(getattr(library, f"scipy_{name}{suffix}")
-                                 for name in ("dgesv", "dgetrs", "dposv", "dpotrs"))
-            except (OSError, AttributeError):
+            except OSError:
                 continue
-            # every argument is a pointer: dgetrs takes TRANS, then dgesv's eight;
-            # dposv and dpotrs take the same eight, UPLO first and no pivots
-            for routine, n_args in zip(routines, (8, 9, 8, 8)):
-                routine.argtypes, routine.restype = [ctypes.c_void_p] * n_args, None
-            return (*routines, np.int64 if ilp64 else np.int32)
+            for suffix, index in (("_64_", np.int64), ("_", np.int32)):
+                try:
+                    routines = [getattr(library, f"scipy_{name}{suffix}")
+                                for name in ("dposv", "dpotrs")]
+                except AttributeError:
+                    continue
+                # both take eight pointers: UPLO, N, NRHS, A, LDA, B, LDB, INFO
+                for routine in routines:
+                    routine.argtypes, routine.restype = [ctypes.c_void_p] * 8, None
+                return (*routines, index)
     return None
 
 
-def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type] | None
-                     ) -> Callable:
+def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable:
     """``factor(n) -> (solve, resolve)``: two solves with one symmetric damped matrix.
 
     ``solve(a, b)`` solves ``a x = b``, with ``np.linalg.solve``'s
@@ -112,65 +102,45 @@ def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type]
     ``solve`` runs ``dposv`` (Cholesky, lower triangle) on an F-ordered copy
     of ``a``, and ``resolve`` runs ``dpotrs`` on the factor it left, which
     gives the bits of factoring ``a`` again.  Where ``dpotrf`` finds ``a``
-    not numerically positive definite, ``solve`` copies ``a`` again and runs
-    ``dgesv``, as numpy's gufunc does, so that step has
-    ``np.linalg.solve``'s bits, and ``resolve`` runs ``dgetrs`` on the LU
-    factors and pivots.  (``dgetrf`` in place of ``dgesv`` would not: with
-    two OpenBLAS threads its results differ from numpy's in the last bits at
-    n = 100-149.)  The buffers and the raw pointers to them are built once
-    per ``factor`` call, since setting up the ctypes arguments on every
-    solve costs more than the second factorization saves.  Without
-    ``lapack``, both are ``np.linalg.solve`` calls on ``a``, which must not
-    change before ``resolve``.  The arguments are trusted: symmetric float64
+    not numerically positive definite, and everywhere without ``lapack``,
+    ``solve`` and ``resolve`` are two ``np.linalg.solve`` calls on ``a``,
+    which must not change before ``resolve``.  The buffers and the raw
+    pointers to them are built once per ``factor`` call, since setting up
+    the ctypes arguments on every solve costs more than the second
+    factorization saves.  The arguments are trusted: symmetric float64
     matrices of order ``n``, and matching vectors.
     """
-    if lapack is None:
-        def refactoring(n: int) -> tuple[Callable, Callable]:
-            held = []
-
-            def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-                held[:] = [a]
-                return np.linalg.solve(a, b)
-
-            return solve, lambda b: np.linalg.solve(held[0], b)
-
-        return refactoring
-    dgesv, dgetrs, dposv, dpotrs, index = lapack
-
     def factor(n: int) -> tuple[Callable, Callable]:
-        factors = np.empty((n, n), order="F")
-        rhs = np.empty(n)
-        pivots = np.empty(n, dtype=index)
-        order, nrhs, lead, info = (np.array([v], dtype=index) for v in (n, 1, max(n, 1), 0))
-        # each pointer keeps its array alive
-        order_p, nrhs_p, lead_p, info_p, factors_p, rhs_p, pivots_p = (
-            v.ctypes.data_as(ctypes.c_void_p)
-            for v in (order, nrhs, lead, info, factors, rhs, pivots))
-        posv_args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, factors_p, lead_p, rhs_p, lead_p,
-                     info_p)
-        gesv_args = (order_p, nrhs_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
-        cholesky, lu = (dpotrs, posv_args), (dgetrs, (ctypes.c_char_p(b"N"), *gesv_args))
-        last = cholesky  # the routine that reuses the factors the last solve left
+        held = []  # a, while the last solve fell back to np.linalg.solve
+        if lapack is not None:
+            dposv, dpotrs, index = lapack
+            factors = np.empty((n, n), order="F")
+            rhs = np.empty(n)
+            ints = np.array([n, 1, max(n, 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
+            # raw pointers keep no array alive: solve holds factors, rhs and ints, and
+            # resolve runs only after solve, which its caller holds
+            base = ints.ctypes.data
+            order_p, nrhs_p, lead_p, info_p = (ctypes.c_void_p(base + k * ints.itemsize)
+                                               for k in range(4))
+            args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, ctypes.c_void_p(factors.ctypes.data),
+                    lead_p, ctypes.c_void_p(rhs.ctypes.data), lead_p, info_p)
 
         def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            nonlocal last
-            factors[...] = a
-            rhs[...] = b
-            dposv(*posv_args)
-            last = cholesky
-            if info[0] > 0:  # a leading minor is not positive definite
+            if lapack is not None:
                 factors[...] = a
                 rhs[...] = b
-                dgesv(*gesv_args)
-                if info[0] > 0:
-                    raise np.linalg.LinAlgError("Singular matrix")
-                last = lu
-            return rhs.copy()
+                dposv(*args)
+                if ints[3] == 0:  # else INFO > 0: a leading minor is not positive definite
+                    held.clear()
+                    return rhs.copy()
+            held[:] = [a]
+            return np.linalg.solve(a, b)
 
         def resolve(b: np.ndarray) -> np.ndarray:
+            if held:
+                return np.linalg.solve(held[0], b)
             rhs[...] = b
-            routine, args = last
-            routine(*args)
+            dpotrs(*args)
             return rhs.copy()
 
         return solve, resolve
@@ -179,7 +149,7 @@ def _factored_solver(lapack: tuple[Callable, Callable, Callable, Callable, type]
 
 
 # lm's two solves per step with geodesic acceleration, one factorization apart
-_factor = _factored_solver(_bundled_lapack(_umath_linalg))
+_factor = _factored_solver(_bundled_lapack())
 
 
 class LineSearchError(RuntimeError):
@@ -449,9 +419,9 @@ def lm(
     ``rvv`` each damped system is one ``np.linalg.solve`` call.  With ``rvv``
     the step's two systems share one matrix, which is factored once by the
     per-run solver of ``_factored_solver``: Cholesky, ``dposv`` for h and
-    ``dpotrs`` on its factor for the acceleration; LU, ``dgesv`` and
-    ``dgetrs``, where the matrix is not numerically positive definite; or
-    two ``np.linalg.solve`` calls where numpy's bundled LAPACK is not found.
+    ``dpotrs`` on its factor for the acceleration; or two ``np.linalg.solve``
+    calls where the matrix is not numerically positive definite or numpy's
+    bundled LAPACK is not found.
     The damped matrix is one buffer for the whole run, rewritten at each
     step through a view of its diagonal, and the diagonal is copied only
     when a step is rejected; the solves never write to it.  The damping

@@ -465,6 +465,30 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     assert not missing.exists()
 
 
+def test_solve_checks_its_output_path_before_solving(tmp_path, capsys, monkeypatch):
+    bb, _ = generate(tmp_path)
+
+    def no_solve(*args):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    out = tmp_path / "missing" / "r.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", out) == 2
+    assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+    # and a directory in the output's place
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", tmp_path) == 2
+    assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+
+
+def test_generate_writes_neither_file_where_one_cannot_be_written(tmp_path, capsys):
+    prefix = tmp_path / "p"
+    (tmp_path / "p.truth.json").mkdir()
+    assert run("generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
+               "--out-prefix", prefix) == 2
+    assert f"error: cannot write {prefix}.truth.json: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "p.blackbox.json").exists()
+
+
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
                         "B": [[0], [1]], "C": [[1, 0]]}
 MASS_SPRING_STRUCTURE = bundled_structure("mass-spring")[0].to_dict()

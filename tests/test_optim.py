@@ -446,14 +446,15 @@ def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_referen
     test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv)
 
 
-BUNDLED = optim._bundled_lapack(optim._umath_linalg)
+BUNDLED = optim._bundled_lapack()
+NOT_BUNDLED = "numpy's bundled LAPACK (scipy_dposv_64_ or scipy_dposv_) not found"
 # the per-run solver on numpy's bundled LAPACK, and the fallback's two solves
 FACTORED = [
-    pytest.param(BUNDLED, id="bundled", marks=pytest.mark.skipif(
-        BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")),
+    pytest.param(BUNDLED, id="bundled", marks=pytest.mark.skipif(BUNDLED is None,
+                                                                  reason=NOT_BUNDLED)),
     pytest.param(None, id="fallback"),
 ]
-LAPACK_NAMES = ("dgesv", "dgetrs", "dposv", "dpotrs")
+LAPACK_NAMES = ("dposv", "dpotrs")
 
 
 def logged(calls, name, routine):
@@ -474,24 +475,49 @@ def logged_lapack(lapack, calls):
             index)
 
 
-def test_bundled_lapack_is_none_without_the_library_or_the_module(monkeypatch):
-    assert optim._bundled_lapack(None) is None
-    assert optim._bundled_lapack(SimpleNamespace()) is None
+@pytest.mark.parametrize("suffixes, index", [
+    (["_64_"], np.int64), (["_"], np.int32), (["_", "_64_"], np.int64), ([], None)],
+    ids=["ilp64", "lp64", "both", "neither"])
+def test_bundled_lapack_takes_the_index_width_from_the_symbol_names(monkeypatch, suffixes,
+                                                                    index):
+    # a library exporting the routines under the given suffixes; _64_ wins where it has both
+    def routine():
+        pass
+
+    def unloadable(path):
+        raise OSError(path)
+
+    names = {f"scipy_{name}{suffix}": routine for name in LAPACK_NAMES for suffix in suffixes}
+    monkeypatch.setattr(optim.ctypes, "CDLL", lambda path: SimpleNamespace(**names))
+    monkeypatch.setattr(optim.glob, "glob", lambda pattern: ["libscipy_openblas.so"])
+    lapack = optim._bundled_lapack()
+    if index is None:
+        assert lapack is None
+    else:
+        assert lapack == (routine, routine, index)
+        assert routine.argtypes == [optim.ctypes.c_void_p] * 8
+    # and none where no library is found, or the one found does not load
     monkeypatch.setattr(optim.glob, "glob", lambda pattern: [])
-    assert optim._bundled_lapack(optim._umath_linalg) is None
+    assert optim._bundled_lapack() is None
+    monkeypatch.setattr(optim.glob, "glob", lambda pattern: ["libscipy_openblas.so"])
+    monkeypatch.setattr(optim.ctypes, "CDLL", unloadable)
+    assert optim._bundled_lapack() is None
 
 
-@pytest.mark.skipif(BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")
-def test_bundled_lapack_binds_its_four_routines():
-    suffix = "_64_" if optim._umath_linalg._ilp64 else "_"
+@pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
+def test_bundled_lapack_binds_its_two_routines():
+    suffix = "_64_" if BUNDLED[-1] is np.int64 else "_"
     assert [routine.__name__ for routine in BUNDLED[:-1]] == [
         f"scipy_{name}{suffix}" for name in LAPACK_NAMES]
+    # the library reads N, NRHS, LDA and INFO at the width the suffix names
+    solve, resolve = optim._factored_solver(BUNDLED)(3)
+    a, b = np.diag([4.0, 16.0, 1.0]), np.array([4.0, 16.0, 1.0])  # exact square roots
+    assert np.array_equal(solve(a, b), np.ones(3)) and np.array_equal(resolve(b), np.ones(3))
 
 
 def _solver_systems(rng, matrix):
     """(a, b) for n = 1..80 and 100..150 from ``matrix(n)``: C-ordered, F-ordered,
-    and scaled by 1e200 and by 1e-200 (b too); n = 100..150 is where dgetrf + dgetrs,
-    unlike dgesv, left numpy's bits with two OpenBLAS threads."""
+    and scaled by 1e200 and by 1e-200 (b too)."""
     for n in range(1, 81):
         a, b = matrix(n), rng.standard_normal(n)
         yield a, b
@@ -540,7 +566,7 @@ def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack)
 
 @pytest.mark.parametrize("lapack", FACTORED)
 def test_factored_solver_gives_np_linalg_bits(lapack):
-    # symmetric and not positive definite, where the bundled solver falls back to dgesv
+    # symmetric and not positive definite, where the bundled solver falls back to np.linalg
     rng = np.random.default_rng(57)
 
     def indefinite(n):
@@ -561,7 +587,7 @@ def test_factored_solver_gives_np_linalg_bits(lapack):
             assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
             assert np.array_equal(resolve(second), np.linalg.solve(a, second))
             assert np.array_equal(a, a_before)
-            assert calls == ([] if lapack is None else ["dposv", "dgesv", "dgetrs"])
+            assert calls == ([] if lapack is None else ["dposv"])
 
 
 @pytest.mark.parametrize("lapack", FACTORED)
@@ -577,7 +603,7 @@ def test_factored_solver_raises_on_an_exactly_singular_matrix(lapack, a):
             solve(np.asfortranarray(a), np.ones(len(a)))
 
 
-@pytest.mark.skipif(BUNDLED is None, reason="numpy's bundled LAPACK (scipy_dgesv_64_) not found")
+@pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
 @pytest.mark.parametrize("run", LM_STEP_RUNS.values(), ids=LM_STEP_RUNS.keys())
 def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     (rj, x0, rvv), (expected_steps, *_) = run
@@ -597,14 +623,14 @@ def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
         if name == "dposv":
             solves.append([])
         solves[-1].append(name)
-    # every step that got an acceleration factored its matrix once: a Cholesky factor
-    # for dpotrs, or, where dposv found it not positive definite, LU factors for dgetrs
+    # every step that got an acceleration factored its matrix once, a Cholesky factor
+    # for dpotrs, or, where dposv found it not positive definite, made two solves
     reached = steps["accepted"] + steps["rejected"] + steps["geodesic_rejected"]
-    assert all(names in (["dposv", "dpotrs"], ["dposv", "dgesv", "dgetrs"])
+    assert all(names in (["dposv", "dpotrs"], ["dposv", "solve", "solve"])
                for names in solves[:reached])
     # and a "converged-step" stop makes at most one more solve, for its velocity alone;
-    # an exactly singular matrix fails both factorizations
-    assert solves[reached:] in ([], [["dposv"]], [["dposv", "dgesv"]])
+    # an exactly singular matrix fails dposv and then np.linalg.solve
+    assert solves[reached:] in ([], [["dposv"]], [["dposv", "solve"]])
     assert len(solves) == reached or result.status == "converged-step"
 
 

@@ -231,16 +231,17 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
+def _point_error(args, blackbox, structure, rng, evaluator) -> float | None:
     """Max relative error of the analytic derivative at one random point, or None if degenerate.
 
     Every mode compares an analytic Jacobian with central differences of its
     function, and fails a point where the two differ in shape (inf).  The
     gradient modes check ``2 J^T r`` as the Jacobian of the scalar ``r @ r``
-    (for ``hbar``, of ``reduced``: the search's ``ReducedResidual``), both
-    divided by max(1, |r @ r|) at the point: central differences lose
-    eps*|f|/h absolute accuracy, which would drown a 1e-6 tolerance at large
-    ``r @ r``.  ``hbar`` and ``jacobians`` resample a near-singular T.
+    of the run's ``evaluator`` (for ``hbar`` the search's ``ReducedResidual``,
+    else the lsq solve's ``CostPlan``), both divided by max(1, |r @ r|) at
+    the point: central differences lose eps*|f|/h absolute accuracy, which
+    would drown a 1e-6 tolerance at large ``r @ r``.  ``hbar`` and
+    ``jacobians`` resample a near-singular T.
     """
     dims, n_x, n_theta = blackbox.dims, blackbox.dims.n_x, structure.n_theta
     x = (rng.standard_normal(dims.n_unknowns) if args.which == "jacobians"  # vec(T) first
@@ -255,7 +256,7 @@ def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
     else:
         if args.which == "hbar":
             def fg(tv):  # +inf where T is singular, so finite differences resample
-                r, jac = reduced(tv)
+                r, jac = evaluator(tv)
                 return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac.T @ r))
         else:  # lsq-theta, lsq-T: r @ r of lsq.cost and one block of its gradient 2 J^T r
             t_vec, theta = x, rng.standard_normal(n_theta)
@@ -264,7 +265,7 @@ def _point_error(args, blackbox, structure, rng, reduced) -> float | None:
 
             def fg(z):
                 th, tv = (z, t_vec) if on_theta else (theta, z)
-                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure)
+                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure, evaluator)
                 return float(r @ r), 2.0 * (jac[:, cols].T @ r)
         f, g = fg(x)
         scale = 1.0 / max(1.0, abs(f))
@@ -284,14 +285,16 @@ def cmd_check_grad(args) -> int:
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)
     rng = np.random.default_rng(args.seed)
-    reduced = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
-               if args.which == "hbar" else None)
+    # one evaluator per run, as a solve builds one; jacobians needs none
+    evaluator = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
+                 if args.which == "hbar" else
+                 None if args.which == "jacobians" else lsq.CostPlan(blackbox, structure))
 
     errors = []
     resampled = 0
     while len(errors) < args.points:
         try:
-            err = _point_error(args, blackbox, structure, rng, reduced)
+            err = _point_error(args, blackbox, structure, rng, evaluator)
         except (ValueError, nullspace.SingularTransformError):
             err = None  # finite differences probed into the excluded region
         if err is None:

@@ -50,16 +50,19 @@ def residual_matrices(theta, t, blackbox, structure) -> tuple:
 class CostPlan:
     """Residual of :func:`cost` and its Jacobian in [theta; vec(T)], built once per solve.
 
-    The constructor fills a Jacobian template with the blocks that depend
+    The constructor fills a Jacobian buffer with the blocks that depend
     only on the black box and the structure: -K_C in the theta columns and
     I (x) A_bb and I (x) C_bb in the vec(T) columns; it also keeps [K_A; K_B]
     reshaped to (n_x, (n_x + n_u) n_theta), one [A_p, B_p] per parameter
     side by side, so that (I (x) T) [K_A; K_B] is the one product T times it.
-    A call copies the template and fills in only what depends on the point:
-    -(I (x) T) [K_A; K_B], and -A^T (x) I and -B^T (x) I, subtracted on the
-    block diagonals that hold every nonzero of [A, B]^T (x) I, through flat
-    indices computed once; no call changes the plan, so one plan serves every
-    point of a solve.  :meth:`curvature` reuses the plan's [K_A; K_B].
+    A call writes only what depends on the point, each through a view built
+    here: r through the three transposed views that vec its blocks;
+    -(I (x) T) [K_A; K_B] into the theta columns; and the block diagonals
+    that hold every nonzero of [A, B]^T (x) I, as their constant entries
+    (of I (x) A_bb) minus [A, B]^T.  It returns copies of the two buffers, and
+    :meth:`curvature` a copy of its own, so no returned array changes on a
+    later call and one plan serves every point of a solve.  The buffers
+    make a plan, like a ``ReducedResidual``, unsafe to share between threads.
     """
 
     def __init__(self, blackbox: StateSpace, structure: AffineStructure) -> None:
@@ -68,36 +71,45 @@ class CostPlan:
         k = structure.K
         self.blackbox, self.structure = blackbox, structure
         self.n_x, self.n_theta = n_x, n_theta
-        self.n_ab = n_x * (n_x + d.n_u)
-        self.vec_b = vec(blackbox.B)
-        self.k_ab = k[: self.n_ab]
+        n_xu = n_x + d.n_u
+        self.n_ab = n_ab = n_x * n_xu
+        self.k_ab = k[:n_ab]
         # column p * (n_x + n_u) + j holds column j of [A_p, B_p]
         self.k_ab_cols = np.ascontiguousarray(self.k_ab.reshape(n_x, -1, order="F"))
+        # r and its blocks r_A, r_B, r_C as the transposed views that vec them
+        self.r = np.empty(k.shape[0])
+        self.r_a = self.r[: n_x * n_x].reshape(n_x, n_x).T
+        self.r_b = self.r[n_x * n_x: n_ab].reshape(d.n_u, n_x).T
+        self.r_c = self.r[n_ab:].reshape(n_x, d.n_y).T
         eye = np.eye(n_x)
         self.jac = np.zeros((k.shape[0], n_theta + n_x * n_x))
-        self.jac[self.n_ab:, :n_theta] = -k[self.n_ab:]
+        self.jac[n_ab:, :n_theta] = -k[n_ab:]
         self.jac[: n_x * n_x, n_theta:] = kron_t(eye, blackbox.A)
-        self.jac[self.n_ab:, n_theta:] = kron_t(eye, blackbox.C)
-        # flat index [j, i, m] of row j n_x + i, column n_theta + m n_x + i: the only
-        # nonzeros of [A, B]^T (x) I, whose entry there is [A, B][m, j]
-        j, i, m = np.ogrid[: self.n_ab // n_x, :n_x, :n_x]
-        self.ab_t_diag = (j * n_x + i) * self.jac.shape[1] + n_theta + m * n_x + i
+        self.jac[n_ab:, n_theta:] = kron_t(eye, blackbox.C)
+        # entry [i, p, j] at row j n_x + i, column p: -(I (x) T) [K_A; K_B]
+        self.theta_cols = self.jac[:n_ab, :n_theta].reshape(n_xu, n_x, n_theta).transpose(1, 2, 0)
+        # entry [j, i, m] at row j n_x + i, column n_theta + m n_x + i: the only nonzeros
+        # of [A, B]^T (x) I, whose entry there is [A, B][m, j]; and their constant entries
+        self.ab_t_diag = np.einsum("jimi->jim",
+                                   self.jac[:n_ab, n_theta:].reshape(n_xu, n_x, n_x, n_x))
+        self.ab_t_base = self.ab_t_diag.copy()
+        # the curvature, whose C rows stay zero, and its [A, B] rows as the view that vecs them
+        self.rvv = np.zeros(k.shape[0])
+        self.rvv_ab = self.rvv[:n_ab].reshape(n_xu, n_x).T
 
     def __call__(self, theta: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(r, J)`` at ``(theta, t)``; trusts its inputs."""
-        n_x, n_theta, n_ab, bb = self.n_x, self.n_theta, self.n_ab, self.blackbox
+        n_x, n_ab, bb = self.n_x, self.n_ab, self.blackbox
         stacked = self.structure.kappa0 + self.structure.K @ theta
-        # vec and unvec of float arrays, by reshape alone
+        # unvec of float arrays, by reshape alone
         ab = stacked[:n_ab].reshape(n_x, -1, order="F")
         t_ab = t @ ab
-        r = np.concatenate([(bb.A @ t - t_ab[:, :n_x]).reshape(-1, order="F"),
-                            self.vec_b - t_ab[:, n_x:].reshape(-1, order="F"),
-                            (bb.C @ t).reshape(-1, order="F") - stacked[n_ab:]])
-        jac = self.jac.copy()
-        jac[:n_ab, :n_theta] = -(t @ self.k_ab_cols).reshape(n_ab, n_theta, order="F")
-        flat = jac.reshape(-1)
-        flat[self.ab_t_diag] -= ab.T[:, None, :]
-        return r, jac
+        np.subtract(bb.A @ t, t_ab[:, :n_x], out=self.r_a)
+        np.subtract(bb.B, t_ab[:, n_x:], out=self.r_b)
+        np.subtract(bb.C @ t, stacked[n_ab:].reshape(-1, n_x, order="F"), out=self.r_c)
+        np.negative((t @ self.k_ab_cols).reshape(self.theta_cols.shape), out=self.theta_cols)
+        np.subtract(self.ab_t_base, ab.T[:, None, :], out=self.ab_t_diag)
+        return self.r.copy(), self.jac.copy()
 
     def curvature(self, v: np.ndarray) -> np.ndarray:
         """Second directional derivative of the residual along ``v = [d_theta; vec(dT)]``.
@@ -109,10 +121,8 @@ class CostPlan:
         """
         n_x, n_theta = self.n_x, self.n_theta
         d_ab = (self.k_ab @ v[:n_theta]).reshape(n_x, -1, order="F")
-        out = np.zeros(self.jac.shape[0])
-        out[: self.n_ab] = (-2.0 * v[n_theta:].reshape(n_x, n_x, order="F") @ d_ab).reshape(
-            -1, order="F")
-        return out
+        self.rvv_ab[...] = -2.0 * v[n_theta:].reshape(n_x, n_x, order="F") @ d_ab
+        return self.rvv.copy()
 
 
 def cost(

@@ -101,20 +101,24 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
     with the same ``a``.  With ``lapack`` from :func:`_bundled_lapack`,
     ``solve`` runs ``dposv`` (Cholesky, lower triangle) on an F-ordered copy
     of ``a``, and ``resolve`` runs ``dpotrs`` on the factor it left, which
-    gives the bits of factoring ``a`` again.  Where ``dpotrf`` finds ``a``
-    not numerically positive definite, and everywhere without ``lapack``,
-    ``solve`` and ``resolve`` are two ``np.linalg.solve`` calls on ``a``,
-    which must not change before ``resolve``.  The buffers and the raw
-    pointers to them are built once per ``factor`` call, since setting up
-    the ctypes arguments on every solve costs more than the second
-    factorization saves.  The arguments are trusted: symmetric float64
-    matrices of order ``n``, and matching vectors.
+    gives the bits of factoring ``a`` again.  Since ``a`` is symmetric, the
+    copy is written through the buffer's transpose, one contiguous copy of
+    a C-ordered ``a``.  ``solve`` returns a new array; ``resolve`` returns
+    the right-hand side buffer, which the next ``solve`` overwrites.  Where
+    ``dpotrf`` finds ``a`` not numerically positive definite, and everywhere
+    without ``lapack``, ``solve`` and ``resolve`` are two ``np.linalg.solve``
+    calls on ``a``, which must not change before ``resolve``.  The buffers
+    and the raw pointers to them are built once per ``factor`` call, since
+    setting up the ctypes arguments on every solve costs more than the
+    second factorization saves.  The arguments are trusted: symmetric
+    float64 matrices of order ``n``, and matching vectors.
     """
     def factor(n: int) -> tuple[Callable, Callable]:
         held = []  # a, while the last solve fell back to np.linalg.solve
         if lapack is not None:
             dposv, dpotrs, index = lapack
             factors = np.empty((n, n), order="F")
+            factors_t = factors.T
             rhs = np.empty(n)
             ints = np.array([n, 1, max(n, 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
             # raw pointers keep no array alive: solve holds factors, rhs and ints, and
@@ -127,7 +131,7 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
 
         def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if lapack is not None:
-                factors[...] = a
+                factors_t[...] = a  # a = a^T
                 rhs[...] = b
                 dposv(*args)
                 if ints[3] == 0:  # else INFO > 0: a leading minor is not positive definite
@@ -141,7 +145,7 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
                 return np.linalg.solve(held[0], b)
             rhs[...] = b
             dpotrs(*args)
-            return rhs.copy()
+            return rhs
 
         return solve, resolve
 
@@ -424,7 +428,9 @@ def lm(
     bundled LAPACK is not found.
     The damped matrix is one buffer for the whole run, rewritten at each
     step through a view of its diagonal, and the diagonal is copied only
-    when a step is rejected; the solves never write to it.  The damping
+    when a step is rejected; the solves never write to it.  The per-run
+    solver's factor and right-hand side are buffers for the whole run too,
+    and -J'r is formed once per accepted point, not at every step.  The damping
     shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
     the rate of convergence of the Levenberg-Marquardt method*, Computing
     Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
@@ -479,7 +485,7 @@ def lm(
     if r is None:
         raise InfeasibleStartError("residual is not defined at the starting point")
     n_evals = 1
-    f, a, g = float(r @ r), jac.T @ jac, jac.T @ r  # g is half the gradient of f
+    f, a, g = float(r @ r), jac.T @ jac, -(jac.T @ r)  # g is minus half the gradient of f
     mu = 1e-6 * float(a.diagonal().max())
     nu = 2.0
     x_tol = 1e-12 * np.abs(x)  # the step test's bound, once per accepted point
@@ -509,11 +515,11 @@ def lm(
             mu, nu, n_skipped = mu * nu, 2.0 * nu, n_skipped + 1
             continue
         try:
-            h = solve(damped, -g)
+            h = solve(damped, g)
         except np.linalg.LinAlgError:
             h = np.zeros_like(x)
         # decrease of f in the linear model, positive for every exactly solved step
-        predicted = float(h @ (mu * h - g))
+        predicted = float(h @ (mu * h + g))
         if not predicted > 0.0 or (np.abs(h) <= x_tol).all():
             status = "converged-step"
             break
@@ -537,7 +543,7 @@ def lm(
         rho = (f - f_new) / predicted
         f_prev = f
         x, f, jac = x_new, f_new, j_new
-        a, g = jac.T @ jac, jac.T @ r_new
+        a, g = jac.T @ jac, -(jac.T @ r_new)
         x_tol = 1e-12 * np.abs(x)
         mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3) * math.sqrt(f / f_prev)
         nu, rejected = 2.0, None

@@ -12,6 +12,7 @@ the damped solver :func:`lm_solver` names.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -116,14 +117,34 @@ def stacked_readout(blackbox: StateSpace, proj: StructureProjector,
     return extract_theta(real.stacked(), proj), real.T
 
 
-def lm_solver(rvv):
-    """``solve(a, b)`` with the bits of ``lm``'s damped solves: ``np.linalg.solve``
-    without ``rvv``; with it, ``optim._factor``'s per-run solver, factoring ``a``
-    afresh, which gives the bits of a ``resolve`` on the factors ``a`` left.
+# numpy's bundled dposv, which lm_solver calls itself
+BUNDLED = optim._bundled_lapack()
+
+
+def lm_solver(rvv, lapack=BUNDLED):
+    """``solve(a, b)`` with the bits of ``lm``'s damped solves, by calls of its own.
+
+    ``np.linalg.solve`` without ``rvv`` or without ``lapack``.  With both, its
+    own ``dposv`` (lower triangle) on a fresh F-ordered copy of the whole of
+    ``a``: factoring ``a`` afresh gives the bits of the ``dpotrs`` that
+    ``lm`` runs on the factor ``a`` left.  Where ``dpotrf`` finds ``a`` not
+    positive definite, ``np.linalg.solve``, as ``lm`` falls back.  So the
+    bits are pinned whatever way ``lm`` fills its own factor buffer.
     """
-    if rvv is None:
+    if rvv is None or lapack is None:
         return np.linalg.solve
-    return lambda a, b: optim._factor(len(a))[0](a, b)
+    dposv, _, index = lapack
+
+    def solve(a, b):
+        factors, x = np.array(a, order="F"), np.array(b, dtype=float)
+        ints = np.array([len(a), 1, max(len(a), 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
+        n_p, nrhs_p, lead_p, info_p = (ctypes.c_void_p(ints.ctypes.data + k * ints.itemsize)
+                                       for k in range(4))
+        dposv(ctypes.c_char_p(b"L"), n_p, nrhs_p, ctypes.c_void_p(factors.ctypes.data), lead_p,
+              ctypes.c_void_p(x.ctypes.data), lead_p, info_p)
+        return x if ints[3] == 0 else np.linalg.solve(a, b)
+
+    return solve
 
 
 def lm_reference(rj, x0, config=None, rvv=None, stop_on_repeat=True, solve=np.linalg.solve):

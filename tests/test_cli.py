@@ -878,6 +878,32 @@ def test_check_grad_lsq_t(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("which", ["lsq-theta", "lsq-T"])
+def test_check_grad_builds_one_cost_plan_per_run(tmp_path, monkeypatch, capsys, which):
+    # one plan serves every finite-difference probe of a run, and prints what a
+    # fresh plan at every probe prints
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2", seed=8)
+    capsys.readouterr()
+    built = []
+
+    class Spy(lsq.CostPlan):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lsq, "CostPlan", Spy)
+    argv = ("check-grad", "--which", which, "--blackbox", bb, "--structure", "compartment3",
+            "--points", 5)
+    assert run(*argv) == 0
+    shared = capsys.readouterr().out
+    assert len(built) == 1
+    monkeypatch.setattr(lsq, "cost", lambda theta, t, blackbox, structure, plan=None:
+                        lsq.CostPlan(blackbox, structure)(theta, t))
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == shared
+    assert len(built) > 2
+
+
 @pytest.mark.parametrize("structure", ["scalar", "mass-spring", "compartment3"])
 def test_check_grad_hbar(tmp_path, structure):
     theta = ",".join(str(x) for x in bundled_structure(structure)[1])

@@ -153,8 +153,8 @@ def test_jacobian_blocks_equal_kron_oracle():
 
 
 def test_cost_plan_matches_kron_oracle_and_finite_differences_at_each_point():
-    # one plan serves every point of a solve: each call fills a fresh copy of
-    # the Jacobian template, so the Jacobians it returned earlier stay as they were
+    # one plan serves every point of a solve: each call returns copies of the plan's
+    # buffers, so the r, J and curvatures it returned earlier stay as they were
     rng = np.random.default_rng(49)
     for dims in dims_grid():
         for structure in (random_structure(dims, rng), rank_deficient_structure(dims, rng)):
@@ -174,8 +174,9 @@ def test_cost_plan_matches_kron_oracle_and_finite_differences_at_each_point():
                     np.concatenate([theta, vec(t)]),
                 )
                 assert float(np.max(relative_errors(jac, approx))) <= 1e-6
-                returned.append((jac, jac.copy()))
-            assert all(np.array_equal(jac, kept) for jac, kept in returned)
+                rvv = plan.curvature(rng.standard_normal(n_theta + n_x * n_x))
+                returned += [(out, out.copy()) for out in (r, jac, rvv)]
+            assert all(np.array_equal(out, kept) for out, kept in returned)
 
 
 def _cost_plan_reference(blackbox, structure, theta, t):
@@ -202,18 +203,21 @@ def _cost_plan_reference(blackbox, structure, theta, t):
 
 
 def test_cost_plan_is_bit_identical_to_its_frozen_reference():
-    # one plan per case serves every point in turn, as in a solve; T is an
-    # F-ordered view of the stacked point, as the solve passes it
+    # one plan per case serves every point in turn, as in a solve, with the calls of
+    # two plans interleaved; T is an F-ordered view of the stacked point, as the solve
+    # passes it
     rng = np.random.default_rng(54)
-    for blackbox, structure in evaluator_cases(rng):
-        plan = CostPlan(blackbox, structure)
-        n_theta, n_x = structure.n_theta, structure.dims.n_x
-        for _ in range(6):
-            theta = rng.standard_normal(n_theta)
-            t = unvec(rng.standard_normal(n_x * n_x), n_x, n_x)
-            r, jac = plan(theta, t)
-            r_ref, j_ref = _cost_plan_reference(blackbox, structure, theta, t)
-            assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
+    cases = [(CostPlan(blackbox, structure), blackbox, structure)
+             for blackbox, structure in evaluator_cases(rng)]
+    for pair in zip(cases, cases[1:]):
+        for _ in range(3):
+            for plan, blackbox, structure in pair:
+                n_theta, n_x = structure.n_theta, structure.dims.n_x
+                theta = rng.standard_normal(n_theta)
+                t = unvec(rng.standard_normal(n_x * n_x), n_x, n_x)
+                r, jac = plan(theta, t)
+                r_ref, j_ref = _cost_plan_reference(blackbox, structure, theta, t)
+                assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
 
 
 def test_jacobian_gradient_equals_closed_form_gradients():

@@ -20,7 +20,7 @@ from graybox.optim import (
 from graybox.structures import bundled_structure
 
 from helpers import CONVERGED, SINGULAR
-from oracles import lm_reference, lm_solver
+from oracles import BUNDLED, lm_reference, lm_solver
 
 
 def rosenbrock(x):
@@ -387,40 +387,58 @@ def test_lm_counts_each_step_by_outcome(run, expected):
     assert sum(steps.values()) + (result.status == "converged-step") == result.iterations
 
 
+def _warm(x, rng):
+    """``x`` moved 5 % of its norm along a Gaussian direction, as a polish warm start."""
+    d = rng.standard_normal(x.shape)
+    return x + 0.05 * np.linalg.norm(x) * d / np.linalg.norm(d)
+
+
+def _lsq_problem(structure, blackbox):
+    """``(rj, rvv)`` of lm on ``CostPlan``'s residual at the stacked point [theta; vec(T)]."""
+    plan = CostPlan(blackbox, structure)
+    n_theta, n_x = structure.n_theta, structure.dims.n_x
+
+    def rj(z):
+        return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
+
+    return rj, plan.curvature
+
+
 def _reference_problems():
     """(name, rj, x0, rvv) on every bundled structure and chain6, at cond 100: the
     null-space ``ReducedResidual`` from T = I and from a Gaussian T, and ``CostPlan``
-    with its curvature from ``default_init`` and from a 5 % perturbed truth."""
+    with its curvature from ``default_init`` and from a 5 % perturbed truth; and the
+    ``polish`` tail instance chain8 at cond 1e4 from its warm start, whose damped
+    matrix ``dpotrf`` finds not positive definite at 14 of its 66 steps (n = 73)."""
     rng = np.random.default_rng(55)
     for name in ("scalar", "mass-spring", "compartment3", "chain6"):
         structure, theta = bundled_structure(name)
-        n_x, n_theta = structure.dims.n_x, structure.n_theta
+        n_x = structure.dims.n_x
         for seed in (3, 11):
             instance = generate_instance(structure, theta, seed=seed, cond_max=100.0)
             bb = instance.blackbox
             rj = ReducedResidual(bb, structure_projector(structure))
             yield f"{name}-s{seed}-nullspace-eye", rj, vec(np.eye(n_x)), None
             yield f"{name}-s{seed}-nullspace-drawn", rj, vec(rng.standard_normal((n_x, n_x))), None
-            plan = CostPlan(bb, structure)
-
-            def rj_lsq(z, plan=plan, n_theta=n_theta, n_x=n_x):
-                return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
-
+            rj_lsq, rvv = _lsq_problem(structure, bb)
             theta0, t0 = default_init(bb, structure)
-            yield (f"{name}-s{seed}-lsq-default", rj_lsq,
-                   np.concatenate([theta0, vec(t0)]), plan.curvature)
-            warm = [x + 0.05 * np.linalg.norm(x) * d / np.linalg.norm(d)
-                    for x, d in ((theta, rng.standard_normal(n_theta)),
-                                 (vec(instance.T), rng.standard_normal(n_x * n_x)))]
-            yield f"{name}-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), plan.curvature
+            yield f"{name}-s{seed}-lsq-default", rj_lsq, np.concatenate([theta0, vec(t0)]), rvv
+            warm = [_warm(theta, rng), _warm(vec(instance.T), rng)]
+            yield f"{name}-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), rvv
+    # as bench/workloads.py draws it: theta, then T, from the generator [seed, 1]
+    structure, theta = bundled_structure("chain8")
+    seed = 654350477
+    instance = generate_instance(structure, theta, seed=seed, cond_max=1e4)
+    rng = np.random.default_rng([seed, 1])
+    warm = [_warm(theta, rng), vec(_warm(instance.T, rng))]
+    rj_lsq, rvv = _lsq_problem(structure, instance.blackbox)
+    yield f"chain8-c10000-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), rvv
 
 
-@pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
-                                          for name, *problem in _reference_problems()])
-def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv):
-    # the reference solves every damped system afresh, with lm's bits
+def _assert_lm_matches_its_reference(rj, x0, rvv, solve):
+    """``lm`` against ``lm_reference`` with the damped solver ``solve``, bit for bit."""
     result = lm(rj, x0, rvv=rvv)
-    x, f, status, iterations, n_evals, trace = lm_reference(rj, x0, rvv=rvv, solve=lm_solver(rvv))
+    x, f, status, iterations, n_evals, trace = lm_reference(rj, x0, rvv=rvv, solve=solve)
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert result.n_evals <= n_evals
@@ -431,9 +449,15 @@ def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj,
     else:
         assert steps["skipped"] == 0
         # a stop at a repeated rejection cuts the run before that stop short, nothing else
-        old_trace = lm_reference(rj, x0, rvv=rvv, stop_on_repeat=False,
-                                 solve=lm_solver(rvv))[-1]
+        old_trace = lm_reference(rj, x0, rvv=rvv, stop_on_repeat=False, solve=solve)[-1]
         assert old_trace[:len(result.trace)] == result.trace
+
+
+@pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
+                                          for name, *problem in _reference_problems()])
+def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv):
+    # the reference solves every damped system afresh, by its own dposv
+    _assert_lm_matches_its_reference(rj, x0, rvv, lm_solver(rvv))
 
 
 @pytest.mark.parametrize("rj, x0, rvv", [pytest.param(*problem, id=name)
@@ -443,10 +467,9 @@ def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_referen
         rj, x0, rvv, monkeypatch):
     # the lsq problems once more, each step's two solves each factoring the damped matrix
     monkeypatch.setattr(optim, "_factor", optim._factored_solver(None))
-    test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj, x0, rvv)
+    _assert_lm_matches_its_reference(rj, x0, rvv, lm_solver(rvv, lapack=None))
 
 
-BUNDLED = optim._bundled_lapack()
 NOT_BUNDLED = "numpy's bundled LAPACK (scipy_dposv_64_ or scipy_dposv_) not found"
 # the per-run solver on numpy's bundled LAPACK, and the fallback's two solves
 FACTORED = [

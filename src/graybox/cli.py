@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed check/verification, 2 input or schema error,
 3 max similarity residual above ``RESIDUAL_TOL`` whatever the optimizer status
 (report still written), 4 degenerate or infeasible solution; a NaN residual or
-derivative error fails.  ``solve`` and ``verify`` read residuals out by one call,
+derivative error fails.  ``solve`` and ``verify`` read residuals out by the one
+read-out, ``model._read_out``, and accept them by the one test, ``model._passes``,
 so ``solve`` exits 0 exactly when ``T_hat`` is not degenerate and ``verify`` at
 its default tolerance accepts the report.
 
@@ -39,11 +40,11 @@ from .model import (
     StateSpace,
     _as_matrix,
     _as_vector,
-    _residual_norms,
+    _passes,
+    _read_out,
     _worst,
     check_dims,
     generate_instance,
-    structured_matrices,
     unvec,
     vec,
 )
@@ -223,9 +224,8 @@ def cmd_solve(args) -> int:
     if sol.rcond_T < SINGULAR_RTOL:  # the stage's rcond of the T_hat written here
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
-    worst = _worst(res)
-    if not worst <= RESIDUAL_TOL:
-        print(f"max residual {worst:.3e} exceeds the tolerance {RESIDUAL_TOL:g} "
+    if not _passes(res):
+        print(f"max residual {_worst(res):.3e} exceeds the tolerance {RESIDUAL_TOL:g} "
               f"(status: {sol.result.status})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -265,7 +265,7 @@ def _point_error(args, blackbox, structure, rng, evaluator) -> float | None:
 
             def fg(z):
                 th, tv = (z, t_vec) if on_theta else (theta, z)
-                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), blackbox, structure, evaluator)
+                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), evaluator)
                 return float(r @ r), 2.0 * (jac[:, cols].T @ r)
         f, g = fg(x)
         scale = 1.0 / max(1.0, abs(f))
@@ -317,10 +317,9 @@ def cmd_verify(args) -> int:
     check_dims(blackbox, structure)
     theta_hat, t_hat = _load(args.result, "result", _arrays(structure, "theta_hat", "T_hat"))
     theta_true = _load_truth(args.truth, structure)
-    res = _residual_norms(blackbox, t_hat, *structured_matrices(structure, theta_hat))
-    worst = _worst(res)
-    report = {"residuals": res.to_dict(), "max_residual": worst, "tol": args.tol,
-              "pass": worst <= args.tol}
+    res = _read_out(blackbox, structure, theta_hat, t_hat)
+    report = {"residuals": res.to_dict(), "max_residual": _worst(res), "tol": args.tol,
+              "pass": _passes(res, args.tol)}
     if theta_true is not None:
         report["theta_error"] = _theta_error(theta_hat, theta_true)
     _write_report(report, args.out)

@@ -4,15 +4,15 @@ Minimizes the summed squared Frobenius residuals of the similarity equations
 jointly over the parameter vector and the transform by Levenberg-Marquardt
 with geodesic acceleration.  A solve builds one :class:`CostPlan`, which fills
 a Jacobian template with the blocks -K_C, I (x) A_bb and I (x) C_bb once;
-:func:`cost` then returns the stacked residual vector and its Jacobian in
-[theta; vec(T)], filling in at each point only -(I (x) T) [K_A; K_B],
--A^T (x) I and -B^T (x) I.  :meth:`CostPlan.curvature` gives the residual's
-second directional derivative, which is constant because the residual is
-bilinear in (theta, T).  The paper's closed-form gradients :func:`grad_theta`
-and :func:`grad_t` are kept as the oracle of ``2 J^T r``.  Unlike the
-null-space path nothing here requires the transform to be invertible, so a
-vanishing transform is a genuine (spurious) attractor; the solver only
-reports that degeneracy, it does not prevent it.
+``cost(theta, t, plan)`` then returns the stacked residual vector and its
+Jacobian in [theta; vec(T)], filling in at each point only
+-(I (x) T) [K_A; K_B], -A^T (x) I and -B^T (x) I.  :meth:`CostPlan.curvature`
+gives the residual's second directional derivative, which is constant
+because the residual is bilinear in (theta, T).  The paper's closed-form
+gradients :func:`grad_theta` and :func:`grad_t` are kept as the oracle of
+``2 J^T r``.  Unlike the null-space path nothing here requires the transform
+to be invertible, so a vanishing transform is a genuine (spurious)
+attractor; the solver only reports that degeneracy, it does not prevent it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _residual_norms,
-                    kron_t, rcond, structured_matrices, vec)
+from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _read_out, kron_t,
+                    rcond, structured_matrices, vec)
 # bound here only because bench/tracer.py wraps graybox.lsq.eval_structure by name
 from .model import eval_structure  # noqa: F401
 from .nullspace import extract_theta, structure_projector
@@ -125,13 +125,7 @@ class CostPlan:
         return self.rvv.copy()
 
 
-def cost(
-    theta: np.ndarray,
-    t: np.ndarray,
-    blackbox: StateSpace,
-    structure: AffineStructure,
-    plan: CostPlan | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def cost(theta: np.ndarray, t: np.ndarray, plan: CostPlan) -> tuple[np.ndarray, np.ndarray]:
     """Stacked similarity residual ``r`` and its Jacobian ``J`` in [theta; vec(T)].
 
     r = [vec(A_bb T - T A); vec(B_bb - T B); vec(C_bb T - C)], so the
@@ -141,10 +135,9 @@ def cost(
     of the parameter map, the theta columns of J are
     -[(I (x) T) K_A; (I (x) T) K_B; K_C] and the vec(T) columns are
     [I (x) A_bb - A^T (x) I; -B^T (x) I; I (x) C_bb].  ``plan`` is the
-    :class:`CostPlan` of ``blackbox`` and ``structure``; without one, a
-    plan is built for this call.
+    :class:`CostPlan` of the black box and the structure.
     """
-    return (plan if plan is not None else CostPlan(blackbox, structure))(theta, t)
+    return plan(theta, t)
 
 
 def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndarray:
@@ -211,14 +204,14 @@ def solve_lsq(
     plan = CostPlan(blackbox, structure)
 
     def rj(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return cost(*split(z), blackbox, structure, plan)
+        return cost(*split(z), plan)  # by this name: bench/tracer.py wraps graybox.lsq.cost
 
     result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg, rvv=plan.curvature)
     theta_hat, t_hat = split(result.x_best)
     t_hat = t_hat.copy(order="C")  # read out on the array that is returned and written
     rc = rcond(t_hat)
     degenerate = rc < SINGULAR_RTOL
-    res = _residual_norms(blackbox, t_hat, *structured_matrices(structure, theta_hat))
+    res = _read_out(blackbox, structure, theta_hat, t_hat)
     diagnostics = {
         "objective_final": result.f_best,
         "grad_norm": result.grad_norm,

@@ -44,8 +44,8 @@ __all__ = [
 # realization extraction excludes them, and a solve ending on one is degenerate.
 SINGULAR_RTOL = 1e-8
 
-# Largest similarity residual a solution may leave: solve exits 0 only below
-# it, it is verify's default --tol, the null-space multistart stops at the
+# Largest similarity residual a solution may leave (_passes): solve exits 0 only
+# below it, it is verify's default --tol, the null-space multistart stops at the
 # first start whose read-out meets it, and the pipeline skips its polish then.
 RESIDUAL_TOL = 1e-8
 
@@ -252,7 +252,7 @@ class Instance(NamedTuple):
 
 
 class Residuals(NamedTuple):
-    """Frobenius norms of the three similarity residuals; they pass if ``_worst`` is <= tol."""
+    """Frobenius norms of the three similarity residuals; accepted by :func:`_passes`."""
 
     r_a: float
     r_b: float
@@ -268,12 +268,17 @@ def _worst(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+def _passes(res: Residuals, tol: float = RESIDUAL_TOL) -> bool:
+    """The one accept test of a read-out: its worst residual is <= ``tol``, so a NaN fails."""
+    return _worst(res) <= tol
+
+
 @dataclass
 class Solution:
     """Recovered parameters, C-ordered transform, their residuals and rcond(T), with diagnostics.
 
-    ``residuals`` and ``rcond_T`` are the stage's one read-out of ``T``: the
-    report and the exit code of ``solve`` take them from here.
+    ``residuals`` (:func:`_read_out`) and ``rcond_T`` are the stage's one read-out of
+    ``T``: the report and the exit code of ``solve`` take them from here.
     """
 
     theta: np.ndarray
@@ -408,12 +413,14 @@ def residuals(blackbox: StateSpace, t: np.ndarray, structured: StateSpace) -> Re
 
 def _residual_norms(blackbox: StateSpace, t: np.ndarray, a: np.ndarray, b: np.ndarray,
                     c: np.ndarray) -> Residuals:
-    """:func:`residuals` of the structured matrices ``(a, b, c)``, without input validation.
-
-    Both solver stages and ``verify`` read a solution out through this, on the
-    matrices of :func:`structured_matrices`; an overflow gives ``inf`` or NaN.
-    """
+    """:func:`residuals` of ``(a, b, c)``, unvalidated; an overflow gives ``inf`` or NaN."""
     r_a = np.linalg.norm(blackbox.A @ t - t @ a)
     r_b = np.linalg.norm(blackbox.B - t @ b)
     r_c = np.linalg.norm(blackbox.C @ t - c)
     return Residuals(float(r_a), float(r_b), float(r_c))
+
+
+def _read_out(blackbox: StateSpace, structure: AffineStructure, theta: np.ndarray,
+              t: np.ndarray) -> Residuals:
+    """The residuals of ``(theta, t)``: the one read-out of both solver stages and ``verify``."""
+    return _residual_norms(blackbox, t, *structured_matrices(structure, theta))

@@ -49,13 +49,13 @@ from .model import (
     Dims,
     Solution,
     StateSpace,
-    _residual_norms,
+    _passes,
+    _read_out,
     _worst,
     block_slices,
     check_dims,
     kron_t,
     rcond,
-    structured_matrices,
     unvec,
     vec,
 )
@@ -111,15 +111,9 @@ def nullspace_point(blackbox: StateSpace, t: np.ndarray) -> np.ndarray:
 
 
 def _solution_slices(dims: Dims) -> tuple[slice, slice, slice, slice]:
+    """Slices of vec(T), vec(TA), vec(TB) and vec(C): :func:`block_slices` past the T block."""
     nx2 = dims.n_x**2
-    off_tb = 2 * nx2
-    off_c = off_tb + dims.n_x * dims.n_u
-    return (
-        slice(0, nx2),
-        slice(nx2, 2 * nx2),
-        slice(off_tb, off_c),
-        slice(off_c, off_c + dims.n_x * dims.n_y),
-    )
+    return (slice(0, nx2), *(slice(nx2 + s.start, nx2 + s.stop) for s in block_slices(dims)))
 
 
 def _checked_inverse(t: np.ndarray) -> np.ndarray:
@@ -405,8 +399,8 @@ def solve_nullspace(
     ``config.restarts`` seeded Gaussian draws, each drawn just before it runs
     from a generator that the first restart builds, and reads the parameter
     vector and transform out of each completed start by the evaluator's own
-    fill at its best point.  The first start whose
-    read-out leaves a max similarity residual <= ``RESIDUAL_TOL``, or whose
+    fill at its best point, and its residuals by ``model._read_out``.  The
+    first start whose read-out passes (``model._passes``), or whose
     structure distance sqrt(objective) is <= ``RESIDUAL_TOL``, wins and ends
     the search: the cost is zero at the truth, so no later start can do
     better.  (The read-out residual scales with ||T||, so a start can reach
@@ -449,18 +443,17 @@ def solve_nullspace(
         rj._fill(t)
         theta = extract_theta(rj.stacked, proj)
         t = np.ascontiguousarray(t)  # read out on the array that is returned and written
-        res = _residual_norms(blackbox, t, *structured_matrices(structure, theta))
-        worst = _worst(res)
+        res = _read_out(blackbox, structure, theta, t)
         outcomes.append({
             "iterations": result.iterations,
             "n_evals": result.n_evals,
             "steps": result.steps(),
             "status": result.status,
             "objective_final": result.f_best,
-            "max_residual": worst,
+            "max_residual": _worst(res),
         })
         # a start at the distance's roundoff floor has the lowest objective of all so far
-        done = worst <= RESIDUAL_TOL or math.sqrt(result.f_best) <= RESIDUAL_TOL
+        done = _passes(res) or math.sqrt(result.f_best) <= RESIDUAL_TOL
         if done or winner is None or result.f_best < winner[0].f_best:
             winner = result, t, theta, res
         if done:

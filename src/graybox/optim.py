@@ -223,7 +223,6 @@ class OptimResult:
 
     x_best: np.ndarray
     f_best: float
-    grad_norm: float
     iterations: int
     status: str
     n_evals: int
@@ -231,6 +230,11 @@ class OptimResult:
     n_rejected: int = 0
     n_geodesic_rejected: int = 0
     n_skipped: int = 0
+
+    @property
+    def grad_norm(self) -> float:
+        """The gradient's infinity norm at ``x_best``: the last entry of ``trace``."""
+        return self.trace[-1][2]
 
     def steps(self) -> dict[str, int]:
         """The damped steps of an :func:`lm` run by outcome, as a report writes them.
@@ -402,7 +406,6 @@ def bfgs(
     return OptimResult(
         x_best=x,
         f_best=fx,
-        grad_norm=g_inf,
         iterations=iterations,
         status=status,
         n_evals=n_evals,
@@ -557,7 +560,6 @@ def lm(
     return OptimResult(
         x_best=x,
         f_best=f,
-        grad_norm=trace[-1][2],
         iterations=iterations,
         status=status,
         n_evals=n_evals,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graybox.lsq import cost
+from graybox.lsq import CostPlan, cost
 from graybox.model import AffineStructure, Dims, Instance, generate_instance, unvec, vec
 from graybox.structures import chain
 
@@ -103,7 +103,7 @@ def lsq_fg(theta, t, blackbox, structure) -> tuple[float, np.ndarray, np.ndarray
     Returned as ``(f, g_theta, g_T)``, with ``g_T`` an n_x by n_x matrix.
     """
     t = np.asarray(t, dtype=float)
-    r, jac = cost(np.asarray(theta, dtype=float), t, blackbox, structure)
+    r, jac = cost(np.asarray(theta, dtype=float), t, CostPlan(blackbox, structure))
     g = 2.0 * (jac.T @ r)
     n_theta = structure.n_theta
     return float(r @ r), g[:n_theta], unvec(g[n_theta:], *t.shape)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graybox import lsq, solve, solver
+from graybox import lsq, nullspace, optim, solve, solver
 from graybox import cli
 from graybox.cli import main
 from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eval_structure,
@@ -863,6 +863,25 @@ def test_write_report_writes_nested_non_finite_numbers_as_null(tmp_path):
     assert out.read_text() == json.dumps(expected) + "\n"
 
 
+def test_reports_without_out_go_to_stdout_as_one_line_of_strict_json(tmp_path, capsys):
+    bb, truth = generate(tmp_path, seed=5)
+    report_path, verify_path = tmp_path / "report.json", tmp_path / "verify.json"
+    for argv, path in [
+        (("solve", "--blackbox", bb, "--structure", "mass-spring", "--truth", truth),
+         report_path),
+        (("verify", "--result", report_path, "--blackbox", bb, "--structure", "mass-spring",
+          "--truth", truth), verify_path),
+    ]:
+        capsys.readouterr()
+        assert run(*argv, "--out", path) == 0
+        assert capsys.readouterr().out == ""
+        assert run(*argv) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert untimed(json.loads(text, parse_constant=_strict_constant)) == untimed(
+            json.loads(path.read_text()))
+
+
 def test_verify_missing_key_exits_2(tmp_path):
     bb, _ = generate(tmp_path, seed=6)
     bogus = tmp_path / "bogus.json"
@@ -897,8 +916,8 @@ def test_check_grad_builds_one_cost_plan_per_run(tmp_path, monkeypatch, capsys, 
     assert run(*argv) == 0
     shared = capsys.readouterr().out
     assert len(built) == 1
-    monkeypatch.setattr(lsq, "cost", lambda theta, t, blackbox, structure, plan=None:
-                        lsq.CostPlan(blackbox, structure)(theta, t))
+    monkeypatch.setattr(lsq, "cost", lambda theta, t, plan:
+                        lsq.CostPlan(plan.blackbox, plan.structure)(theta, t))
     assert run(*argv) == 0
     assert capsys.readouterr().out == shared
     assert len(built) > 2
@@ -962,6 +981,43 @@ def test_check_grad_fails_a_nan_derivative(tmp_path, monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "max_rel_err nan" in out and "worst nan" in out
+
+
+@pytest.mark.parametrize("which, seed, resampled", [("hbar", 7, 1), ("jacobians", 4, 2)])
+def test_check_grad_resamples_degenerate_points(tmp_path, capsys, which, seed, resampled):
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2", seed=0)
+    capsys.readouterr()
+    assert run("check-grad", "--which", which, "--blackbox", bb, "--structure", "compartment3",
+               "--points", 10, "--seed", seed) == 0
+    assert f"resampled {resampled} degenerate point(s)" in capsys.readouterr().out
+
+
+def test_check_grad_gives_up_on_too_many_degenerate_points(tmp_path, monkeypatch, capsys):
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2", seed=0)
+    monkeypatch.setattr(cli, "_point_error", lambda *args: None)
+    assert run("check-grad", "--which", "hbar", "--blackbox", bb, "--structure", "compartment3",
+               "--points", 10) == 2
+    assert "too many degenerate sample points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [optim.InfeasibleStartError, nullspace.SingularTransformError])
+def test_solve_error_of_a_degenerate_search_exits_4_without_a_report(tmp_path, monkeypatch,
+                                                                      capsys, error):
+    bb, _ = generate(tmp_path, seed=5)
+    capsys.readouterr()
+
+    def raising(*args, **kwargs):
+        raise error("every start began at a singular transform point")
+
+    monkeypatch.setattr(solver, "solve", raising)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring",
+               "--out", report_path) == 4
+    assert capsys.readouterr().err == (
+        "error: every start began at a singular transform point\n")
+    assert not report_path.exists()
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring") == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command, flag", [("verify", "--tol"), ("check-grad", "--rel-tol")])

@@ -114,11 +114,12 @@ def test_jacobian_matches_finite_differences():
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
         n_theta, n_x = structure.n_theta, dims.n_x
-        r, jac = cost(theta, t, blackbox, structure)
+        plan = CostPlan(blackbox, structure)
+        r, jac = cost(theta, t, plan)
         assert r.shape == (dims.n_abc,)
         assert jac.shape == (dims.n_abc, n_theta + n_x**2)
         approx = fd_jacobian(
-            lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), blackbox, structure)[0],
+            lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), plan)[0],
             np.concatenate([theta, vec(t)]),
         )
         assert float(np.max(relative_errors(jac, approx))) <= 1e-6
@@ -145,7 +146,7 @@ def test_jacobian_blocks_equal_kron_oracle():
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
         _, oracle = _kron_oracle(structure, blackbox, theta, t)
-        _, jac = cost(theta, t, blackbox, structure)
+        _, jac = cost(theta, t, CostPlan(blackbox, structure))
         n_theta = structure.n_theta
         for cols in (slice(None, n_theta), slice(n_theta, None)):
             assert np.linalg.norm(jac[:, cols] - oracle[:, cols]) <= (
@@ -165,7 +166,7 @@ def test_cost_plan_matches_kron_oracle_and_finite_differences_at_each_point():
             for _ in range(3):
                 theta = rng.standard_normal(n_theta)
                 t = rng.standard_normal((n_x, n_x))
-                r, jac = cost(theta, t, blackbox, structure, plan)
+                r, jac = cost(theta, t, plan)
                 r_oracle, j_oracle = _kron_oracle(structure, blackbox, theta, t)
                 assert np.linalg.norm(r - r_oracle) <= 1e-12 * np.linalg.norm(r_oracle)
                 assert np.linalg.norm(jac - j_oracle) <= 1e-12 * np.linalg.norm(j_oracle)
@@ -224,7 +225,7 @@ def test_jacobian_gradient_equals_closed_form_gradients():
     rng = np.random.default_rng(46)
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
-        r, jac = cost(theta, t, blackbox, structure)
+        r, jac = cost(theta, t, CostPlan(blackbox, structure))
         res = residual_matrices(theta, t, blackbox, structure)
         oracle = np.concatenate([grad_theta(t, res, structure), vec(grad_t(res, blackbox))])
         assert np.linalg.norm(2.0 * jac.T @ r - oracle) <= 1e-10 * (1.0 + np.linalg.norm(oracle))
@@ -233,7 +234,8 @@ def test_jacobian_gradient_equals_closed_form_gradients():
 def _stacked_cost(structure, blackbox):
     """``z -> (r, J)`` of :func:`cost` at the stacked point z = [theta; vec(T)]."""
     n_theta, n_x = structure.n_theta, structure.dims.n_x
-    return lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), blackbox, structure)
+    plan = CostPlan(blackbox, structure)
+    return lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), plan)
 
 
 def test_curvature_makes_the_quadratic_expansion_exact():

@@ -135,16 +135,17 @@ def _write(path: str, text: str) -> None:
 def _check_writable(path: str) -> None:
     """Raise :func:`_write`'s error, before any work, where it could not write ``path``.
 
-    That is where ``path`` is a directory, or its parent is not an existing,
-    writable directory.  ``os.path`` rather than ``pathlib``: this runs on
-    every ``solve --out``, and costs a third as much.
+    That is where ``path`` is a directory, or its parent is not an existing
+    directory, or ``path`` is a file it may not write, or a new file in a
+    directory it may not write.  ``os.path`` rather than ``pathlib``: this
+    runs on every ``solve --out``, and costs a third as much.
     """
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    elif not os.access(parent, os.W_OK):
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
     else:
         return

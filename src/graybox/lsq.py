@@ -184,7 +184,7 @@ def solve_lsq(
     undamped step.  The diagnostics count the residual evaluations in
     ``n_evals``, the damped steps, rejected ones included, in
     ``iterations``, and those steps by outcome in ``steps``
-    (:meth:`graybox.optim.OptimResult.steps`).
+    (:attr:`graybox.optim.OptimResult.steps`).
 
     Non-convergence is reported through ``result.status`` with the best point
     still returned.  The diagnostics flag ``degenerate_transform`` marks a
@@ -217,7 +217,7 @@ def solve_lsq(
         "grad_norm": result.grad_norm,
         "n_evals": result.n_evals,
         "iterations": result.iterations,
-        "steps": result.steps(),
+        "steps": result.steps,
         "residuals": res.to_dict(),
         "degenerate_transform": degenerate,
         "cond_T": 1.0 / rc if not degenerate else None,

@@ -174,10 +174,10 @@ class StateSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> StateSpace:
-        """The model of a JSON document; each matrix is converted and checked once, here.
+        """The model of a JSON document, built by the constructor.
 
-        The checks are those of the constructor, against the document's
-        declared dimensions, so the constructor's own pass is skipped.
+        Each matrix is first checked against the document's declared
+        dimensions, so an error names the shape the document declared.
         """
         for key in ("n_x", "n_u", "n_y", "A", "B", "C"):
             if key not in data:
@@ -185,11 +185,8 @@ class StateSpace:
         dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
         shapes = {"A": (dims.n_x, dims.n_x), "B": (dims.n_x, dims.n_u),
                   "C": (dims.n_y, dims.n_x)}
-        model = cls.__new__(cls)
-        for name, (rows, cols) in shapes.items():
-            object.__setattr__(model, name, _as_matrix(data[name], rows, cols, name))
-        object.__setattr__(model, "dims", dims)
-        return model
+        return cls(**{name: _as_matrix(data[name], rows, cols, name)
+                      for name, (rows, cols) in shapes.items()})
 
 
 @dataclass(frozen=True)
@@ -372,10 +369,12 @@ def random_similarity(n: int, cond_max: float, rng: np.random.Generator) -> np.n
 
     Built from two random orthogonal factors and singular values drawn
     log-uniformly in [1, cond_max], so the conditioning bound holds by
-    construction.
+    construction.  ``cond_max`` may be at most 1 / ``SINGULAR_RTOL``, beyond
+    which :func:`apply_similarity` would reject some draws as singular.
     """
-    if not 1.0 < cond_max < np.inf:
-        raise ValueError(f"cond_max must be finite and exceed 1, got {cond_max}")
+    if not 1.0 < cond_max <= 1.0 / SINGULAR_RTOL:
+        raise ValueError(f"cond_max must exceed 1 and be at most 1/SINGULAR_RTOL = "
+                         f"{1.0 / SINGULAR_RTOL:g}, got {cond_max}")
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     singular_values = np.exp(rng.uniform(0.0, np.log(cond_max), size=n))

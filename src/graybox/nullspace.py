@@ -447,7 +447,7 @@ def solve_nullspace(
         outcomes.append({
             "iterations": result.iterations,
             "n_evals": result.n_evals,
-            "steps": result.steps(),
+            "steps": result.steps,
             "status": result.status,
             "objective_final": result.f_best,
             "max_residual": _worst(res),

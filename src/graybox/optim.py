@@ -14,7 +14,8 @@ acceleration; with it, each damped matrix is factored once, by the
 Cholesky ``dposv`` of the LAPACK bundled with numpy, and the acceleration
 reuses that factor through ``dpotrs``.  A step whose damped matrix is not
 numerically positive definite, and every step where that library is not
-found, makes two ``np.linalg.solve`` calls instead.
+found, makes two ``np.linalg.solve`` calls instead.  An ``lm`` result
+counts its damped steps by outcome in ``steps``, the dict every report writes.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -97,52 +98,50 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
     """``factor(n) -> (solve, resolve)``: two solves with one symmetric damped matrix.
 
     ``solve(a, b)`` solves ``a x = b``, with ``np.linalg.solve``'s
-    ``LinAlgError`` on an exactly singular ``a``; ``resolve(b)`` then solves
-    with the same ``a``.  With ``lapack`` from :func:`_bundled_lapack`,
+    ``LinAlgError`` on an exactly singular ``a``; ``resolve(a, b)`` then
+    solves with the same ``a``, unchanged since.  Without ``lapack`` both are
+    ``np.linalg.solve``.  With ``lapack`` from :func:`_bundled_lapack`,
     ``solve`` runs ``dposv`` (Cholesky, lower triangle) on an F-ordered copy
     of ``a``, and ``resolve`` runs ``dpotrs`` on the factor it left, which
     gives the bits of factoring ``a`` again.  Since ``a`` is symmetric, the
     copy is written through the buffer's transpose, one contiguous copy of
     a C-ordered ``a``.  ``solve`` returns a new array; ``resolve`` returns
     the right-hand side buffer, which the next ``solve`` overwrites.  Where
-    ``dpotrf`` finds ``a`` not numerically positive definite, and everywhere
-    without ``lapack``, ``solve`` and ``resolve`` are two ``np.linalg.solve``
-    calls on ``a``, which must not change before ``resolve``.  The buffers
-    and the raw pointers to them are built once per ``factor`` call, since
-    setting up the ctypes arguments on every solve costs more than the
-    second factorization saves.  The arguments are trusted: symmetric
-    float64 matrices of order ``n``, and matching vectors.
+    ``dpotrf`` finds ``a`` not numerically positive definite, dposv's INFO
+    stays nonzero, and ``solve`` and then ``resolve`` each fall back to
+    ``np.linalg.solve(a, b)``.  The buffers and the raw pointers to them are
+    built once per ``factor`` call, since setting up the ctypes arguments on
+    every solve costs more than the second factorization saves.  The
+    arguments are trusted: symmetric float64 matrices of order ``n``, and
+    matching vectors.
     """
     def factor(n: int) -> tuple[Callable, Callable]:
-        held = []  # a, while the last solve fell back to np.linalg.solve
-        if lapack is not None:
-            dposv, dpotrs, index = lapack
-            factors = np.empty((n, n), order="F")
-            factors_t = factors.T
-            rhs = np.empty(n)
-            ints = np.array([n, 1, max(n, 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
-            # raw pointers keep no array alive: solve holds factors, rhs and ints, and
-            # resolve runs only after solve, which its caller holds
-            base = ints.ctypes.data
-            order_p, nrhs_p, lead_p, info_p = (ctypes.c_void_p(base + k * ints.itemsize)
-                                               for k in range(4))
-            args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, ctypes.c_void_p(factors.ctypes.data),
-                    lead_p, ctypes.c_void_p(rhs.ctypes.data), lead_p, info_p)
+        if lapack is None:
+            return np.linalg.solve, np.linalg.solve
+        dposv, dpotrs, index = lapack
+        factors = np.empty((n, n), order="F")
+        factors_t = factors.T
+        rhs = np.empty(n)
+        ints = np.array([n, 1, max(n, 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
+        # raw pointers keep no array alive: solve holds factors, rhs and ints, and
+        # resolve runs only after solve, which its caller holds
+        base = ints.ctypes.data
+        order_p, nrhs_p, lead_p, info_p = (ctypes.c_void_p(base + k * ints.itemsize)
+                                           for k in range(4))
+        args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, ctypes.c_void_p(factors.ctypes.data),
+                lead_p, ctypes.c_void_p(rhs.ctypes.data), lead_p, info_p)
 
         def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            if lapack is not None:
-                factors_t[...] = a  # a = a^T
-                rhs[...] = b
-                dposv(*args)
-                if ints[3] == 0:  # else INFO > 0: a leading minor is not positive definite
-                    held.clear()
-                    return rhs.copy()
-            held[:] = [a]
+            factors_t[...] = a  # a = a^T
+            rhs[...] = b
+            dposv(*args)
+            if ints[3] == 0:  # else INFO > 0: a leading minor is not positive definite
+                return rhs.copy()
             return np.linalg.solve(a, b)
 
-        def resolve(b: np.ndarray) -> np.ndarray:
-            if held:
-                return np.linalg.solve(held[0], b)
+        def resolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if ints[3] != 0:  # solve fell back, and left no factor of a
+                return np.linalg.solve(a, b)
             rhs[...] = b
             dpotrs(*args)
             return rhs
@@ -215,10 +214,12 @@ class OptimResult:
     ``trace`` holds one ``(iteration, f, grad_inf_norm)`` entry per accepted
     iterate, starting with the initial point; the f column is non-increasing.
     ``n_evals`` counts the objective evaluations, the start point included.
-    :func:`lm` also counts its steps that were not accepted: ``n_rejected``
-    were evaluated and rejected, ``n_geodesic_rejected`` were rejected by the
-    acceleration test without an evaluation, and ``n_skipped`` repeated a
-    rejected damped matrix and were neither solved nor evaluated.
+    ``steps``, empty for :func:`bfgs`, counts the damped steps of :func:`lm`
+    by outcome, the dict a report writes: ``accepted``; ``rejected``,
+    evaluated and rejected; ``geodesic_rejected``, rejected by the
+    acceleration test without an evaluation; and ``skipped``, which repeated
+    a rejected damped matrix and were neither solved nor evaluated.  With
+    the step that ended a "converged-step" run, they add up to ``iterations``.
     """
 
     x_best: np.ndarray
@@ -227,22 +228,12 @@ class OptimResult:
     status: str
     n_evals: int
     trace: list[tuple[int, float, float]] = field(default_factory=list)
-    n_rejected: int = 0
-    n_geodesic_rejected: int = 0
-    n_skipped: int = 0
+    steps: dict[str, int] = field(default_factory=dict)
 
     @property
     def grad_norm(self) -> float:
         """The gradient's infinity norm at ``x_best``: the last entry of ``trace``."""
         return self.trace[-1][2]
-
-    def steps(self) -> dict[str, int]:
-        """The damped steps of an :func:`lm` run by outcome, as a report writes them.
-
-        With the step that ended a "converged-step" run, they add up to ``iterations``.
-        """
-        return {"accepted": len(self.trace) - 1, "rejected": self.n_rejected,
-                "geodesic_rejected": self.n_geodesic_rejected, "skipped": self.n_skipped}
 
 
 def line_search_wolfe(
@@ -479,6 +470,9 @@ def lm(
     without an evaluation, like a step that raises f; otherwise the trial
     point is x + v + a/2.  Without ``rvv`` the step is v.
 
+    The result counts the steps by outcome in ``steps``; its ``n_evals``,
+    the calls of ``rj``, is then ``1 + accepted + rejected``.
+
     Raises:
         InfeasibleStartError: if ``rj`` marks ``x0`` infeasible.
     """
@@ -487,7 +481,6 @@ def lm(
     r, jac = rj(x)
     if r is None:
         raise InfeasibleStartError("residual is not defined at the starting point")
-    n_evals = 1
     f, a, g = float(r @ r), jac.T @ jac, -(jac.T @ r)  # g is minus half the gradient of f
     mu = 1e-6 * float(a.diagonal().max())
     nu = 2.0
@@ -498,7 +491,7 @@ def lm(
     damped = np.empty(a.shape)  # a + mu I, C-ordered, rewritten in place at every step
     diagonal = damped.reshape(-1)[:: x.size + 1]  # a writeable view of its diagonal
     rejected = None  # copy of that diagonal for the last step rejected at x
-    n_rejected = n_geodesic_rejected = n_skipped = 0
+    steps = {"rejected": 0, "geodesic_rejected": 0, "skipped": 0}  # the accepted are in the trace
     # with rvv, both solves of a step share one factorization of damped
     solve, resolve = (np.linalg.solve, None) if rvv is None else _factor(x.size)
     while True:
@@ -515,7 +508,8 @@ def lm(
             if rvv is not None:
                 status = "converged-step"
                 break
-            mu, nu, n_skipped = mu * nu, 2.0 * nu, n_skipped + 1
+            mu, nu = mu * nu, 2.0 * nu
+            steps["skipped"] += 1
             continue
         try:
             h = solve(damped, g)
@@ -528,20 +522,19 @@ def lm(
             break
         step = h
         if rvv is not None:
-            accel = resolve(-(jac.T @ rvv(h)))
+            accel = resolve(damped, -(jac.T @ rvv(h)))
             # the 2-norms as np.linalg.norm takes them, without its dispatch
             if 2.0 * math.sqrt(accel.dot(accel)) > GEODESIC_ALPHA * math.sqrt(h.dot(h)):
                 mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
-                n_geodesic_rejected += 1
+                steps["geodesic_rejected"] += 1
                 continue
             step = h + 0.5 * accel
         x_new = x + step
         r_new, j_new = rj(x_new)
-        n_evals += 1
         f_new = math.inf if r_new is None else float(r_new @ r_new)
         if not f_new < f:
             mu, nu, rejected = mu * nu, 2.0 * nu, diagonal.copy()
-            n_rejected += 1
+            steps["rejected"] += 1
             continue
         rho = (f - f_new) / predicted
         f_prev = f
@@ -557,16 +550,15 @@ def lm(
     # the max-norm of every kept gradient in one call; a max is exact in any order
     maxima = np.abs(np.array([g_k for _, _, g_k in accepted])).max(axis=1).tolist()
     trace = [(k, f_k, 2.0 * m) for (k, f_k, _), m in zip(accepted, maxima)]
+    steps = {"accepted": len(trace) - 1, **steps}
     return OptimResult(
         x_best=x,
         f_best=f,
         iterations=iterations,
         status=status,
-        n_evals=n_evals,
+        n_evals=1 + steps["accepted"] + steps["rejected"],
         trace=trace,
-        n_rejected=n_rejected,
-        n_geodesic_rejected=n_geodesic_rejected,
-        n_skipped=n_skipped,
+        steps=steps,
     )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ def test_generate_writes_deterministic_files(tmp_path):
 
 
 def test_generate_rejects_bad_cond_max(tmp_path):
-    for cond_max in ("1.0", "inf", "nan"):
+    for cond_max in ("1.0", "inf", "nan", "1e9"):  # above 1e9 = 1/SINGULAR_RTOL, by the seed
         code = run("generate", "--structure", "scalar", "--theta", "3,2",
                    "--cond-max", cond_max, "--out-prefix", tmp_path / "x")
         assert code == 2
@@ -465,6 +466,14 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command):
     assert not missing.exists()
 
 
+def _deny_writes(monkeypatch, *paths):
+    """``os.access`` answers False for ``paths``, as it would to a user without write access."""
+    allowed = os.access
+    denied = {os.fspath(path) for path in paths}
+    monkeypatch.setattr(os, "access", lambda path, mode: (
+        os.fspath(path) not in denied and allowed(path, mode)))
+
+
 def test_solve_checks_its_output_path_before_solving(tmp_path, capsys, monkeypatch):
     bb, _ = generate(tmp_path)
 
@@ -478,15 +487,32 @@ def test_solve_checks_its_output_path_before_solving(tmp_path, capsys, monkeypat
     # and a directory in the output's place
     assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", tmp_path) == 2
     assert f"error: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+    # and a file, or a new file's directory, that may not be written
+    existing, locked = tmp_path / "old.json", tmp_path / "locked"
+    existing.write_text("old")
+    locked.mkdir()
+    _deny_writes(monkeypatch, existing, locked)
+    for out in (existing, locked / "r.json"):
+        assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", out) == 2
+        assert f"error: cannot write {out}: Permission denied" in capsys.readouterr().err
+    assert existing.read_text() == "old" and not any(locked.iterdir())
 
 
-def test_generate_writes_neither_file_where_one_cannot_be_written(tmp_path, capsys):
+def test_generate_writes_neither_file_where_one_cannot_be_written(tmp_path, capsys, monkeypatch):
     prefix = tmp_path / "p"
     (tmp_path / "p.truth.json").mkdir()
     assert run("generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
                "--out-prefix", prefix) == 2
     assert f"error: cannot write {prefix}.truth.json: Is a directory" in capsys.readouterr().err
     assert not (tmp_path / "p.blackbox.json").exists()
+    # and a truth file that may not be written
+    truth = tmp_path / "q.truth.json"
+    truth.write_text("old")
+    _deny_writes(monkeypatch, truth)
+    assert run("generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
+               "--out-prefix", tmp_path / "q") == 2
+    assert f"error: cannot write {truth}: Permission denied" in capsys.readouterr().err
+    assert not (tmp_path / "q.blackbox.json").exists() and truth.read_text() == "old"
 
 
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
@@ -990,6 +1016,24 @@ def test_check_grad_resamples_degenerate_points(tmp_path, capsys, which, seed, r
     assert run("check-grad", "--which", which, "--blackbox", bb, "--structure", "compartment3",
                "--points", 10, "--seed", seed) == 0
     assert f"resampled {resampled} degenerate point(s)" in capsys.readouterr().out
+
+
+def test_check_grad_resamples_a_point_whose_evaluation_raises(tmp_path, monkeypatch, capsys):
+    bb, _ = generate(tmp_path, structure="compartment3", theta="1,0.7,0.4,2", seed=0)
+    outcomes = iter([nullspace.SingularTransformError("singular"), ValueError("not finite"),
+                     0.0])
+
+    def point_error(*args):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "_point_error", point_error)
+    capsys.readouterr()
+    assert run("check-grad", "--which", "hbar", "--blackbox", bb, "--structure", "compartment3",
+               "--points", 1) == 0
+    assert "resampled 2 degenerate point(s)" in capsys.readouterr().out
 
 
 def test_check_grad_gives_up_on_too_many_degenerate_points(tmp_path, monkeypatch, capsys):

@@ -281,7 +281,7 @@ def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
     assert max(res) <= 1e-8
     assert sol.diagnostics["n_evals"] == sol.result.n_evals
     assert sol.diagnostics["iterations"] == sol.result.iterations
-    assert sol.diagnostics["steps"] == sol.result.steps()
+    assert sol.diagnostics["steps"] == sol.result.steps
 
 
 # (structure, instance seed, whether the run ends at a repeated rejection) of

@@ -784,7 +784,7 @@ def test_solve_stops_at_first_start_that_recovers(monkeypatch):
     assert sol.diagnostics["start_outcomes"] == [{
         "iterations": sol.result.iterations,
         "n_evals": sol.result.n_evals,
-        "steps": sol.result.steps(),
+        "steps": sol.result.steps,
         "status": sol.result.status,
         "objective_final": sol.result.f_best,
         "max_residual": max(res),

@@ -378,7 +378,7 @@ def test_lm_counts_each_step_by_outcome(run, expected):
     rj, x0, rvv = run
     calls = []
     result = lm(lambda x: calls.append(1) or rj(x), np.array(x0), rvv=rvv)
-    steps = result.steps()
+    steps = result.steps
     assert (steps, result.status, result.iterations) == expected
     assert steps["accepted"] == len(result.trace) - 1
     # the start and every accepted or rejected step is one evaluation; nothing else is
@@ -442,7 +442,7 @@ def _assert_lm_matches_its_reference(rj, x0, rvv, solve):
     assert (result.status, result.iterations, result.trace) == (status, iterations, trace)
     assert np.array_equal(result.x_best, x) and result.f_best == f
     assert result.n_evals <= n_evals
-    steps = result.steps()
+    steps = result.steps
     assert sum(steps.values()) + (result.status == "converged-step") == result.iterations
     if rvv is None:
         assert steps["geodesic_rejected"] == 0
@@ -535,7 +535,7 @@ def test_bundled_lapack_binds_its_two_routines():
     # the library reads N, NRHS, LDA and INFO at the width the suffix names
     solve, resolve = optim._factored_solver(BUNDLED)(3)
     a, b = np.diag([4.0, 16.0, 1.0]), np.array([4.0, 16.0, 1.0])  # exact square roots
-    assert np.array_equal(solve(a, b), np.ones(3)) and np.array_equal(resolve(b), np.ones(3))
+    assert np.array_equal(solve(a, b), np.ones(3)) and np.array_equal(resolve(a, b), np.ones(3))
 
 
 def _solver_systems(rng, matrix):
@@ -578,7 +578,7 @@ def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack)
             second = rng.standard_normal(len(a))
             a_before = a.copy()
             calls.clear()
-            x, y = solve(a, b), resolve(second)
+            x, y = solve(a, b), resolve(a, second)
             # Cholesky's bound is c n eps; numpy's LU meets n eps on these systems too
             bound = len(a) * np.finfo(float).eps
             assert backward_error(a, x, b) <= bound
@@ -608,7 +608,7 @@ def test_factored_solver_gives_np_linalg_bits(lapack):
             a_before = a.copy()
             calls.clear()
             assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
-            assert np.array_equal(resolve(second), np.linalg.solve(a, second))
+            assert np.array_equal(resolve(a, second), np.linalg.solve(a, second))
             assert np.array_equal(a, a_before)
             assert calls == ([] if lapack is None else ["dposv"])
 
@@ -626,6 +626,10 @@ def test_factored_solver_raises_on_an_exactly_singular_matrix(lapack, a):
             solve(np.asfortranarray(a), np.ones(len(a)))
 
 
+def test_factored_solver_without_lapack_is_np_linalg_solve():
+    assert optim._factored_solver(None)(3) == (np.linalg.solve, np.linalg.solve)
+
+
 @pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
 @pytest.mark.parametrize("run", LM_STEP_RUNS.values(), ids=LM_STEP_RUNS.keys())
 def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
@@ -634,7 +638,7 @@ def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     monkeypatch.setattr(optim, "_factor", optim._factored_solver(logged_lapack(BUNDLED, calls)))
     monkeypatch.setattr(np.linalg, "solve", logged(calls, "solve", np.linalg.solve))
     result = lm(rj, np.array(x0), rvv=rvv)
-    steps = result.steps()
+    steps = result.steps
     assert steps == expected_steps
     if rvv is None:
         # one np.linalg.solve per step that was not skipped, as before

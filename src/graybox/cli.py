@@ -94,7 +94,7 @@ def _load_structure(spec: str) -> AffineStructure:
 
 def _load_truth(path: str | None, structure: AffineStructure) -> np.ndarray | None:
     """The truth file's ``theta``, finite and of the structure's length, or None without a file."""
-    if not path:
+    if path is None:
         return None
     return _load(path, "truth", lambda doc: _as_vector(doc["theta"], structure.n_theta, "theta"))
 
@@ -117,8 +117,8 @@ def _parse_theta(text: str) -> list[float]:
 
 
 def _load_config(args) -> optim.OptimConfig:
-    cfg = (_load(args.config, "config", optim.OptimConfig.from_dict) if args.config
-           else optim.OptimConfig())
+    cfg = (_load(args.config, "config", optim.OptimConfig.from_dict)
+           if args.config is not None else optim.OptimConfig())
     overrides = {name: getattr(args, name) for name in ("seed", "restarts")
                  if getattr(args, name) is not None}
     return dataclasses.replace(cfg, **overrides)  # validates the overrides too
@@ -135,13 +135,13 @@ def _write(path: str, text: str) -> None:
 def _check_writable(path: str) -> None:
     """Raise :func:`_write`'s error, before any work, where it could not write ``path``.
 
-    That is where ``path`` is a directory, or its parent is not an existing
-    directory, or ``path`` is a file it may not write, or a new file in a
-    directory it may not write.  ``os.path`` rather than ``pathlib``: this
-    runs on every ``solve --out``, and costs a third as much.
+    That is where ``path`` is empty or a directory, or its parent is not an
+    existing directory, or ``path`` is a file it may not write, or a new file
+    in a directory it may not write.  ``os.path`` rather than ``pathlib``:
+    this runs on every ``solve --out``, and costs a third as much.
     """
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path or os.path.isdir(path):  # Path("") is the working directory to _write
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
@@ -149,7 +149,7 @@ def _check_writable(path: str) -> None:
         code = errno.EACCES
     else:
         return
-    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
+    raise ValueError(f"cannot write {path or repr(path)}: {os.strerror(code)}")
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -164,7 +164,7 @@ def _write_report(report: dict, out: str | None) -> None:
     except ValueError:
         text = json.dumps(json.loads(json.dumps(report), parse_constant=lambda _: None))
     text += "\n"
-    if out:
+    if out is not None:
         _write(out, text)
     else:
         sys.stdout.write(text)
@@ -201,12 +201,12 @@ def cmd_solve(args) -> int:
     structure = _load_structure(args.structure)
     theta_true = _load_truth(args.truth, structure)
     cfg = _load_config(args)
-    if args.init and args.method != "lsq":
+    if args.init is not None and args.method != "lsq":
         raise ValueError("--init applies to --method lsq only")
-    if args.out:
+    if args.out is not None:
         _check_writable(args.out)
     started = time.perf_counter()
-    init = _load(args.init, "init", _arrays(structure, "theta", "T")) if args.init else None
+    init = None if args.init is None else _load(args.init, "init", _arrays(structure, "theta", "T"))
     sol = solver.solve(blackbox, structure, args.method, cfg, init)
     res = sol.residuals  # the solver's one read-out, made on the T_hat written here
     report = {
@@ -313,6 +313,8 @@ def cmd_check_grad(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_tolerance(args.tol, "--tol")
+    if args.out is not None:
+        _check_writable(args.out)
     blackbox = _load(args.blackbox, "black-box", StateSpace.from_dict)
     structure = _load_structure(args.structure)
     check_dims(blackbox, structure)

@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _read_out, kron_t,
-                    rcond, structured_matrices, vec)
+from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _read_out,
+                    check_dims, kron_t, rcond, structured_matrices, vec)
 # bound here only because bench/tracer.py wraps graybox.lsq.eval_structure by name
 from .model import eval_structure  # noqa: F401
 from .nullspace import extract_theta, structure_projector
@@ -191,8 +191,10 @@ def solve_lsq(
     final transform whose reciprocal condition number falls below
     ``SINGULAR_RTOL``, the spurious minimum where the transform collapses.
     ``init`` is trusted; :func:`graybox.solve` validates one from outside.
+    Mismatched dimensions raise ``ValueError``, as in :func:`solve_nullspace`.
     """
     cfg = config if config is not None else OptimConfig()
+    check_dims(blackbox, structure)
     theta0, t0 = init if init is not None else default_init(blackbox, structure)
     n_theta = structure.n_theta
     n_x = blackbox.dims.n_x

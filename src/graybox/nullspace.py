@@ -117,30 +117,30 @@ def _solution_slices(dims: Dims) -> tuple[slice, slice, slice, slice]:
 
 
 def _checked_inverse(t: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv(t)``, outside the excluded region only.
+    """``np.linalg.inv(t)``, outside the excluded region only: one ``inv``, at most one SVD.
 
     rcond(t) >= 1 / (||t||_F ||t^-1||_F), so an inverse whose norm product is
     at most 1 / (2 SINGULAR_RTOL) needs no SVD.  Where the product is larger
-    or not finite, or ``inv`` finds t singular, ``rcond(t)`` (an SVD) decides
-    alone, so what is accepted and returned is what rcond then inv gave.
+    or not finite, ``rcond(t)`` (an SVD) decides, and the same inverse is
+    returned.  A t whose LU factorization ``inv`` finds singular is refused.
     ``math.hypot`` takes the norms, over the entries as Python floats, without
     intermediate overflow or a warning.
 
     Raises:
-        SingularTransformError: when ``rcond(t) < SINGULAR_RTOL``.
+        SingularTransformError: when ``rcond(t) < SINGULAR_RTOL`` or ``inv`` fails.
     """
     try:
         t_inv = np.linalg.inv(t)
     except np.linalg.LinAlgError:
-        pass  # an exactly singular factorization: rcond decides below
+        t_inv = None
     else:
         if (math.hypot(*t.ravel().tolist()) * math.hypot(*t_inv.ravel().tolist())
                 <= 0.5 / SINGULAR_RTOL):
             return t_inv
     r = rcond(t)
-    if r < SINGULAR_RTOL:
+    if t_inv is None or r < SINGULAR_RTOL:
         raise SingularTransformError(f"transform block is numerically singular (rcond {r:.3e})")
-    return np.linalg.inv(t)
+    return t_inv
 
 
 def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
@@ -411,7 +411,7 @@ def solve_nullspace(
     Non-convergence is reported through ``result.status``; a search whose
     every start lies inside the excluded region raises.  The diagnostics
     report s0 as ``start_scale``, and each completed start's damped steps
-    by outcome as ``steps`` (:meth:`graybox.optim.OptimResult.steps`).
+    by outcome as ``steps`` (:attr:`graybox.optim.OptimResult.steps`).
 
     Args:
         blackbox: the fully parameterized realization to re-structure.

@@ -562,16 +562,12 @@ def lm(
     )
 
 
-def fd_jacobian(
-    fun: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    h_scale: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function, one column per input."""
+def fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``fun``, its column i at step 1e-6 (1 + |x_i|)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     columns = []
     for i in range(x.size):
-        h = h_scale * (1.0 + abs(x[i]))
+        h = 1e-6 * (1.0 + abs(x[i]))
         e = np.zeros_like(x)
         e[i] = h
         f_plus = np.asarray(fun(x + e), dtype=float).reshape(-1)

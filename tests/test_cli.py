@@ -515,6 +515,43 @@ def test_generate_writes_neither_file_where_one_cannot_be_written(tmp_path, caps
     assert not (tmp_path / "q.blackbox.json").exists() and truth.read_text() == "old"
 
 
+EMPTY_PATHS = {
+    "solve-out": ("solve", "--out", ""),
+    "solve-init-nullspace": ("solve", "--method", "nullspace", "--init", ""),
+    "solve-init-lsq": ("solve", "--method", "lsq", "--init", ""),
+    "solve-config": ("solve", "--config", ""),
+    "solve-truth": ("solve", "--truth", ""),
+    "verify-out": ("verify", "--out", ""),
+    "verify-truth": ("verify", "--truth", ""),
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS.values(), ids=EMPTY_PATHS.keys())
+def test_an_empty_path_is_an_input_error_not_an_absent_flag(tmp_path, capsys, monkeypatch, argv):
+    bb, _ = generate(tmp_path)
+    report = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bb, "--structure", "mass-spring", "--out", report) == 0
+
+    def no_solve(*args):
+        raise AssertionError("solved although a path was empty")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)  # the directory that the path "" would name
+    before = sorted(os.listdir(tmp_path))
+    command, *flags = argv
+    inputs = ["--blackbox", bb, "--structure", "mass-spring"]
+    if command == "verify":
+        inputs += ["--result", report]
+    capsys.readouterr()
+    assert run(command, *inputs, *flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    if "--out" in flags:
+        assert "error: cannot write '': Is a directory" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],
                         "B": [[0], [1]], "C": [[1, 0]]}
 MASS_SPRING_STRUCTURE = bundled_structure("mass-spring")[0].to_dict()

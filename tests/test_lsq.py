@@ -366,6 +366,12 @@ def test_polish_never_increases_cost():
     assert polish.result.f_best <= start_cost + 1e-12
 
 
+def test_solve_dimension_mismatch():
+    structure, _ = mass_spring_damper()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_lsq(SCALAR_BLACKBOX, structure)
+
+
 def test_degenerate_transform_flagged():
     # A pair that any diagonal transform reconciles: starting at a nearly
     # rank-deficient stationary point must be reported as degenerate.

@@ -548,6 +548,34 @@ def test_checked_inverse_accepts_exactly_where_rcond_passes(monkeypatch):
     assert min(outcomes.values()) >= 10, outcomes
 
 
+def test_checked_inverse_inverts_each_transform_at_most_once(monkeypatch):
+    inverses, svds = [], []
+    inv = np.linalg.inv
+
+    def counting_inv(t):
+        inverses.append(1)
+        return inv(t)
+
+    def counting_rcond(t):
+        svds.append(1)
+        return rcond(t)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(ns, "rcond", counting_rcond)
+    rng = np.random.default_rng(52)
+    transforms = [*SINGULAR.values()] + [
+        transform_with_rcond(n_x, rc, rng) for n_x in range(2, 9) for rc in (1e-3, 1.2e-8, 1e-9)]
+    outcomes = {"bound": 0, "svd": 0, "rejected": 0}
+    for t in transforms:
+        inverses.clear()
+        svds.clear()
+        got = _inverse_or_none(t)
+        assert len(inverses) <= 1 and len(svds) <= 1
+        outcomes["rejected" if got is None else "svd" if svds else "bound"] += 1
+    # all three ways out are taken: accepted by the norm bound, accepted by the SVD, rejected
+    assert min(outcomes.values()) >= 5, outcomes
+
+
 @pytest.mark.parametrize("t", [
     np.zeros((3, 3)),
     np.ones((2, 2)),

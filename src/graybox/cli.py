@@ -74,9 +74,10 @@ def _load(path: str, what: str, parse):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         return parse(doc)
     except KeyError as exc:
-        raise ValueError(f"{what} file {path}: missing key {exc}") from exc
+        raise ValueError(f"{what} file {path or repr(path)}: missing key {exc}") from exc
     except (OSError, RecursionError, TypeError, ValueError) as exc:
-        raise ValueError(f"{what} file {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ValueError(f"{what} file {path or repr(path)}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _arrays(structure: AffineStructure, theta_key: str, t_key: str):
@@ -177,6 +178,8 @@ def _theta_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
 
 def cmd_generate(args) -> int:
     _check_seed(args.seed)
+    if not args.out_prefix:  # "" would write the hidden files .blackbox.json and .truth.json
+        raise ValueError("--out-prefix must not be empty")
     structure = _load_structure(args.structure)
     theta = _as_vector(_parse_theta(args.theta), structure.n_theta, "--theta")
     blackbox_path = f"{args.out_prefix}.blackbox.json"

@@ -97,7 +97,8 @@ def _holds_bool(value) -> bool:
     return False
 
 
-# Every array read from outside passes _as_matrix or _as_vector; each error names it ``name``.
+# Every array read from outside passes _floats, its shape test and _finite, through
+# _as_matrix, _as_vector or a constructor; each error names it ``name``.
 def _floats(value, name: str) -> np.ndarray:
     try:
         # a JSON boolean among numbers, which np.asarray would already have made a number
@@ -111,22 +112,27 @@ def _floats(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must hold numbers only: {exc}") from exc
 
 
-def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    m = _floats(value, name)
+def _shaped(m: np.ndarray, rows: int, cols: int, name: str) -> np.ndarray:
     if m.shape != (rows, cols):
         raise ValueError(f"{name} must have shape ({rows}, {cols}), got {m.shape}")
+    return m
+
+
+def _finite(m: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     return m
+
+
+def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
+    return _finite(_shaped(_floats(value, name), rows, cols, name), name)
 
 
 def _as_vector(value, size: int, name: str) -> np.ndarray:
     v = _floats(value, name).reshape(-1)
     if v.size != size:
         raise ValueError(f"{name} must have length {size}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+    return _finite(v, name)
 
 
 @dataclass(frozen=True)
@@ -149,9 +155,9 @@ class StateSpace:
         n_x = a.shape[0]
         b = np.atleast_2d(_floats(self.B, "B"))
         c = np.atleast_2d(_floats(self.C, "C"))
-        object.__setattr__(self, "A", _as_matrix(a, n_x, n_x, "A"))
-        object.__setattr__(self, "B", _as_matrix(b, n_x, b.shape[1], "B"))
-        object.__setattr__(self, "C", _as_matrix(c, c.shape[0], n_x, "C"))
+        object.__setattr__(self, "A", _finite(a, "A"))
+        object.__setattr__(self, "B", _finite(_shaped(b, n_x, b.shape[1], "B"), "B"))
+        object.__setattr__(self, "C", _finite(_shaped(c, c.shape[0], n_x, "C"), "C"))
 
     @cached_property
     def dims(self) -> Dims:
@@ -174,10 +180,11 @@ class StateSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> StateSpace:
-        """The model of a JSON document, built by the constructor.
+        """The model of a JSON document, built and validated by the constructor.
 
-        Each matrix is first checked against the document's declared
-        dimensions, so an error names the shape the document declared.
+        Each matrix is first read as floats and checked against the
+        document's declared dimensions, so an error names the shape the
+        document declared; the constructor checks the rest once.
         """
         for key in ("n_x", "n_u", "n_y", "A", "B", "C"):
             if key not in data:
@@ -185,7 +192,7 @@ class StateSpace:
         dims = Dims(*(_count(data, key) for key in ("n_x", "n_u", "n_y")))
         shapes = {"A": (dims.n_x, dims.n_x), "B": (dims.n_x, dims.n_u),
                   "C": (dims.n_y, dims.n_x)}
-        return cls(**{name: _as_matrix(data[name], rows, cols, name)
+        return cls(**{name: _shaped(_floats(data[name], name), rows, cols, name)
                       for name, (rows, cols) in shapes.items()})
 
 
@@ -209,7 +216,7 @@ class AffineStructure:
         if k.shape[1] < 1:
             raise ValueError("K must have at least one column")
         object.__setattr__(self, "kappa0", _as_vector(self.kappa0, n_abc, "kappa0"))
-        object.__setattr__(self, "K", _as_matrix(k, n_abc, k.shape[1], "K"))
+        object.__setattr__(self, "K", _finite(_shaped(k, n_abc, k.shape[1], "K"), "K"))
 
     @property
     def n_theta(self) -> int:

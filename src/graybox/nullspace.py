@@ -18,9 +18,10 @@ admissible structured set by Levenberg-Marquardt on that distance's
 residual vector and its Jacobian in vec(T), from T = s0 I at the black box's
 own scale (:func:`_start_scale`) and then from Gaussian draws.  A solve
 builds one :class:`ReducedResidual`, which forms the Jacobian's black-box
-block I (x) C_bb once; at each point it computes only T^-1, certified
-outside the excluded region by a norm bound rather than an SVD wherever the
-bound suffices (:func:`_checked_inverse`), the realization
+block I (x) C_bb and its ``dgesv`` buffers for T^-1 once; at each point it
+computes only T^-1, with ``np.linalg.inv``'s bits, certified outside the
+excluded region by a norm bound rather than an SVD wherever the bound
+suffices (:func:`_checked_inverse`), the realization
 [A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that depend on
 them, in place.  Each completed start is read out by the same evaluator's
 fill at its best point: one read-out, the arithmetic ``lm`` minimized.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, lm
+from .optim import InfeasibleStartError, OptimConfig, _lu, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -116,13 +117,15 @@ def _solution_slices(dims: Dims) -> tuple[slice, slice, slice, slice]:
     return (slice(0, nx2), *(slice(nx2 + s.start, nx2 + s.stop) for s in block_slices(dims)))
 
 
-def _checked_inverse(t: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv(t)``, outside the excluded region only: one ``inv``, at most one SVD.
+def _checked_inverse(t: np.ndarray, inv: Callable = np.linalg.inv) -> np.ndarray:
+    """``inv(t)``, outside the excluded region only: one ``inv``, at most one SVD.
 
     rcond(t) >= 1 / (||t||_F ||t^-1||_F), so an inverse whose norm product is
     at most 1 / (2 SINGULAR_RTOL) needs no SVD.  Where the product is larger
     or not finite, ``rcond(t)`` (an SVD) decides, and the same inverse is
     returned.  A t whose LU factorization ``inv`` finds singular is refused.
+    ``inv`` is ``np.linalg.inv``, or an ``inverse`` of ``optim._lu_solver``
+    with its bits.
     ``math.hypot`` takes the norms, over the entries as Python floats, without
     intermediate overflow or a warning.
 
@@ -130,7 +133,7 @@ def _checked_inverse(t: np.ndarray) -> np.ndarray:
         SingularTransformError: when ``rcond(t) < SINGULAR_RTOL`` or ``inv`` fails.
     """
     try:
-        t_inv = np.linalg.inv(t)
+        t_inv = inv(t)
     except np.linalg.LinAlgError:
         t_inv = None
     else:
@@ -300,10 +303,14 @@ class ReducedResidual:
     that depends only on the black box, -(I (x) C_bb), and takes two views of
     it: the [A, B] rows as an (n_x + n_u, n_x, n_x, n_x) array, and the
     block diagonal of their A rows.  It also keeps [ . , B_bb], whose first
-    n_x columns a call fills with A_bb T, and a buffer for s with its
-    vec([A, B]) and vec(C_bb T) blocks as transposed views.  A call reads
-    T out of ``t_vec`` by an F-order reshape and then costs one inverse, with
-    no SVD unless T is near the excluded region (:func:`_checked_inverse`),
+    n_x columns a call fills with A_bb T, a buffer for s with its
+    vec([A, B]) and vec(C_bb T) blocks as transposed views, and the
+    ``inverse`` of ``optim._lu_solver`` at order n_x, which runs ``dgesv``
+    on buffers of its own and gives ``np.linalg.inv``'s bits (and is
+    ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  A call
+    reads T out of ``t_vec`` by an F-order reshape and then costs one
+    inverse, with no SVD unless T is near the excluded region
+    (:func:`_checked_inverse`),
     [A, B] = T^-1 [A_bb T, B_bb] (the fill, which also reads a start out),
     T^-1 A_bb, one broadcast product that
     writes [A, B]^T (x) T^-1 over the [A, B] rows, T^-1 A_bb subtracted on
@@ -335,6 +342,7 @@ class ReducedResidual:
         self.ab_rows = self.minus_ds[:n_ab].reshape(n_x + d.n_u, n_x, n_x, n_x)
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
+        _, self.inverse = _lu(n_x)  # np.linalg.inv's bits, through dgesv's buffers of this solve
 
     def _fill(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(T^-1, [A, B])`` at ``t``, with s written into ``self.stacked``.
@@ -342,7 +350,7 @@ class ReducedResidual:
         Raises:
             SingularTransformError: propagated from :func:`_checked_inverse`.
         """
-        t_inv = _checked_inverse(t)
+        t_inv = _checked_inverse(t, self.inverse)
         self.ab_bb[:, :self.n_x] = self.blackbox.A @ t
         ab = t_inv @ self.ab_bb
         self.s_ab[...] = ab.T

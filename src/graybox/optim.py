@@ -8,14 +8,16 @@ test, so accepted iterates never leave the feasible region.
 Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
 ``rj(x) -> (r, J)``; ``(None, None)`` marks an infeasible point, and a step
 onto one is rejected like a step that raises the objective.  Each damped
-system is one ``np.linalg.solve`` call, unless an optional second callable
-gives the residual's second directional derivative, for geodesic
-acceleration; with it, each damped matrix is factored once, by the
-Cholesky ``dposv`` of the LAPACK bundled with numpy, and the acceleration
-reuses that factor through ``dpotrs``.  A step whose damped matrix is not
-numerically positive definite, and every step where that library is not
-found, makes two ``np.linalg.solve`` calls instead.  An ``lm`` result
-counts its damped steps by outcome in ``steps``, the dict every report writes.
+system is one ``dgesv`` call of the LAPACK bundled with numpy, with the
+bits of ``np.linalg.solve``, unless an optional second callable gives the
+residual's second directional derivative, for geodesic acceleration; with
+it, each damped matrix is factored once, by that LAPACK's Cholesky
+``dposv``, and the acceleration reuses that factor through ``dpotrs``.  A
+step whose damped matrix is not numerically positive definite makes two
+``np.linalg.solve`` calls instead.  Where that library is not found, every
+solve is ``np.linalg.solve``.  :func:`_lu_solver` also gives the
+null-space evaluator its inverses of T.  An ``lm`` result counts its
+damped steps by outcome in ``steps``, the dict every report writes.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -63,15 +65,16 @@ WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
 MAX_LINE_SEARCH = 40
 
 
-def _bundled_lapack() -> tuple[Callable, Callable, type] | None:
-    """``(dposv, dpotrs, index)`` from the LAPACK inside numpy's own install.
+def _bundled_lapack() -> tuple[Callable, Callable, Callable, type] | None:
+    """``(dposv, dpotrs, dgesv, index)`` from the LAPACK inside numpy's own install.
 
     numpy's wheels bundle scipy-openblas (in ``numpy.libs/`` or
     ``numpy/.dylibs/``), whose symbols carry the ``scipy_`` prefix and the
     suffix of their integer width: ``_64_`` for 64-bit LAPACK integers,
-    ``_`` for 32-bit ones.  The first library that exports both routines
-    under one suffix, ``_64_`` tried first, gives them, and ``index`` is the
-    numpy integer type of that width.  None where no such library is found.
+    ``_`` for 32-bit ones.  The first library that exports all three
+    routines under one suffix, ``_64_`` tried first, gives them, and
+    ``index`` is the numpy integer type of that width.  None where no such
+    library is found.
     """
     root = os.path.dirname(np.__file__)
     for pattern in (os.path.join(os.path.dirname(root), "numpy.libs", "*openblas*"),
@@ -84,17 +87,18 @@ def _bundled_lapack() -> tuple[Callable, Callable, type] | None:
             for suffix, index in (("_64_", np.int64), ("_", np.int32)):
                 try:
                     routines = [getattr(library, f"scipy_{name}{suffix}")
-                                for name in ("dposv", "dpotrs")]
+                                for name in ("dposv", "dpotrs", "dgesv")]
                 except AttributeError:
                     continue
-                # both take eight pointers: UPLO, N, NRHS, A, LDA, B, LDB, INFO
+                # each takes eight pointers: UPLO, N, NRHS, A, LDA, B, LDB, INFO for the
+                # Cholesky pair, N, NRHS, A, LDA, IPIV, B, LDB, INFO for dgesv
                 for routine in routines:
                     routine.argtypes, routine.restype = [ctypes.c_void_p] * 8, None
                 return (*routines, index)
     return None
 
 
-def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable:
+def _factored_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Callable:
     """``factor(n) -> (solve, resolve)``: two solves with one symmetric damped matrix.
 
     ``solve(a, b)`` solves ``a x = b``, with ``np.linalg.solve``'s
@@ -118,7 +122,7 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
     def factor(n: int) -> tuple[Callable, Callable]:
         if lapack is None:
             return np.linalg.solve, np.linalg.solve
-        dposv, dpotrs, index = lapack
+        dposv, dpotrs, _, index = lapack
         factors = np.empty((n, n), order="F")
         factors_t = factors.T
         rhs = np.empty(n)
@@ -151,8 +155,69 @@ def _factored_solver(lapack: tuple[Callable, Callable, type] | None) -> Callable
     return factor
 
 
+def _lu_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Callable:
+    """``lu(n) -> (solve, inverse)``: ``np.linalg.solve`` and ``np.linalg.inv`` at order ``n``.
+
+    ``solve(a, b)`` solves ``a x = b`` for a vector ``b``, and ``inverse(a)``
+    solves ``a X = I``, as ``np.linalg.inv`` does; each returns a new array,
+    ``inverse`` a C-ordered one, and raises ``np.linalg.LinAlgError`` where
+    the LU factorization finds ``a`` exactly singular.  Without ``lapack``
+    they are ``np.linalg.solve`` and ``np.linalg.inv``.  With ``lapack`` from
+    :func:`_bundled_lapack`, each runs ``dgesv`` on an F-ordered copy of
+    ``a``, the call that numpy's own makes, so each gives numpy's bits
+    without its dispatch.  One float buffer holds the copy of ``a`` and the
+    right-hand sides, and one integer buffer N, NRHS = 1, LDA = LDB, INFO
+    and the pivots; both, and the raw pointers into them, are built once
+    per ``lu`` call, and each closure holds both buffers.  The pointers
+    point into those buffers only, and each call copies its arguments into
+    them, so ``dgesv`` reads and writes nothing else.  The arguments are
+    trusted: float64 matrices of order ``n``, and matching vectors.
+    """
+    def lu(n: int) -> tuple[Callable, Callable]:
+        if lapack is None:
+            return np.linalg.solve, np.linalg.inv
+        *_, dgesv, index = lapack
+        floats = np.empty((2, n, n))
+        factors, rhs = floats[0].T, floats[1].T  # the copy of a, the right-hand sides: F-ordered
+        column = rhs[:, 0]
+        identity = np.eye(n)
+        # N, NRHS, LDA = LDB, INFO, then the n pivots
+        ints = np.array([n, 1, max(n, 1), 0] + [0] * n, dtype=index)
+        # one .ctypes.data read per buffer: each read costs over a microsecond
+        base, size = ints.ctypes.data, ints.itemsize
+        order_p, one_p, lead_p, info_p, pivots_p = [ctypes.c_void_p(base + k * size)
+                                                    for k in range(5)]
+        base = floats.ctypes.data
+        factors_p, rhs_p = ctypes.c_void_p(base), ctypes.c_void_p(base + floats[0].nbytes)
+        solve_args = (order_p, one_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
+        inverse_args = (order_p, order_p, *solve_args[2:])  # NRHS = N
+
+        def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            factors[...] = a
+            column[...] = b
+            dgesv(*solve_args)
+            if ints[3]:  # INFO > 0: an exactly zero pivot
+                raise np.linalg.LinAlgError("Singular matrix")
+            return column.copy()
+
+        def inverse(a: np.ndarray) -> np.ndarray:
+            factors[...] = a
+            rhs[...] = identity
+            dgesv(*inverse_args)
+            if ints[3]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return rhs.copy()
+
+        return solve, inverse
+
+    return lu
+
+
+_lapack = _bundled_lapack()
 # lm's two solves per step with geodesic acceleration, one factorization apart
-_factor = _factored_solver(_bundled_lapack())
+_factor = _factored_solver(_lapack)
+# lm's one solve per step without it, and the null-space evaluator's inverse of T
+_lu = _lu_solver(_lapack)
 
 
 class LineSearchError(RuntimeError):
@@ -414,12 +479,14 @@ def lm(
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
     singular system raises ``LinAlgError`` and gives the zero step.  Without
-    ``rvv`` each damped system is one ``np.linalg.solve`` call.  With ``rvv``
-    the step's two systems share one matrix, which is factored once by the
-    per-run solver of ``_factored_solver``: Cholesky, ``dposv`` for h and
-    ``dpotrs`` on its factor for the acceleration; or two ``np.linalg.solve``
-    calls where the matrix is not numerically positive definite or numpy's
-    bundled LAPACK is not found.
+    ``rvv`` each damped system is one call of the per-run ``solve`` of
+    ``_lu_solver``: ``dgesv``, with ``np.linalg.solve``'s bits, or
+    ``np.linalg.solve`` itself where numpy's bundled LAPACK is not found.
+    With ``rvv`` the step's two systems share one matrix, which is factored
+    once by the per-run solver of ``_factored_solver``: Cholesky, ``dposv``
+    for h and ``dpotrs`` on its factor for the acceleration; or two
+    ``np.linalg.solve`` calls where the matrix is not numerically positive
+    definite or numpy's bundled LAPACK is not found.
     The damped matrix is one buffer for the whole run, rewritten at each
     step through a view of its diagonal, and the diagonal is copied only
     when a step is rejected; the solves never write to it.  The per-run
@@ -493,7 +560,7 @@ def lm(
     rejected = None  # copy of that diagonal for the last step rejected at x
     steps = {"rejected": 0, "geodesic_rejected": 0, "skipped": 0}  # the accepted are in the trace
     # with rvv, both solves of a step share one factorization of damped
-    solve, resolve = (np.linalg.solve, None) if rvv is None else _factor(x.size)
+    solve, resolve = (_lu(x.size)[0], None) if rvv is None else _factor(x.size)
     while True:
         if f == 0.0:
             status = "converged-ftol"

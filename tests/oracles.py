@@ -133,7 +133,7 @@ def lm_solver(rvv, lapack=BUNDLED):
     """
     if rvv is None or lapack is None:
         return np.linalg.solve
-    dposv, _, index = lapack
+    dposv, *_, index = lapack
 
     def solve(a, b):
         factors, x = np.array(a, order="F"), np.array(b, dtype=float)

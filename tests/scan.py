@@ -136,12 +136,15 @@ def run(argv: list[str] | None = None) -> int:
              for grid in indices if args.grid in (None, grid)]
     if not grids:
         parser.error(f"no grid {args.grid} in {args.workload or 'any workload'}")
+    for flag, path in (("--out", args.out), ("--against", args.against)):
+        if path == "":
+            parser.error(f"{flag} '' names no file")
     records = scan(grids)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(dumps(records))
-    elif not args.against:
+    elif args.against is None:
         sys.stdout.write(dumps(records))
-    if not args.against:
+    if args.against is None:
         return 0
     lines = differences(records, json.loads(Path(args.against).read_text()))
     for line in lines:

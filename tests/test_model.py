@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from graybox import model
 from graybox.lsq import solve_lsq
 from graybox.model import (
     SINGULAR_RTOL,
@@ -284,6 +285,29 @@ def test_statespace_from_dict_validation():
     with pytest.raises(ValueError, match="n_y must be an integer"):
         StateSpace.from_dict({"n_x": 1, "n_u": 1, "n_y": "1", "A": [[1.0]], "B": [[1.0]],
                               "C": [[1.0]]})
+
+
+def test_from_dict_reads_each_matrix_once_and_checks_its_entries_once(monkeypatch):
+    # the document's lists are read into floats once, and the constructor checks them
+    structure, theta = mass_spring_damper()
+    blackbox_doc, structure_doc = eval_structure(structure, theta).to_dict(), structure.to_dict()
+    read, checked = [], []
+    floats, finite = model._floats, model._finite
+    monkeypatch.setattr(model, "_floats", lambda value, name: read.append(
+        (name, type(value) is list)) or floats(value, name))
+    monkeypatch.setattr(model, "_finite", lambda m, name: checked.append(name) or finite(m, name))
+    StateSpace.from_dict(blackbox_doc)
+    assert [name for name, is_list in read if is_list] == ["A", "B", "C"]
+    assert checked == ["A", "B", "C"]
+    read.clear()
+    checked.clear()
+    AffineStructure.from_dict(structure_doc)
+    assert [name for name, is_list in read if is_list] == ["K", "kappa0"]
+    assert checked == ["kappa0", "K"]
+    # the declared dimensions still name the shape an error reports
+    doc = dict(blackbox_doc, C=[[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"C must have shape \(1, 2\), got \(1, 3\)"):
+        StateSpace.from_dict(doc)
 
 
 @pytest.mark.parametrize("matrices, message", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graybox.nullspace as ns
+import graybox.optim as optim
 from graybox.model import (
     SINGULAR_RTOL,
     AffineStructure,
@@ -36,7 +37,7 @@ from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
 from helpers import (CONVERGED, SINGULAR, dims_grid, evaluator_cases, rank_deficient_structure,
                      random_structure, stacked_solution, transform_with_rcond)
-from oracles import (EmptyNullspaceError, build_constraint_matrix, closed_form_map,
+from oracles import (BUNDLED, EmptyNullspaceError, build_constraint_matrix, closed_form_map,
                      nullspace_basis, stacked_readout, structure_distance)
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
@@ -515,9 +516,9 @@ def test_residual_undefined_when_singular():
 # excluded-region test without an SVD, and the evaluator's frozen reference
 # ---------------------------------------------------------------------------
 
-def _inverse_or_none(t):
+def _inverse_or_none(t, inv=np.linalg.inv):
     try:
-        return ns._checked_inverse(t)
+        return ns._checked_inverse(t, inv)
     except SingularTransformError:
         return None
 
@@ -550,17 +551,11 @@ def test_checked_inverse_accepts_exactly_where_rcond_passes(monkeypatch):
 
 def test_checked_inverse_inverts_each_transform_at_most_once(monkeypatch):
     inverses, svds = [], []
-    inv = np.linalg.inv
-
-    def counting_inv(t):
-        inverses.append(1)
-        return inv(t)
 
     def counting_rcond(t):
         svds.append(1)
         return rcond(t)
 
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     monkeypatch.setattr(ns, "rcond", counting_rcond)
     rng = np.random.default_rng(52)
     transforms = [*SINGULAR.values()] + [
@@ -569,7 +564,13 @@ def test_checked_inverse_inverts_each_transform_at_most_once(monkeypatch):
     for t in transforms:
         inverses.clear()
         svds.clear()
-        got = _inverse_or_none(t)
+        _, inverse = ns._lu(len(t))  # the inverse the evaluator of a solve passes
+
+        def counting_inv(t):
+            inverses.append(1)
+            return inverse(t)
+
+        got = _inverse_or_none(t, counting_inv)
         assert len(inverses) <= 1 and len(svds) <= 1
         outcomes["rejected" if got is None else "svd" if svds else "bound"] += 1
     # all three ways out are taken: accepted by the norm bound, accepted by the SVD, rejected
@@ -650,8 +651,11 @@ def test_checked_inverse_decides_and_inverts_alike_in_any_layout(layout):
                 assert np.array_equal(laid_out, t)
                 got, want = _inverse_or_none(laid_out), _inverse_or_none(t)
                 assert (got is None) == (want is None) == (n_x > 1 and rc < SINGULAR_RTOL)
+                # and by the evaluator's own inverse, on the same layout
+                lu_got = _inverse_or_none(laid_out, ns._lu(n_x)[1])
+                assert (lu_got is None) == (want is None)
                 if want is not None:
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, want) and np.array_equal(lu_got, want)
                     assert np.array_equal(got, np.linalg.inv(t))
 
 
@@ -722,6 +726,34 @@ def test_solve_mass_spring_instance():
     assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
     res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
     assert max(res) <= 1e-8
+
+
+@pytest.mark.parametrize("make, seed", [(mass_spring_damper, 7), (compartment3, 3),
+                                        (lambda: chain(6), 2)],
+                         ids=["mass-spring", "compartment3", "chain6"])
+def test_solve_without_the_bundled_lapack_calls_np_linalg_for_the_same_bits(make, seed,
+                                                                           monkeypatch):
+    # lm's damped solves and the evaluator's inverses: dgesv through buffers of the solve's
+    # own, or, where numpy's bundled LAPACK is not found, np.linalg.solve and np.linalg.inv
+    structure, theta = make()
+    instance = generate_instance(structure, theta, seed=seed, cond_max=100.0)
+    config = OptimConfig(restarts=2)
+    calls = []
+    for name in ("solve", "inv"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name, routine=routine: calls.append(name)
+                            or routine(*args))
+    bundled = solve_nullspace(instance.blackbox, structure, config)
+    assert calls == [] or BUNDLED is None
+    monkeypatch.setattr(optim, "_lu", optim._lu_solver(None))
+    monkeypatch.setattr(ns, "_lu", optim._lu_solver(None))
+    fallback = solve_nullspace(instance.blackbox, structure, config)
+    assert {"solve", "inv"} <= set(calls)
+    for sol in (bundled, fallback):
+        del sol.diagnostics["wall_time_ms"]
+    assert np.array_equal(fallback.theta, bundled.theta) and np.array_equal(fallback.T, bundled.T)
+    assert fallback.diagnostics == bundled.diagnostics
 
 
 def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):

@@ -477,7 +477,7 @@ FACTORED = [
                                                                   reason=NOT_BUNDLED)),
     pytest.param(None, id="fallback"),
 ]
-LAPACK_NAMES = ("dposv", "dpotrs")
+LAPACK_NAMES = ("dposv", "dpotrs", "dgesv")
 
 
 def logged(calls, name, routine):
@@ -517,7 +517,7 @@ def test_bundled_lapack_takes_the_index_width_from_the_symbol_names(monkeypatch,
     if index is None:
         assert lapack is None
     else:
-        assert lapack == (routine, routine, index)
+        assert lapack == (*[routine] * len(LAPACK_NAMES), index)
         assert routine.argtypes == [optim.ctypes.c_void_p] * 8
     # and none where no library is found, or the one found does not load
     monkeypatch.setattr(optim.glob, "glob", lambda pattern: [])
@@ -528,14 +528,17 @@ def test_bundled_lapack_takes_the_index_width_from_the_symbol_names(monkeypatch,
 
 
 @pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
-def test_bundled_lapack_binds_its_two_routines():
+def test_bundled_lapack_binds_its_three_routines():
     suffix = "_64_" if BUNDLED[-1] is np.int64 else "_"
     assert [routine.__name__ for routine in BUNDLED[:-1]] == [
         f"scipy_{name}{suffix}" for name in LAPACK_NAMES]
-    # the library reads N, NRHS, LDA and INFO at the width the suffix names
+    # the library reads N, NRHS, LDA, INFO and the pivots at the width the suffix names
     solve, resolve = optim._factored_solver(BUNDLED)(3)
     a, b = np.diag([4.0, 16.0, 1.0]), np.array([4.0, 16.0, 1.0])  # exact square roots
     assert np.array_equal(solve(a, b), np.ones(3)) and np.array_equal(resolve(a, b), np.ones(3))
+    solve, inverse = optim._lu_solver(BUNDLED)(3)
+    assert np.array_equal(solve(a, b), np.ones(3))
+    assert np.array_equal(inverse(a), np.diag([0.25, 0.0625, 1.0]))
 
 
 def _solver_systems(rng, matrix):
@@ -630,19 +633,100 @@ def test_factored_solver_without_lapack_is_np_linalg_solve():
     assert optim._factored_solver(None)(3) == (np.linalg.solve, np.linalg.solve)
 
 
+@pytest.mark.parametrize("lapack", FACTORED)
+def test_lu_solver_gives_np_linalg_bits(lapack):
+    # general matrices, as lm's damped systems without rvv and the evaluator's transforms
+    rng = np.random.default_rng(62)
+    calls = []
+    lu = optim._lu_solver(logged_lapack(lapack, calls))
+    solvers = {}  # one per order, reused as lm and the evaluator reuse their own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in _solver_systems(rng, lambda n: rng.standard_normal((n, n))):
+            solve, inverse = solvers.setdefault(len(a), lu(len(a)))
+            a_before = a.copy()
+            calls.clear()
+            x, a_inv = solve(a, b), inverse(a)  # inverse must not overwrite the solution
+            assert np.array_equal(x, np.linalg.solve(a, b))
+            assert np.array_equal(a_inv, np.linalg.inv(a)) and a_inv.flags.c_contiguous
+            assert np.array_equal(a, a_before)
+            assert calls == ([] if lapack is None else ["dgesv", "dgesv"])
+
+
+NON_FINITE = {
+    "nan": np.array([[np.nan, 1.0], [1.0, 2.0]]),
+    "nan-below": np.array([[3.0, 1.0, 0.0], [np.nan, 2.0, 1.0], [1.0, 0.0, 4.0]]),
+    "inf": np.array([[np.inf, 1.0], [1.0, 2.0]]),
+    "minus-inf-below": np.array([[1.0, 2.0], [-np.inf, 3.0]]),
+    "overflow": np.array([[1.0, 1e308], [1.0, -1e308]]),  # elimination overflows to -inf
+    "nan-singular": np.array([[0.0, np.nan], [0.0, 1.0]]),  # a zero first column: INFO = 1
+}
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+@pytest.mark.parametrize("a", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_lu_solver_gives_np_linalg_bits_on_non_finite_entries(lapack, a):
+    solve, inverse = optim._lu_solver(lapack)(len(a))
+    b = np.arange(1.0, len(a) + 1.0)
+    for ours, numpys in ((lambda: solve(a, b), lambda: np.linalg.solve(a, b)),
+                         (lambda: inverse(a), lambda: np.linalg.inv(a))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = numpys()
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    ours()
+            else:
+                assert np.array_equal(ours(), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
+def test_lu_solver_raises_on_an_exactly_singular_matrix(lapack, a):
+    solve, inverse = optim._lu_solver(lapack)(len(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for layout in (a, np.asfortranarray(a)):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(layout, np.ones(len(a)))
+            with pytest.raises(np.linalg.LinAlgError):
+                inverse(layout)
+
+
+@pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
+def test_lu_solver_keeps_every_buffer_its_pointers_point_into():
+    # the solver is the only owner of its buffers; arrays allocated after it, which
+    # would reuse a freed buffer's memory, must not change what dgesv reads or writes
+    rng = np.random.default_rng(63)
+    solve, inverse = optim._lu_solver(BUNDLED)(4)
+    clutter = [np.full(k, -7, dtype=BUNDLED[-1]) for k in range(1, 64)]
+    clutter += [np.full(k, np.nan) for k in range(1, 64)]
+    for _ in range(20):
+        a, b = rng.standard_normal((4, 4)), rng.standard_normal(4)  # pivots that swap rows
+        assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+        assert np.array_equal(inverse(a), np.linalg.inv(a))
+    assert all((c == -7).all() for c in clutter[:63])
+
+
+def test_lu_solver_without_lapack_is_np_linalg():
+    assert optim._lu_solver(None)(3) == (np.linalg.solve, np.linalg.inv)
+
+
 @pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
 @pytest.mark.parametrize("run", LM_STEP_RUNS.values(), ids=LM_STEP_RUNS.keys())
 def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     (rj, x0, rvv), (expected_steps, *_) = run
     calls = []  # lm's solves by name, through wrappers that log each call
     monkeypatch.setattr(optim, "_factor", optim._factored_solver(logged_lapack(BUNDLED, calls)))
+    monkeypatch.setattr(optim, "_lu", optim._lu_solver(logged_lapack(BUNDLED, calls)))
     monkeypatch.setattr(np.linalg, "solve", logged(calls, "solve", np.linalg.solve))
     result = lm(rj, np.array(x0), rvv=rvv)
     steps = result.steps
     assert steps == expected_steps
     if rvv is None:
-        # one np.linalg.solve per step that was not skipped, as before
-        assert calls == ["solve"] * (result.iterations - steps["skipped"])
+        # one dgesv per step that was not skipped, as np.linalg.solve was called before
+        assert calls == ["dgesv"] * (result.iterations - steps["skipped"])
         return
     # the routines of each damped matrix, from its dposv on
     solves = []

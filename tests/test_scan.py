@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import scan
 
 GRID = ["--workload", "bundled", "--grid", "0"]
@@ -23,3 +25,16 @@ def test_scan_lists_exactly_the_instances_that_differ(tmp_path, capsys):
     assert scan.run([*GRID, "--against", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--against"])
+def test_scan_refuses_an_empty_path_before_solving(flag, capsys, monkeypatch):
+    def no_scan(grids):
+        raise AssertionError("scanned although a path was empty")
+
+    monkeypatch.setattr(scan, "scan", no_scan)
+    with pytest.raises(SystemExit) as exit_info:
+        scan.run([*GRID, flag, ""])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{flag} '' names no file" in err

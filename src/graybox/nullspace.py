@@ -60,7 +60,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, _lu, lm
+from .optim import InfeasibleStartError, OptimConfig, _dense, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -124,8 +124,8 @@ def _checked_inverse(t: np.ndarray, inv: Callable = np.linalg.inv) -> np.ndarray
     at most 1 / (2 SINGULAR_RTOL) needs no SVD.  Where the product is larger
     or not finite, ``rcond(t)`` (an SVD) decides, and the same inverse is
     returned.  A t whose LU factorization ``inv`` finds singular is refused.
-    ``inv`` is ``np.linalg.inv``, or an ``inverse`` of ``optim._lu_solver``
-    with its bits.
+    ``inv`` is ``np.linalg.inv``, or the ``inverse`` of an
+    ``optim._dense_solver`` workspace, with its bits.
     ``math.hypot`` takes the norms, over the entries as Python floats, without
     intermediate overflow or a warning.
 
@@ -305,8 +305,8 @@ class ReducedResidual:
     block diagonal of their A rows.  It also keeps [ . , B_bb], whose first
     n_x columns a call fills with A_bb T, a buffer for s with its
     vec([A, B]) and vec(C_bb T) blocks as transposed views, and the
-    ``inverse`` of ``optim._lu_solver`` at order n_x, which runs ``dgesv``
-    on buffers of its own and gives ``np.linalg.inv``'s bits (and is
+    ``inverse`` of an ``optim._dense_solver`` workspace of order n_x, which
+    runs ``dgesv`` and gives ``np.linalg.inv``'s bits (and is
     ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  A call
     reads T out of ``t_vec`` by an F-order reshape and then costs one
     inverse, with no SVD unless T is near the excluded region
@@ -342,7 +342,7 @@ class ReducedResidual:
         self.ab_rows = self.minus_ds[:n_ab].reshape(n_x + d.n_u, n_x, n_x, n_x)
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
-        _, self.inverse = _lu(n_x)  # np.linalg.inv's bits, through dgesv's buffers of this solve
+        self.inverse = _dense(n_x)[1]  # np.linalg.inv's bits, in this solve's dgesv workspace
 
     def _fill(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(T^-1, [A, B])`` at ``t``, with s written into ``self.stacked``.

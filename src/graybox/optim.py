@@ -7,16 +7,15 @@ infeasible; the line search treats that as a failed sufficient-decrease
 test, so accepted iterates never leave the feasible region.
 Levenberg-Marquardt minimizes ``||r(x)||^2`` from one callable
 ``rj(x) -> (r, J)``; ``(None, None)`` marks an infeasible point, and a step
-onto one is rejected like a step that raises the objective.  Each damped
-system is one ``dgesv`` call of the LAPACK bundled with numpy, with the
-bits of ``np.linalg.solve``, unless an optional second callable gives the
-residual's second directional derivative, for geodesic acceleration; with
-it, each damped matrix is factored once, by that LAPACK's Cholesky
-``dposv``, and the acceleration reuses that factor through ``dpotrs``.  A
-step whose damped matrix is not numerically positive definite makes two
-``np.linalg.solve`` calls instead.  Where that library is not found, every
-solve is ``np.linalg.solve``.  :func:`_lu_solver` also gives the
-null-space evaluator its inverses of T.  An ``lm`` result counts its
+onto one is rejected like a step that raises the objective.  Every dense
+solve, of lm's damped systems and of the null-space evaluator's inverses
+of T, runs in a :func:`_dense_solver` workspace on the LAPACK bundled with
+numpy: ``dgesv``, with the bits of ``np.linalg.solve`` and
+``np.linalg.inv``.  With geodesic acceleration, lm factors each damped
+matrix once, by Cholesky ``dposv``, and reuses the factor through
+``dpotrs``, or runs ``dgesv`` twice where the matrix is not numerically
+positive definite.  Where that library is not found, every solve is
+``np.linalg.solve`` or ``np.linalg.inv``.  An ``lm`` result counts its
 damped steps by outcome in ``steps``, the dict every report writes.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
@@ -98,99 +97,53 @@ def _bundled_lapack() -> tuple[Callable, Callable, Callable, type] | None:
     return None
 
 
-def _factored_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Callable:
-    """``factor(n) -> (solve, resolve)``: two solves with one symmetric damped matrix.
+def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Callable:
+    """``dense(n) -> (solve, inverse, solve_spd, resolve_spd)``: every dense solve at order ``n``.
 
-    ``solve(a, b)`` solves ``a x = b``, with ``np.linalg.solve``'s
-    ``LinAlgError`` on an exactly singular ``a``; ``resolve(a, b)`` then
-    solves with the same ``a``, unchanged since.  Without ``lapack`` both are
-    ``np.linalg.solve``.  With ``lapack`` from :func:`_bundled_lapack`,
-    ``solve`` runs ``dposv`` (Cholesky, lower triangle) on an F-ordered copy
-    of ``a``, and ``resolve`` runs ``dpotrs`` on the factor it left, which
-    gives the bits of factoring ``a`` again.  Since ``a`` is symmetric, the
-    copy is written through the buffer's transpose, one contiguous copy of
-    a C-ordered ``a``.  ``solve`` returns a new array; ``resolve`` returns
-    the right-hand side buffer, which the next ``solve`` overwrites.  Where
-    ``dpotrf`` finds ``a`` not numerically positive definite, dposv's INFO
-    stays nonzero, and ``solve`` and then ``resolve`` each fall back to
-    ``np.linalg.solve(a, b)``.  The buffers and the raw pointers to them are
-    built once per ``factor`` call, since setting up the ctypes arguments on
-    every solve costs more than the second factorization saves.  The
-    arguments are trusted: symmetric float64 matrices of order ``n``, and
-    matching vectors.
-    """
-    def factor(n: int) -> tuple[Callable, Callable]:
-        if lapack is None:
-            return np.linalg.solve, np.linalg.solve
-        dposv, dpotrs, _, index = lapack
-        factors = np.empty((n, n), order="F")
-        factors_t = factors.T
-        rhs = np.empty(n)
-        ints = np.array([n, 1, max(n, 1), 0], dtype=index)  # N, NRHS, LDA = LDB, INFO
-        # raw pointers keep no array alive: solve holds factors, rhs and ints, and
-        # resolve runs only after solve, which its caller holds
-        base = ints.ctypes.data
-        order_p, nrhs_p, lead_p, info_p = (ctypes.c_void_p(base + k * ints.itemsize)
-                                           for k in range(4))
-        args = (ctypes.c_char_p(b"L"), order_p, nrhs_p, ctypes.c_void_p(factors.ctypes.data),
-                lead_p, ctypes.c_void_p(rhs.ctypes.data), lead_p, info_p)
-
-        def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            factors_t[...] = a  # a = a^T
-            rhs[...] = b
-            dposv(*args)
-            if ints[3] == 0:  # else INFO > 0: a leading minor is not positive definite
-                return rhs.copy()
-            return np.linalg.solve(a, b)
-
-        def resolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            if ints[3] != 0:  # solve fell back, and left no factor of a
-                return np.linalg.solve(a, b)
-            rhs[...] = b
-            dpotrs(*args)
-            return rhs
-
-        return solve, resolve
-
-    return factor
-
-
-def _lu_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Callable:
-    """``lu(n) -> (solve, inverse)``: ``np.linalg.solve`` and ``np.linalg.inv`` at order ``n``.
-
-    ``solve(a, b)`` solves ``a x = b`` for a vector ``b``, and ``inverse(a)``
-    solves ``a X = I``, as ``np.linalg.inv`` does; each returns a new array,
-    ``inverse`` a C-ordered one, and raises ``np.linalg.LinAlgError`` where
-    the LU factorization finds ``a`` exactly singular.  Without ``lapack``
-    they are ``np.linalg.solve`` and ``np.linalg.inv``.  With ``lapack`` from
-    :func:`_bundled_lapack`, each runs ``dgesv`` on an F-ordered copy of
-    ``a``, the call that numpy's own makes, so each gives numpy's bits
-    without its dispatch.  One float buffer holds the copy of ``a`` and the
-    right-hand sides, and one integer buffer N, NRHS = 1, LDA = LDB, INFO
-    and the pivots; both, and the raw pointers into them, are built once
-    per ``lu`` call, and each closure holds both buffers.  The pointers
-    point into those buffers only, and each call copies its arguments into
-    them, so ``dgesv`` reads and writes nothing else.  The arguments are
+    ``solve(a, b)`` solves ``a x = b`` for a vector ``b`` and ``inverse(a)``
+    solves ``a X = I``, with the bits of ``np.linalg.solve`` and
+    ``np.linalg.inv``; ``solve_spd(a, b)`` solves with a symmetric ``a``, and
+    ``resolve_spd(a, b)`` then solves with the same ``a``, unchanged since.
+    Each raises ``np.linalg.LinAlgError`` on an exactly singular ``a``.
+    Without ``lapack`` the four are ``np.linalg.solve``, ``np.linalg.inv``
+    and ``np.linalg.solve`` twice.  With ``lapack`` from
+    :func:`_bundled_lapack` they share one workspace, built once per
+    ``dense`` call, since setting up ctypes arguments costs more than a small
+    solve: a float buffer for an F-ordered copy of ``a`` and the right-hand
+    sides, an index-width buffer, the identity, and raw pointers into both
+    buffers.  ``solve`` and ``inverse`` run ``dgesv``, the call numpy's own
+    make.  ``solve_spd`` runs ``dposv`` (Cholesky, lower triangle) and
+    ``resolve_spd`` ``dpotrs`` on the factor it left, which gives the bits
+    of factoring ``a`` again.  Where ``dpotrf`` finds ``a`` not numerically
+    positive definite, dposv's own INFO slot, apart from dgesv's, stays
+    nonzero, and ``solve_spd`` and then ``resolve_spd`` each run ``solve``.
+    ``resolve_spd`` returns the right-hand side buffer, which the next call
+    overwrites; the others return new arrays, ``inverse`` a C-ordered one.
+    Each call copies its arguments into the buffers, which each closure
+    holds, so LAPACK reads and writes nothing else.  The arguments are
     trusted: float64 matrices of order ``n``, and matching vectors.
     """
-    def lu(n: int) -> tuple[Callable, Callable]:
+    def dense(n: int) -> tuple[Callable, Callable, Callable, Callable]:
         if lapack is None:
-            return np.linalg.solve, np.linalg.inv
-        *_, dgesv, index = lapack
+            return np.linalg.solve, np.linalg.inv, np.linalg.solve, np.linalg.solve
+        dposv, dpotrs, dgesv, index = lapack
         floats = np.empty((2, n, n))
-        factors, rhs = floats[0].T, floats[1].T  # the copy of a, the right-hand sides: F-ordered
+        factors_t, rhs_t = floats
+        factors, rhs = factors_t.T, rhs_t.T  # the copy of a, the right-hand sides: F-ordered
         column = rhs[:, 0]
         identity = np.eye(n)
-        # N, NRHS, LDA = LDB, INFO, then the n pivots
-        ints = np.array([n, 1, max(n, 1), 0] + [0] * n, dtype=index)
+        # N, NRHS, LDA = LDB, dgesv's INFO, dposv's INFO, then the n pivots
+        ints = np.array([n, 1, max(n, 1), 0, 0] + [0] * n, dtype=index)
         # one .ctypes.data read per buffer: each read costs over a microsecond
         base, size = ints.ctypes.data, ints.itemsize
-        order_p, one_p, lead_p, info_p, pivots_p = [ctypes.c_void_p(base + k * size)
-                                                    for k in range(5)]
+        order_p, one_p, lead_p, lu_info_p, spd_info_p, pivots_p = [
+            ctypes.c_void_p(base + k * size) for k in range(6)]
         base = floats.ctypes.data
-        factors_p, rhs_p = ctypes.c_void_p(base), ctypes.c_void_p(base + floats[0].nbytes)
-        solve_args = (order_p, one_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, info_p)
+        factors_p, rhs_p = ctypes.c_void_p(base), ctypes.c_void_p(base + factors_t.nbytes)
+        solve_args = (order_p, one_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, lu_info_p)
         inverse_args = (order_p, order_p, *solve_args[2:])  # NRHS = N
+        spd_args = (ctypes.c_char_p(b"L"), order_p, one_p, factors_p, lead_p, rhs_p, lead_p,
+                    spd_info_p)
 
         def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             factors[...] = a
@@ -208,16 +161,29 @@ def _lu_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> Call
                 raise np.linalg.LinAlgError("Singular matrix")
             return rhs.copy()
 
-        return solve, inverse
+        def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            factors_t[...] = a  # a = a^T: one contiguous copy of a C-ordered a
+            column[...] = b
+            dposv(*spd_args)
+            if ints[4] == 0:  # else INFO > 0: a leading minor is not positive definite
+                return column.copy()
+            return solve(a, b)
 
-    return lu
+        def resolve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if ints[4]:  # solve_spd fell back, and left no Cholesky factor of a
+                return solve(a, b)
+            column[...] = b
+            dpotrs(*spd_args)
+            return column
+
+        return solve, inverse, solve_spd, resolve_spd
+
+    return dense
 
 
 _lapack = _bundled_lapack()
-# lm's two solves per step with geodesic acceleration, one factorization apart
-_factor = _factored_solver(_lapack)
-# lm's one solve per step without it, and the null-space evaluator's inverse of T
-_lu = _lu_solver(_lapack)
+# lm's damped solves, and the null-space evaluator's inverses of T
+_dense = _dense_solver(_lapack)
 
 
 class LineSearchError(RuntimeError):
@@ -478,20 +444,20 @@ def lm(
     """Minimize ``f = ||r(x)||^2`` by Levenberg-Marquardt from ``rj(x) -> (r, J)``.
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
-    singular system raises ``LinAlgError`` and gives the zero step.  Without
-    ``rvv`` each damped system is one call of the per-run ``solve`` of
-    ``_lu_solver``: ``dgesv``, with ``np.linalg.solve``'s bits, or
-    ``np.linalg.solve`` itself where numpy's bundled LAPACK is not found.
-    With ``rvv`` the step's two systems share one matrix, which is factored
-    once by the per-run solver of ``_factored_solver``: Cholesky, ``dposv``
-    for h and ``dpotrs`` on its factor for the acceleration; or two
-    ``np.linalg.solve`` calls where the matrix is not numerically positive
-    definite or numpy's bundled LAPACK is not found.
+    singular system raises ``LinAlgError`` and gives the zero step.  Every
+    solve runs in one ``_dense_solver`` workspace per run: without ``rvv``
+    each damped system is one ``solve``, ``dgesv`` with
+    ``np.linalg.solve``'s bits; with ``rvv`` the step's two systems share
+    one matrix, factored once by ``solve_spd`` (Cholesky, ``dposv``) for h
+    and reused by ``resolve_spd`` (``dpotrs``) for the acceleration, or
+    solved twice by ``dgesv`` where the matrix is not numerically positive
+    definite.  Without numpy's bundled LAPACK every solve is
+    ``np.linalg.solve``.
     The damped matrix is one buffer for the whole run, rewritten at each
     step through a view of its diagonal, and the diagonal is copied only
-    when a step is rejected; the solves never write to it.  The per-run
-    solver's factor and right-hand side are buffers for the whole run too,
-    and -J'r is formed once per accepted point, not at every step.  The damping
+    when a step is rejected; the solves never write to it.  The
+    workspace's buffers serve the whole run too, and -J'r is formed once
+    per accepted point, not at every step.  The damping
     shrinks with the residual, mu = lambda ||r|| (Yamashita & Fukushima, *On
     the rate of convergence of the Levenberg-Marquardt method*, Computing
     Suppl. 15, 2001; Fan & Yuan, *On the quadratic convergence of the
@@ -559,8 +525,9 @@ def lm(
     diagonal = damped.reshape(-1)[:: x.size + 1]  # a writeable view of its diagonal
     rejected = None  # copy of that diagonal for the last step rejected at x
     steps = {"rejected": 0, "geodesic_rejected": 0, "skipped": 0}  # the accepted are in the trace
-    # with rvv, both solves of a step share one factorization of damped
-    solve, resolve = (_lu(x.size)[0], None) if rvv is None else _factor(x.size)
+    # with rvv, both solves of a step share one Cholesky factorization of damped
+    lu_solve, _, *spd = _dense(x.size)
+    solve, resolve = (lu_solve, None) if rvv is None else spd
     while True:
         if f == 0.0:
             status = "converged-ftol"

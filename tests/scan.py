@@ -12,7 +12,9 @@ code in one environment give the same records bit for bit.
     python tests/scan.py --against outcomes.json
 
 ``--against FILE`` prints every instance whose record differs from FILE's,
-or that FILE lacks, and exits 1 if there is one.  ``--workload`` and
+or that FILE lacks, and exits 1 if there is one.  A FILE that cannot be read
+or is not a JSON object, and an ``--out`` that is a directory or lies in
+none, exit 2 before any solve.  ``--workload`` and
 ``--grid`` restrict the run.  The scan imports the ``graybox`` package of its
 own checkout.  Reports depend on the CPU's floating-point kernels, so run
 with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) and compare records made
@@ -139,14 +141,28 @@ def run(argv: list[str] | None = None) -> int:
     for flag, path in (("--out", args.out), ("--against", args.against)):
         if path == "":
             parser.error(f"{flag} '' names no file")
+    # every path is checked, and the reference read, before the first solve
+    if args.out is not None:
+        out = Path(args.out)
+        if out.is_dir():
+            parser.error(f"--out {out} is a directory")
+        if not out.parent.is_dir():
+            parser.error(f"--out {out}: {out.parent} is not a directory")
+    if args.against is not None:
+        try:
+            reference = json.loads(Path(args.against).read_text())
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            parser.error(f"--against {args.against}: {exc}")
+        if not isinstance(reference, dict):
+            parser.error(f"--against {args.against} is not a JSON object")
     records = scan(grids)
     if args.out is not None:
-        Path(args.out).write_text(dumps(records))
+        out.write_text(dumps(records))
     elif args.against is None:
         sys.stdout.write(dumps(records))
     if args.against is None:
         return 0
-    lines = differences(records, json.loads(Path(args.against).read_text()))
+    lines = differences(records, reference)
     for line in lines:
         print(line)
     print(f"{len(lines)} of {len(records)} instance(s) differ from {args.against}",

@@ -790,10 +790,10 @@ def test_all_zero_blackbox_exits_with_a_documented_code(tmp_path, monkeypatch, s
     # every null-space start has r constant and J = 0, so mu = 0 and the damped
     # system is exactly singular: the LinAlgError path of lm's solve, end to end
     singular = []
-    lu = optim._lu
+    dense = optim._dense
 
-    def recording_lu(n):
-        solve_damped, inverse = lu(n)
+    def recording_dense(n):
+        solve_damped, *rest = dense(n)
 
         def recording(a, b):
             try:
@@ -802,9 +802,9 @@ def test_all_zero_blackbox_exits_with_a_documented_code(tmp_path, monkeypatch, s
                 singular.append(1)
                 raise
 
-        return recording, inverse
+        return recording, *rest
 
-    monkeypatch.setattr(optim, "_lu", recording_lu)
+    monkeypatch.setattr(optim, "_dense", recording_dense)
     d = bundled_structure(structure)[0].dims
     bb_path = tmp_path / "zero.json"
     bb_path.write_text(json.dumps(StateSpace(

@@ -564,7 +564,7 @@ def test_checked_inverse_inverts_each_transform_at_most_once(monkeypatch):
     for t in transforms:
         inverses.clear()
         svds.clear()
-        _, inverse = ns._lu(len(t))  # the inverse the evaluator of a solve passes
+        inverse = ns._dense(len(t))[1]  # the inverse the evaluator of a solve passes
 
         def counting_inv(t):
             inverses.append(1)
@@ -652,7 +652,7 @@ def test_checked_inverse_decides_and_inverts_alike_in_any_layout(layout):
                 got, want = _inverse_or_none(laid_out), _inverse_or_none(t)
                 assert (got is None) == (want is None) == (n_x > 1 and rc < SINGULAR_RTOL)
                 # and by the evaluator's own inverse, on the same layout
-                lu_got = _inverse_or_none(laid_out, ns._lu(n_x)[1])
+                lu_got = _inverse_or_none(laid_out, ns._dense(n_x)[1])
                 assert (lu_got is None) == (want is None)
                 if want is not None:
                     assert np.array_equal(got, want) and np.array_equal(lu_got, want)
@@ -746,8 +746,8 @@ def test_solve_without_the_bundled_lapack_calls_np_linalg_for_the_same_bits(make
                             or routine(*args))
     bundled = solve_nullspace(instance.blackbox, structure, config)
     assert calls == [] or BUNDLED is None
-    monkeypatch.setattr(optim, "_lu", optim._lu_solver(None))
-    monkeypatch.setattr(ns, "_lu", optim._lu_solver(None))
+    monkeypatch.setattr(optim, "_dense", optim._dense_solver(None))
+    monkeypatch.setattr(ns, "_dense", optim._dense_solver(None))
     fallback = solve_nullspace(instance.blackbox, structure, config)
     assert {"solve", "inv"} <= set(calls)
     for sol in (bundled, fallback):

@@ -466,12 +466,12 @@ def test_lm_is_bit_identical_to_its_frozen_reference_on_the_solvers_problems(rj,
 def test_lm_with_the_refactoring_fallback_is_bit_identical_to_its_frozen_reference(
         rj, x0, rvv, monkeypatch):
     # the lsq problems once more, each step's two solves each factoring the damped matrix
-    monkeypatch.setattr(optim, "_factor", optim._factored_solver(None))
+    monkeypatch.setattr(optim, "_dense", optim._dense_solver(None))
     _assert_lm_matches_its_reference(rj, x0, rvv, lm_solver(rvv, lapack=None))
 
 
 NOT_BUNDLED = "numpy's bundled LAPACK (scipy_dposv_64_ or scipy_dposv_) not found"
-# the per-run solver on numpy's bundled LAPACK, and the fallback's two solves
+# the workspace on numpy's bundled LAPACK, and np.linalg where that is not found
 FACTORED = [
     pytest.param(BUNDLED, id="bundled", marks=pytest.mark.skipif(BUNDLED is None,
                                                                   reason=NOT_BUNDLED)),
@@ -533,10 +533,10 @@ def test_bundled_lapack_binds_its_three_routines():
     assert [routine.__name__ for routine in BUNDLED[:-1]] == [
         f"scipy_{name}{suffix}" for name in LAPACK_NAMES]
     # the library reads N, NRHS, LDA, INFO and the pivots at the width the suffix names
-    solve, resolve = optim._factored_solver(BUNDLED)(3)
+    solve, inverse, solve_spd, resolve_spd = optim._dense_solver(BUNDLED)(3)
     a, b = np.diag([4.0, 16.0, 1.0]), np.array([4.0, 16.0, 1.0])  # exact square roots
-    assert np.array_equal(solve(a, b), np.ones(3)) and np.array_equal(resolve(a, b), np.ones(3))
-    solve, inverse = optim._lu_solver(BUNDLED)(3)
+    assert np.array_equal(solve_spd(a, b), np.ones(3))
+    assert np.array_equal(resolve_spd(a, b), np.ones(3))
     assert np.array_equal(solve(a, b), np.ones(3))
     assert np.array_equal(inverse(a), np.diag([0.25, 0.0625, 1.0]))
 
@@ -561,7 +561,7 @@ def backward_error(a, x, b):
 
 
 @pytest.mark.parametrize("lapack", FACTORED)
-def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack):
+def test_dense_solver_spd_is_backward_stable_on_positive_definite_systems(lapack):
     # damped normal matrices J'J + mu I as lm builds them, at conditions up to ~1e9
     rng = np.random.default_rng(58)
 
@@ -572,12 +572,12 @@ def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack)
         return a
 
     calls = []
-    factor = optim._factored_solver(logged_lapack(lapack, calls))
+    dense = optim._dense_solver(logged_lapack(lapack, calls))
     solvers = {}  # one per order, reused as lm reuses its own for a whole run
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, b in _solver_systems(rng, damped):
-            solve, resolve = solvers.setdefault(len(a), factor(len(a)))
+            _, _, solve, resolve = solvers.setdefault(len(a), dense(len(a)))
             second = rng.standard_normal(len(a))
             a_before = a.copy()
             calls.clear()
@@ -591,8 +591,9 @@ def test_factored_solver_is_backward_stable_on_positive_definite_systems(lapack)
 
 
 @pytest.mark.parametrize("lapack", FACTORED)
-def test_factored_solver_gives_np_linalg_bits(lapack):
-    # symmetric and not positive definite, where the bundled solver falls back to np.linalg
+def test_dense_solver_spd_gives_np_linalg_bits_on_indefinite_systems(lapack):
+    # symmetric and not positive definite, where dposv fails and both solves run dgesv;
+    # dposv's INFO, apart from dgesv's, tells resolve_spd that no Cholesky factor is left
     rng = np.random.default_rng(57)
 
     def indefinite(n):
@@ -601,49 +602,32 @@ def test_factored_solver_gives_np_linalg_bits(lapack):
         return a if np.linalg.eigvalsh(a)[0] < 0.0 else -a
 
     calls = []
-    factor = optim._factored_solver(logged_lapack(lapack, calls))
+    dense = optim._dense_solver(logged_lapack(lapack, calls))
     solvers = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, b in _solver_systems(rng, indefinite):
-            solve, resolve = solvers.setdefault(len(a), factor(len(a)))
+            _, _, solve, resolve = solvers.setdefault(len(a), dense(len(a)))
             second = rng.standard_normal(len(a))
             a_before = a.copy()
             calls.clear()
             assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
             assert np.array_equal(resolve(a, second), np.linalg.solve(a, second))
             assert np.array_equal(a, a_before)
-            assert calls == ([] if lapack is None else ["dposv"])
+            assert calls == ([] if lapack is None else ["dposv", "dgesv", "dgesv"])
 
 
 @pytest.mark.parametrize("lapack", FACTORED)
-@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
-def test_factored_solver_raises_on_an_exactly_singular_matrix(lapack, a):
-    solve, _ = optim._factored_solver(lapack)(len(a))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError):
-            solve(a, np.ones(len(a)))
-        # and on an F-ordered copy of the same matrix
-        with pytest.raises(np.linalg.LinAlgError):
-            solve(np.asfortranarray(a), np.ones(len(a)))
-
-
-def test_factored_solver_without_lapack_is_np_linalg_solve():
-    assert optim._factored_solver(None)(3) == (np.linalg.solve, np.linalg.solve)
-
-
-@pytest.mark.parametrize("lapack", FACTORED)
-def test_lu_solver_gives_np_linalg_bits(lapack):
+def test_dense_solver_gives_np_linalg_bits(lapack):
     # general matrices, as lm's damped systems without rvv and the evaluator's transforms
     rng = np.random.default_rng(62)
     calls = []
-    lu = optim._lu_solver(logged_lapack(lapack, calls))
+    dense = optim._dense_solver(logged_lapack(lapack, calls))
     solvers = {}  # one per order, reused as lm and the evaluator reuse their own
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, b in _solver_systems(rng, lambda n: rng.standard_normal((n, n))):
-            solve, inverse = solvers.setdefault(len(a), lu(len(a)))
+            solve, inverse, *_ = solvers.setdefault(len(a), dense(len(a)))
             a_before = a.copy()
             calls.clear()
             x, a_inv = solve(a, b), inverse(a)  # inverse must not overwrite the solution
@@ -665,8 +649,8 @@ NON_FINITE = {
 
 @pytest.mark.parametrize("lapack", FACTORED)
 @pytest.mark.parametrize("a", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_lu_solver_gives_np_linalg_bits_on_non_finite_entries(lapack, a):
-    solve, inverse = optim._lu_solver(lapack)(len(a))
+def test_dense_solver_gives_np_linalg_bits_on_non_finite_entries(lapack, a):
+    solve, inverse, *_ = optim._dense_solver(lapack)(len(a))
     b = np.arange(1.0, len(a) + 1.0)
     for ours, numpys in ((lambda: solve(a, b), lambda: np.linalg.solve(a, b)),
                          (lambda: inverse(a), lambda: np.linalg.inv(a))):
@@ -683,8 +667,8 @@ def test_lu_solver_gives_np_linalg_bits_on_non_finite_entries(lapack, a):
 
 @pytest.mark.parametrize("lapack", FACTORED)
 @pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
-def test_lu_solver_raises_on_an_exactly_singular_matrix(lapack, a):
-    solve, inverse = optim._lu_solver(lapack)(len(a))
+def test_dense_solver_raises_on_an_exactly_singular_matrix(lapack, a):
+    solve, inverse, solve_spd, _ = optim._dense_solver(lapack)(len(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for layout in (a, np.asfortranarray(a)):
@@ -692,25 +676,32 @@ def test_lu_solver_raises_on_an_exactly_singular_matrix(lapack, a):
                 solve(layout, np.ones(len(a)))
             with pytest.raises(np.linalg.LinAlgError):
                 inverse(layout)
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_spd(layout, np.ones(len(a)))
 
 
 @pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
-def test_lu_solver_keeps_every_buffer_its_pointers_point_into():
-    # the solver is the only owner of its buffers; arrays allocated after it, which
-    # would reuse a freed buffer's memory, must not change what dgesv reads or writes
+def test_dense_solver_keeps_every_buffer_its_pointers_point_into():
+    # the workspace is the only owner of its buffers; arrays allocated after it, which
+    # would reuse a freed buffer's memory, must not change what LAPACK reads or writes
     rng = np.random.default_rng(63)
-    solve, inverse = optim._lu_solver(BUNDLED)(4)
+    solve, inverse, solve_spd, resolve_spd = optim._dense_solver(BUNDLED)(4)
     clutter = [np.full(k, -7, dtype=BUNDLED[-1]) for k in range(1, 64)]
     clutter += [np.full(k, np.nan) for k in range(1, 64)]
     for _ in range(20):
         a, b = rng.standard_normal((4, 4)), rng.standard_normal(4)  # pivots that swap rows
         assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
         assert np.array_equal(inverse(a), np.linalg.inv(a))
+        spd = a @ a.T + np.eye(4)
+        x = solve_spd(spd, b)
+        assert backward_error(spd, x, b) <= 4 * np.finfo(float).eps
+        assert np.array_equal(resolve_spd(spd, b), x)
     assert all((c == -7).all() for c in clutter[:63])
 
 
-def test_lu_solver_without_lapack_is_np_linalg():
-    assert optim._lu_solver(None)(3) == (np.linalg.solve, np.linalg.inv)
+def test_dense_solver_without_lapack_is_np_linalg():
+    assert optim._dense_solver(None)(3) == (np.linalg.solve, np.linalg.inv,
+                                            np.linalg.solve, np.linalg.solve)
 
 
 @pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
@@ -718,8 +709,7 @@ def test_lu_solver_without_lapack_is_np_linalg():
 def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
     (rj, x0, rvv), (expected_steps, *_) = run
     calls = []  # lm's solves by name, through wrappers that log each call
-    monkeypatch.setattr(optim, "_factor", optim._factored_solver(logged_lapack(BUNDLED, calls)))
-    monkeypatch.setattr(optim, "_lu", optim._lu_solver(logged_lapack(BUNDLED, calls)))
+    monkeypatch.setattr(optim, "_dense", optim._dense_solver(logged_lapack(BUNDLED, calls)))
     monkeypatch.setattr(np.linalg, "solve", logged(calls, "solve", np.linalg.solve))
     result = lm(rj, np.array(x0), rvv=rvv)
     steps = result.steps
@@ -735,13 +725,13 @@ def test_lm_factors_each_damped_matrix_once_only_with_rvv(run, monkeypatch):
             solves.append([])
         solves[-1].append(name)
     # every step that got an acceleration factored its matrix once, a Cholesky factor
-    # for dpotrs, or, where dposv found it not positive definite, made two solves
+    # for dpotrs, or, where dposv found it not positive definite, made two LU solves
     reached = steps["accepted"] + steps["rejected"] + steps["geodesic_rejected"]
-    assert all(names in (["dposv", "dpotrs"], ["dposv", "solve", "solve"])
+    assert all(names in (["dposv", "dpotrs"], ["dposv", "dgesv", "dgesv"])
                for names in solves[:reached])
     # and a "converged-step" stop makes at most one more solve, for its velocity alone;
-    # an exactly singular matrix fails dposv and then np.linalg.solve
-    assert solves[reached:] in ([], [["dposv"]], [["dposv", "solve"]])
+    # an exactly singular matrix fails dposv and then dgesv
+    assert solves[reached:] in ([], [["dposv"]], [["dposv", "dgesv"]])
     assert len(solves) == reached or result.status == "converged-step"
 
 

@@ -27,14 +27,34 @@ def test_scan_lists_exactly_the_instances_that_differ(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"{key}: ")
 
 
-@pytest.mark.parametrize("flag", ["--out", "--against"])
-def test_scan_refuses_an_empty_path_before_solving(flag, capsys, monkeypatch):
+# flag, path under the test's directory ('' stays empty), and what the refusal says
+BAD_PATHS = {
+    "--out": ("--out", "", "--out '' names no file"),
+    "--against": ("--against", "", "--against '' names no file"),
+    "--out-directory": ("--out", ".", "is a directory"),
+    "--out-missing-directory": ("--out", "missing/records.json", "missing is not a directory"),
+    "--out-under-a-file": ("--out", "list.json/records.json", "list.json is not a directory"),
+    "--against-missing": ("--against", "missing.json", "No such file"),
+    "--against-directory": ("--against", ".", "Is a directory"),
+    "--against-not-utf8": ("--against", "latin1.json", "codec can't decode"),
+    "--against-not-json": ("--against", "text.json", "Expecting value"),
+    "--against-not-an-object": ("--against", "list.json", "is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("flag, name, message", BAD_PATHS.values(), ids=BAD_PATHS.keys())
+def test_scan_refuses_an_empty_path_before_solving(flag, name, message, tmp_path, capsys,
+                                                   monkeypatch):
+    # and every other path it cannot write, or whose records it cannot read
     def no_scan(grids):
-        raise AssertionError("scanned although a path was empty")
+        raise AssertionError("scanned although a path was bad")
 
     monkeypatch.setattr(scan, "scan", no_scan)
+    (tmp_path / "latin1.json").write_bytes(b'{"caf\xe9": 1}')
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[]")
     with pytest.raises(SystemExit) as exit_info:
-        scan.run([*GRID, flag, ""])
+        scan.run([*GRID, flag, str(tmp_path / name) if name else ""])
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"{flag} '' names no file" in err
+    assert out == "" and message in err

@@ -668,7 +668,7 @@ def test_dense_solver_gives_np_linalg_bits_on_non_finite_entries(lapack, a):
 @pytest.mark.parametrize("lapack", FACTORED)
 @pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
 def test_dense_solver_raises_on_an_exactly_singular_matrix(lapack, a):
-    solve, inverse, solve_spd, _ = optim._dense_solver(lapack)(len(a))
+    solve, inverse, *_ = optim._dense_solver(lapack)(len(a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for layout in (a, np.asfortranarray(a)):
@@ -676,6 +676,16 @@ def test_dense_solver_raises_on_an_exactly_singular_matrix(lapack, a):
                 solve(layout, np.ones(len(a)))
             with pytest.raises(np.linalg.LinAlgError):
                 inverse(layout)
+
+
+@pytest.mark.parametrize("lapack", FACTORED)
+@pytest.mark.parametrize("a", SINGULAR.values(), ids=SINGULAR.keys())
+def test_dense_solver_spd_raises_on_an_exactly_singular_matrix(lapack, a):
+    # dposv fails on a singular matrix; the dgesv it falls back to must refuse it too
+    _, _, solve_spd, _ = optim._dense_solver(lapack)(len(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for layout in (a, np.asfortranarray(a)):
             with pytest.raises(np.linalg.LinAlgError):
                 solve_spd(layout, np.ones(len(a)))
 

@@ -35,7 +35,6 @@ import numpy as np
 from . import lsq, nullspace, optim, solver
 from .model import (
     RESIDUAL_TOL,
-    SINGULAR_RTOL,
     AffineStructure,
     StateSpace,
     _as_matrix,
@@ -178,8 +177,9 @@ def _theta_error(theta_hat: np.ndarray, theta_true: np.ndarray) -> float:
 
 def cmd_generate(args) -> int:
     _check_seed(args.seed)
-    if not args.out_prefix:  # "" would write the hidden files .blackbox.json and .truth.json
-        raise ValueError("--out-prefix must not be empty")
+    if not os.path.basename(args.out_prefix):  # "" or "out/" would write hidden .blackbox.json
+        raise ValueError("--out-prefix must not be empty" if not args.out_prefix else
+                         f"--out-prefix {args.out_prefix!r} must end in a file name")
     structure = _load_structure(args.structure)
     theta = _as_vector(_parse_theta(args.theta), structure.n_theta, "--theta")
     blackbox_path = f"{args.out_prefix}.blackbox.json"
@@ -225,7 +225,7 @@ def cmd_solve(args) -> int:
     if theta_true is not None:
         report["theta_error"] = _theta_error(sol.theta, theta_true)
     _write_report(report, args.out)
-    if sol.rcond_T < SINGULAR_RTOL:  # the stage's rcond of the T_hat written here
+    if sol.degenerate:  # the stage's rcond of the T_hat written here
         print("degenerate transform in solution", file=sys.stderr)
         return EXIT_DEGENERATE
     if not _passes(res):

@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from .model import (SINGULAR_RTOL, AffineStructure, Solution, StateSpace, _read_out,
-                    check_dims, kron_t, rcond, structured_matrices, vec)
+from .model import (AffineStructure, Solution, StateSpace, _read_out, _stage, check_dims,
+                    kron_t, structured_matrices, vec)
 # bound here only because bench/tracer.py wraps graybox.lsq.eval_structure by name
 from .model import eval_structure  # noqa: F401
 from .nullspace import extract_theta, structure_projector
@@ -187,9 +187,9 @@ def solve_lsq(
     (:attr:`graybox.optim.OptimResult.steps`).
 
     Non-convergence is reported through ``result.status`` with the best point
-    still returned.  The diagnostics flag ``degenerate_transform`` marks a
-    final transform whose reciprocal condition number falls below
-    ``SINGULAR_RTOL``, the spurious minimum where the transform collapses.
+    still returned, by the stages' one epilogue ``model._stage``; the flag
+    ``degenerate_transform`` is its ``Solution.degenerate``, the spurious
+    minimum where the transform collapses.
     ``init`` is trusted; :func:`graybox.solve` validates one from outside.
     Mismatched dimensions raise ``ValueError``, as in :func:`solve_nullspace`.
     """
@@ -211,19 +211,7 @@ def solve_lsq(
     result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg, rvv=plan.curvature)
     theta_hat, t_hat = split(result.x_best)
     t_hat = t_hat.copy(order="C")  # read out on the array that is returned and written
-    rc = rcond(t_hat)
-    degenerate = rc < SINGULAR_RTOL
-    res = _read_out(blackbox, structure, theta_hat, t_hat)
-    diagnostics = {
-        "objective_final": result.f_best,
-        "grad_norm": result.grad_norm,
-        "n_evals": result.n_evals,
-        "iterations": result.iterations,
-        "steps": result.steps,
-        "residuals": res.to_dict(),
-        "degenerate_transform": degenerate,
-        "cond_T": 1.0 / rc if not degenerate else None,
-        "wall_time_ms": (time.perf_counter() - started) * 1e3,
-        "trace": [[k, f, g] for k, f, g in result.trace],
-    }
-    return Solution(theta_hat, t_hat, result, diagnostics, res, rc)
+    sol = _stage(theta_hat, t_hat, result, _read_out(blackbox, structure, theta_hat, t_hat),
+                 started, n_evals=result.n_evals, iterations=result.iterations, steps=result.steps)
+    sol.diagnostics["degenerate_transform"] = sol.degenerate
+    return sol

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -281,8 +282,8 @@ def _passes(res: Residuals, tol: float = RESIDUAL_TOL) -> bool:
 class Solution:
     """Recovered parameters, C-ordered transform, their residuals and rcond(T), with diagnostics.
 
-    ``residuals`` (:func:`_read_out`) and ``rcond_T`` are the stage's one read-out of
-    ``T``: the report and the exit code of ``solve`` take them from here.
+    ``residuals`` and ``rcond_T`` are the stage's one read-out of ``T``, made by its one
+    epilogue :func:`_stage`: the report and the exit code of ``solve`` take them from here.
     """
 
     theta: np.ndarray
@@ -291,6 +292,11 @@ class Solution:
     diagnostics: dict
     residuals: Residuals
     rcond_T: float
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether ``T`` is singular: the one test of a stage's ``rcond_T`` (``solve`` exits 4)."""
+        return self.rcond_T < SINGULAR_RTOL
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -430,3 +436,19 @@ def _read_out(blackbox: StateSpace, structure: AffineStructure, theta: np.ndarra
               t: np.ndarray) -> Residuals:
     """The residuals of ``(theta, t)``: the one read-out of both solver stages and ``verify``."""
     return _residual_norms(blackbox, t, *structured_matrices(structure, theta))
+
+
+def _stage(theta: np.ndarray, t: np.ndarray, result: OptimResult, res: Residuals,
+           started: float, **keys) -> Solution:
+    """A solver stage's answer, its one epilogue: ``rcond(t)``, taken once, and the diagnostics.
+
+    ``res`` is the stage's read-out of ``(theta, t)``, ``started`` the stage's
+    ``time.perf_counter()`` at its start, and ``keys`` the stage's own diagnostics.
+    """
+    diagnostics = {"objective_final": result.f_best, "grad_norm": result.grad_norm,
+                   "residuals": res.to_dict(), **keys}
+    sol = Solution(theta, t, result, diagnostics, res, rcond(t))
+    diagnostics["cond_T"] = None if sol.degenerate else 1.0 / sol.rcond_T
+    diagnostics["wall_time_ms"] = (time.perf_counter() - started) * 1e3
+    diagnostics["trace"] = [[k, f, g] for k, f, g in result.trace]
+    return sol

@@ -52,6 +52,7 @@ from .model import (
     StateSpace,
     _passes,
     _read_out,
+    _stage,
     _worst,
     block_slices,
     check_dims,
@@ -416,10 +417,10 @@ def solve_nullspace(
     pipeline polishes it.)  If no start does, the start with the lowest
     objective wins.
 
-    Non-convergence is reported through ``result.status``; a search whose
-    every start lies inside the excluded region raises.  The diagnostics
-    report s0 as ``start_scale``, and each completed start's damped steps
-    by outcome as ``steps`` (:attr:`graybox.optim.OptimResult.steps`).
+    Non-convergence is reported through ``result.status``, and the winner by the
+    stages' one epilogue ``model._stage``; a search whose every start lies inside
+    the excluded region raises.  The diagnostics report s0 as ``start_scale``, and
+    each completed start's damped steps by outcome as ``steps``.
 
     Args:
         blackbox: the fully parameterized realization to re-structure.
@@ -437,7 +438,7 @@ def solve_nullspace(
     scale = _start_scale(blackbox, structure)
     n_starts = 1 + cfg.restarts
     outcomes = []
-    winner = None  # (lm result, transform, theta, residuals) of the winning start
+    winner = None  # (theta, transform, lm result, residuals) of the winning start
     for k in range(n_starts):
         if k == 1:  # the first restart builds the generator; a passing first start never does
             rng = np.random.default_rng(cfg.seed)
@@ -462,29 +463,12 @@ def solve_nullspace(
         })
         # a start at the distance's roundoff floor has the lowest objective of all so far
         done = _passes(res) or math.sqrt(result.f_best) <= RESIDUAL_TOL
-        if done or winner is None or result.f_best < winner[0].f_best:
-            winner = result, t, theta, res
+        if done or winner is None or result.f_best < winner[2].f_best:
+            winner = theta, t, result, res
         if done:
             break
     if winner is None:
-        raise InfeasibleStartError(
-            f"all {n_starts} starts began at singular transform points"
-        )
-    best, t, theta, res = winner
-    rc = rcond(t)
-
-    diagnostics = {
-        "objective_final": best.f_best,
-        "grad_norm": best.grad_norm,
-        "residuals": res.to_dict(),
-        "nullspace_dim": n_x**2 + 1,
-        "cond_T": 1.0 / rc,
-        "starts": n_starts,
-        "start_scale": scale,
-        "infeasible_starts": sum(o["status"] == "infeasible" for o in outcomes),
-        "start_outcomes": outcomes,
-        "wall_time_ms": (time.perf_counter() - started) * 1e3,
-        "trace": [[k, f, g] for k, f, g in best.trace],
-    }
-    return Solution(theta=theta, T=t, result=best, diagnostics=diagnostics, residuals=res,
-                    rcond_T=rc)
+        raise InfeasibleStartError(f"all {n_starts} starts began at singular transform points")
+    return _stage(*winner, started, nullspace_dim=n_x**2 + 1, starts=n_starts, start_scale=scale,
+                  infeasible_starts=sum(o["status"] == "infeasible" for o in outcomes),
+                  start_outcomes=outcomes)

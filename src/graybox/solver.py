@@ -35,7 +35,7 @@ def solve(
     are those of the stage it returns, and its ``diagnostics`` hold each stage's under
     "nullspace" and "polish"; a skipped polish is ``{"skipped": True, "reason":
     ...}``.  ``init`` is an lsq starting ``(theta, T)``.  Outside input is
-    validated here, once; a degenerate ``T`` is one with ``rcond(T) < SINGULAR_RTOL``.
+    validated here, once; a degenerate ``T`` is one of :attr:`Solution.degenerate`.
 
     Raises:
         ValueError: on an unknown method, mismatched dimensions, or an init

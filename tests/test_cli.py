@@ -319,6 +319,55 @@ def test_verify_reproduces_the_report_residuals(tmp_path, seed, cond_max, stage)
     assert report["diagnostics"][stage]["residuals"] == report["residuals"]
 
 
+SHARED_STAGE_KEYS = {"objective_final", "grad_norm", "residuals", "cond_T", "wall_time_ms",
+                     "trace"}
+STAGE_KEYS = {
+    "nullspace": SHARED_STAGE_KEYS | {"nullspace_dim", "starts", "start_scale",
+                                      "infeasible_starts", "start_outcomes"},
+    "lsq": SHARED_STAGE_KEYS | {"n_evals", "iterations", "steps", "degenerate_transform"},
+}
+STEP_KEYS = {"accepted", "rejected", "geodesic_rejected", "skipped"}
+
+
+@pytest.mark.parametrize("structure, theta, method, seed, cond_max, polished", [
+    ("mass-spring", "4,0.5,1", "nullspace", 3, 100.0, None),
+    ("mass-spring", "4,0.5,1", "lsq", 3, 100.0, None),
+    ("compartment3", "1,0.7,0.4,2", "pipeline", 1517260849, 10, False),
+    ("compartment3", "1,0.7,0.4,2", "pipeline", 388268015, 1e4, True),
+])
+def test_report_keys_are_pinned(tmp_path, structure, theta, method, seed, cond_max, polished):
+    # the report's keys are contract: a key dropped or renamed by a rewrite fails here
+    bb, truth = generate(tmp_path, structure=structure, theta=theta, seed=seed,
+                         cond_max=cond_max)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", method, "--blackbox", bb, "--structure", structure,
+               "--truth", truth, "--out", report_path) == 0
+    report = json.load(open(report_path))
+    assert set(report) == {"method", "status", "theta_hat", "T_hat", "residuals",
+                           "objective_final", "timing_ms", "diagnostics", "theta_error"}
+    diagnostics = report["diagnostics"]
+    if method != "pipeline":
+        stages = {method: diagnostics}
+    else:
+        assert set(diagnostics) == {"nullspace", "polish"}
+        stages = {"nullspace": diagnostics["nullspace"], "lsq": diagnostics["polish"]}
+        if not polished:
+            assert set(stages.pop("lsq")) == {"skipped", "reason"}
+    for stage, keys in stages.items():
+        assert set(keys) == STAGE_KEYS[stage]
+    returned = list(stages.values())[-1]  # the stage the solve returns, the last one run
+    # the returned stage's T is not degenerate, so cond_T is 1 / rcond of the T_hat written
+    assert returned["cond_T"] == 1.0 / rcond(np.array(report["T_hat"]))
+    if "start_outcomes" in returned:
+        for outcome in returned["start_outcomes"]:
+            assert set(outcome) == {"iterations", "n_evals", "steps", "status",
+                                    "objective_final", "max_residual"}
+            assert set(outcome["steps"]) == STEP_KEYS
+    if "steps" in returned:
+        assert set(returned["steps"]) == STEP_KEYS
+        assert returned["degenerate_transform"] is False
+
+
 @pytest.mark.parametrize("method", ["nullspace", "pipeline"])
 def test_solve_reports_each_start_outcome(tmp_path, method):
     # the first start of this instance stops short of the tolerance, the next passes
@@ -557,15 +606,18 @@ def test_an_empty_path_is_an_input_error_not_an_absent_flag(tmp_path, capsys, mo
 
 def test_an_empty_out_prefix_is_an_input_error(tmp_path, capsys, monkeypatch):
     def no_generate(*args, **kwargs):
-        raise AssertionError("generated although the prefix was empty")
+        raise AssertionError("generated although the prefix named no file")
 
     monkeypatch.setattr(cli, "generate_instance", no_generate)
     monkeypatch.chdir(tmp_path)  # where the hidden files .blackbox.json and .truth.json would go
-    assert run("generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
-               "--out-prefix", "") == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "error: --out-prefix must not be empty" in err
-    assert os.listdir(tmp_path) == []
+    (tmp_path / "out").mkdir()  # and where "out/" would put them
+    for prefix, message in [("", "--out-prefix must not be empty"),
+                            ("out/", "--out-prefix 'out/' must end in a file name")]:
+        assert run("generate", "--structure", "mass-spring", "--theta", "4,0.5,1",
+                   "--out-prefix", prefix) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err
+        assert os.listdir(tmp_path) == ["out"] and os.listdir(tmp_path / "out") == []
 
 
 MASS_SPRING_BLACKBOX = {"n_x": 2, "n_u": 1, "n_y": 1, "A": [[0, 1], [-4, -0.5]],

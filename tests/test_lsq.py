@@ -7,6 +7,7 @@ from graybox.lsq import (CostPlan, cost, default_init, grad_t, grad_theta, resid
                          solve_lsq)
 from graybox.model import (
     RESIDUAL_TOL,
+    SINGULAR_RTOL,
     AffineStructure,
     Dims,
     StateSpace,
@@ -384,7 +385,9 @@ def test_degenerate_transform_flagged():
     bad_t = np.diag([1.0, 1e-9])
     sol = solve_lsq(blackbox, structure, init=(np.zeros(1), bad_t))
     assert sol.result.f_best <= 1e-12
-    assert sol.diagnostics["degenerate_transform"]
+    assert sol.rcond_T < SINGULAR_RTOL and sol.degenerate
+    assert sol.diagnostics["degenerate_transform"] is True
+    assert sol.diagnostics["cond_T"] is None  # written null, where 1 / rcond_T would exceed 1e8
 
 
 def test_solve_reports_non_convergence():

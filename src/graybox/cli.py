@@ -13,8 +13,10 @@ with a non-finite number written as ``null``; ``python -m json.tool``
 pretty-prints them.  ``generate`` writes its files indented.
 
 ``main(argv)`` may be called any number of times in one process: it builds
-its parser once, on the first call, and carries no state from one call to
-the next.
+its parsers once, on the first call, and carries no state from one call to
+the next.  It hands a known subcommand's arguments to that subcommand's
+parser alone, keeping argparse's messages and exit codes, and it reads and
+checks each input file once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -67,8 +68,11 @@ def _load(path: str, what: str, parse):
     file, so a malformed input exits 2.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:  # decoded here: json.loads would take UTF-16 or a BOM
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # newlines as text mode reads them, so JSON errors count alike
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         return parse(doc)
@@ -121,13 +125,14 @@ def _load_config(args) -> optim.OptimConfig:
            if args.config is not None else optim.OptimConfig())
     overrides = {name: getattr(args, name) for name in ("seed", "restarts")
                  if getattr(args, name) is not None}
-    return dataclasses.replace(cfg, **overrides)  # validates the overrides too
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg  # validates them too
 
 
 def _write(path: str, text: str) -> None:
     """Write ``text`` to ``path``; a path that cannot be written is an input error (exit 2)."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -141,7 +146,7 @@ def _check_writable(path: str) -> None:
     this runs on every ``solve --out``, and costs a third as much.
     """
     parent = os.path.dirname(path) or "."
-    if not path or os.path.isdir(path):  # Path("") is the working directory to _write
+    if not path or os.path.isdir(path):  # "" read as the working directory, as pathlib reads it
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
@@ -208,8 +213,8 @@ def cmd_solve(args) -> int:
         raise ValueError("--init applies to --method lsq only")
     if args.out is not None:
         _check_writable(args.out)
-    started = time.perf_counter()
     init = None if args.init is None else _load(args.init, "init", _arrays(structure, "theta", "T"))
+    started = time.perf_counter()
     sol = solver.solve(blackbox, structure, args.method, cfg, init)
     res = sol.residuals  # the solver's one read-out, made on the T_hat written here
     report = {
@@ -332,17 +337,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``graybox`` parser, built on the first call and shared by every later one.
 
     argparse set-up costs several times a parse, and the parser never
-    changes, so ``main`` reuses it.  Each subcommand's ``func`` default is
-    bound to its ``cmd_*`` function here, when the parser is built.  No
-    action has a mutable default, and ``parse_args`` returns a new
-    namespace each call, so nothing carries over from one call to the next.
-    Every caller gets the same parser object; do not modify it.
+    changes, so ``main`` reuses it, and its subcommands' parsers.  Each
+    subcommand's ``func`` default is bound to its ``cmd_*`` function when
+    the parser is built.  No action has a mutable default, and a parse
+    returns a new namespace each call, so nothing carries over from one call
+    to the next.  Every caller gets the same parser object; do not modify it.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """:func:`build_parser`'s parser and its subcommands' parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="graybox",
         description="Re-parameterize a black-box LTI state-space model into a structured gray-box form.",
@@ -398,11 +408,20 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=float, default=RESIDUAL_TOL)
     verify.add_argument("--out", help="verification report path (default: stdout)")
     verify.set_defaults(func=cmd_verify)
-    return parser
+    return parser, {"generate": gen, "solve": solve, "check-grad": check, "verify": verify}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no, or no known, subcommand: only help or a usage error
+        args = parser.parse_args(argv)
+    else:  # what parser.parse_args does with a subcommand, less its scan of argv
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         return args.func(args)
     except ValueError as exc:

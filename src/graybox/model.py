@@ -101,6 +101,8 @@ def _holds_bool(value) -> bool:
 # Every array read from outside passes _floats, its shape test and _finite, through
 # _as_matrix, _as_vector or a constructor; each error names it ``name``.
 def _floats(value, name: str) -> np.ndarray:
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        return value  # what the conversion below returns for it, at no cost
     try:
         # a JSON boolean among numbers, which np.asarray would already have made a number
         if _holds_bool(value):
@@ -120,7 +122,7 @@ def _shaped(m: np.ndarray, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def _finite(m: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} must be finite")
     return m
 
@@ -185,7 +187,8 @@ class StateSpace:
 
         Each matrix is first read as floats and checked against the
         document's declared dimensions, so an error names the shape the
-        document declared; the constructor checks the rest once.
+        document declared; the constructor takes those arrays as they are
+        and checks the rest once.
         """
         for key in ("n_x", "n_u", "n_y", "A", "B", "C"):
             if key not in data:

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import sys
+import time
 import warnings
 
 import numpy as np
@@ -206,6 +208,24 @@ def test_solve_lsq_with_init_file(tmp_path):
                "--init", init, "--out", report_path)
     assert code == 0
     assert np.allclose(json.load(open(report_path))["theta_hat"], [3.0, 2.0], atol=1e-5)
+
+
+def test_timing_ms_leaves_out_reading_the_init_file(tmp_path, monkeypatch):
+    bb, truth = generate(tmp_path)
+    load, slowed = cli._load, []
+
+    def slow_init(path, what, parse):
+        if what == "init":
+            slowed.append(path)
+            time.sleep(0.05)
+        return load(path, what, parse)
+
+    monkeypatch.setattr(cli, "_load", slow_init)
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
+               "--init", truth, "--out", report_path) == 0
+    assert slowed == [truth]
+    assert json.load(open(report_path))["timing_ms"] < 50
 
 
 def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
@@ -442,6 +462,59 @@ def test_repeated_main_calls_share_no_state(tmp_path):
     assert untimed(again) == untimed(first)
 
 
+DISPATCH = {
+    "generate": ["generate", "--structure", "scalar", "--theta=-3,2", "--out-prefix", "p"],
+    "solve": ["solve", "--method", "lsq", "--blackbox", "b.json", "--structure", "scalar",
+              "--seed", "3", "--out", "r.json"],
+    "check-grad": ["check-grad", "--which", "hbar", "--blackbox", "b.json",
+                   "--structure", "scalar", "--points", "2"],
+    "verify": ["verify", "--result", "r.json", "--blackbox", "b.json", "--structure", "scalar"],
+    "missing-flag": ["solve", "--blackbox", "b.json"],
+    "unknown-flag": ["solve", "--blackbox", "b.json", "--structure", "scalar", "--no-such-flag"],
+    "stray-positional": ["verify", "extra", "--result", "r.json", "--blackbox", "b.json",
+                         "--structure", "scalar"],
+    "help": ["solve", "-h"],
+    "abbreviated-flag": ["solve", "--black", "b.json", "--struct", "scalar", "--meth", "lsq"],
+    "no-command": [],
+    "top-level-help": ["-h"],
+    "unknown-command": ["nope"],
+    "console-script": None,  # main(None) reads sys.argv, as the console script calls it
+}
+
+
+@pytest.mark.parametrize("case", DISPATCH)
+def test_main_dispatches_as_the_top_level_parser_would(capsys, monkeypatch, case):
+    # main hands a known subcommand to its own parser; what it prints, its exit code
+    # and the namespace its cmd_* function gets are argparse's own
+    argv = DISPATCH[case]
+    monkeypatch.setattr(sys, "argv", ["graybox", *DISPATCH["solve"]])
+    commands = cli._parsers()[1]
+    funcs = {name: sub.get_default("func") for name, sub in commands.items()}
+    seen = []
+
+    def outcome(call):
+        capsys.readouterr()
+        seen.clear()
+        try:
+            value, code = call(), None
+        except SystemExit as exc:
+            value, code = None, exc.code
+        out, err = capsys.readouterr()
+        return code, out, err, seen[0] if seen else value
+
+    try:
+        for sub in commands.values():
+            sub.set_defaults(func=seen.append)
+        expected = outcome(lambda: cli.build_parser().parse_args(argv))
+        got = outcome(lambda: main(argv))
+    finally:
+        for name, func in funcs.items():
+            commands[name].set_defaults(func=func)
+    assert got == expected
+    parses = case in (*commands, "abbreviated-flag", "console-script")
+    assert (expected[0] is None) == parses and (got[3] is None) != parses
+
+
 @pytest.mark.parametrize("theta, t", [
     ([float("nan"), 2.0], [[1.0]]),
     ([3.0, 2.0], [[float("nan")]]),
@@ -482,6 +555,39 @@ def test_solve_invalid_json_exits_2(tmp_path):
     bad.write_text("{not json")
     code = run("solve", "--blackbox", bad, "--structure", "scalar")
     assert code == 2
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "invalid-byte"])
+def test_a_black_box_not_in_plain_utf8_exits_2(tmp_path, capsys, encoding):
+    # json.loads would take the first two as bytes: it strips a BOM and detects UTF-16
+    bb, _ = generate(tmp_path)
+    text = open(bb, encoding="utf-8").read()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode().replace(b"{", b"{\xff", 1) if encoding == "invalid-byte"
+                    else text.encode(encoding))
+    report_path = tmp_path / "report.json"
+    assert run("solve", "--blackbox", bad, "--structure", "mass-spring",
+               "--out", report_path) == 2
+    assert f"error: black-box file {bad}: " in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_a_crlf_black_box_reads_as_its_lf_copy(tmp_path, capsys):
+    bb, _ = generate(tmp_path)
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes(open(bb, "rb").read().replace(b"\n", b"\r\n"))
+    reports = []
+    for path in (bb, crlf):
+        assert run("solve", "--blackbox", path, "--structure", "mass-spring",
+                   "--out", tmp_path / "report.json") == 0
+        reports.append(untimed(json.load(open(tmp_path / "report.json"))))
+    assert reports[0] == reports[1]
+    # and a malformed one is located as a text-mode read locates it
+    crlf.write_bytes(b"{\r\n\r\n  \"A\": [1,\r\n]}\r\n")
+    with pytest.raises(ValueError) as exc:
+        json.loads(open(crlf, encoding="utf-8").read())
+    assert run("solve", "--blackbox", crlf, "--structure", "mass-spring") == 2
+    assert capsys.readouterr().err == f"error: black-box file {crlf}: {exc.value}\n"
 
 
 @pytest.mark.parametrize("what", ["black-box", "config"])

@@ -245,12 +245,12 @@ def _point_error(args, blackbox, structure, rng, evaluator) -> float | None:
 
     Every mode compares an analytic Jacobian with central differences of its
     function, and fails a point where the two differ in shape (inf).  The
-    gradient modes check ``2 J^T r`` as the Jacobian of the scalar ``r @ r``
-    of the run's ``evaluator`` (for ``hbar`` the search's ``ReducedResidual``,
-    else the lsq solve's ``CostPlan``), both divided by max(1, |r @ r|) at
-    the point: central differences lose eps*|f|/h absolute accuracy, which
-    would drown a 1e-6 tolerance at large ``r @ r``.  ``hbar`` and
-    ``jacobians`` resample a near-singular T.
+    gradient modes check ``2 J^T r`` on one block of the point of the run's
+    ``evaluator`` (vec(T) for ``hbar``, theta or vec(T) of ``z = [theta; vec(T)]``
+    for lsq) as the Jacobian of ``r @ r`` in that block, both divided by
+    max(1, |r @ r|) at the point: central differences lose eps*|f|/h absolute
+    accuracy, which would drown a 1e-6 tolerance at large ``r @ r``.  ``hbar``
+    and ``jacobians`` resample a near-singular T.
     """
     dims, n_x, n_theta = blackbox.dims, blackbox.dims.n_x, structure.n_theta
     x = (rng.standard_normal(dims.n_unknowns) if args.which == "jacobians"  # vec(T) first
@@ -263,19 +263,16 @@ def _point_error(args, blackbox, structure, rng, evaluator) -> float | None:
         fun = functools.partial(nullspace.realization_vector, dims=dims)
         analytic = np.vstack(nullspace.realization_jacobians(x, dims))
     else:
-        if args.which == "hbar":
-            def fg(tv):  # +inf where T is singular, so finite differences resample
-                r, jac = evaluator(tv)
-                return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac.T @ r))
-        else:  # lsq-theta, lsq-T: r @ r of lsq.cost and one block of its gradient 2 J^T r
-            t_vec, theta = x, rng.standard_normal(n_theta)
-            on_theta = args.which == "lsq-theta"
-            cols, x = (slice(None, n_theta), theta) if on_theta else (slice(n_theta, None), t_vec)
+        point = x if args.which == "hbar" else np.concatenate([rng.standard_normal(n_theta), x])
+        block = {"hbar": slice(None), "lsq-theta": slice(None, n_theta),
+                 "lsq-T": slice(n_theta, None)}[args.which]
 
-            def fg(z):
-                th, tv = (z, t_vec) if on_theta else (theta, z)
-                r, jac = lsq.cost(th, unvec(tv, n_x, n_x), evaluator)
-                return float(r @ r), 2.0 * (jac[:, cols].T @ r)
+        def fg(b):  # at the point with its block set to b; r @ r is +inf where T is singular
+            at = point.copy()
+            at[block] = b
+            r, jac = evaluator(at)
+            return (math.inf, None) if r is None else (float(r @ r), 2.0 * (jac[:, block].T @ r))
+        x = point[block]
         f, g = fg(x)
         scale = 1.0 / max(1.0, abs(f))
         analytic, fun = scale * np.reshape(g, (1, -1)), lambda z: scale * fg(z)[0]
@@ -296,8 +293,8 @@ def cmd_check_grad(args) -> int:
     rng = np.random.default_rng(args.seed)
     # one evaluator per run, as a solve builds one; jacobians needs none
     evaluator = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
-                 if args.which == "hbar" else
-                 None if args.which == "jacobians" else lsq.CostPlan(blackbox, structure))
+                 if args.which == "hbar" else None if args.which == "jacobians" else
+                 functools.partial(lsq.cost, plan=lsq.CostPlan(blackbox, structure)))
 
     errors = []
     resampled = 0

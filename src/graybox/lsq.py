@@ -2,13 +2,13 @@
 
 Minimizes the summed squared Frobenius residuals of the similarity equations
 jointly over the parameter vector and the transform by Levenberg-Marquardt
-with geodesic acceleration.  A solve builds one :class:`CostPlan`, which fills
-a Jacobian template with the blocks -K_C, I (x) A_bb and I (x) C_bb once;
-``cost(theta, t, plan)`` then returns the stacked residual vector and its
-Jacobian in [theta; vec(T)], filling in at each point only
--(I (x) T) [K_A; K_B], -A^T (x) I and -B^T (x) I.  :meth:`CostPlan.curvature`
-gives the residual's second directional derivative, which is constant
-because the residual is bilinear in (theta, T).  The paper's closed-form
+with geodesic acceleration, over the one point ``z = [theta; vec(T)]`` that
+:meth:`CostPlan.split` cuts.  A solve builds one :class:`CostPlan`, which fills a
+Jacobian template with -K_C, I (x) A_bb and I (x) C_bb once; ``cost(z, plan)``
+then returns the stacked residual vector and its Jacobian in z, filling in at
+each point only -(I (x) T) [K_A; K_B], -A^T (x) I and -B^T (x) I.
+:meth:`CostPlan.curvature` gives the residual's second directional derivative,
+constant because the residual is bilinear in (theta, T).  The paper's closed-form
 gradients :func:`grad_theta` and :func:`grad_t` are kept as the oracle of
 ``2 J^T r``.  Unlike the null-space path nothing here requires the transform
 to be invertible, so a vanishing transform is a genuine (spurious)
@@ -48,7 +48,7 @@ def residual_matrices(theta, t, blackbox, structure) -> tuple:
 
 
 class CostPlan:
-    """Residual of :func:`cost` and its Jacobian in [theta; vec(T)], built once per solve.
+    """Residual of :func:`cost` and its Jacobian at ``z = [theta; vec(T)]``, built once per solve.
 
     The constructor fills a Jacobian buffer with the blocks that depend
     only on the black box and the structure: -K_C in the theta columns and
@@ -97,9 +97,14 @@ class CostPlan:
         self.rvv = np.zeros(k.shape[0])
         self.rvv_ab = self.rvv[:n_ab].reshape(n_xu, n_x).T
 
-    def __call__(self, theta: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(r, J)`` at ``(theta, t)``; trusts its inputs."""
+    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(theta, T)`` of ``z = [theta; vec(T)]``: T is unvec'd by reshape, an F-ordered view."""
+        return z[: self.n_theta], z[self.n_theta:].reshape(self.n_x, self.n_x, order="F")
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(r, J)`` at ``z = [theta; vec(T)]``; trusts its input."""
         n_x, n_ab, bb = self.n_x, self.n_ab, self.blackbox
+        theta, t = self.split(z)
         stacked = self.structure.kappa0 + self.structure.K @ theta
         # unvec of float arrays, by reshape alone
         ab = stacked[:n_ab].reshape(n_x, -1, order="F")
@@ -119,25 +124,25 @@ class CostPlan:
         every point, with vec(d[A, B]) = [K_A; K_B] d_theta (the linear part
         of the parameter map, no kappa0).
         """
-        n_x, n_theta = self.n_x, self.n_theta
-        d_ab = (self.k_ab @ v[:n_theta]).reshape(n_x, -1, order="F")
-        self.rvv_ab[...] = -2.0 * v[n_theta:].reshape(n_x, n_x, order="F") @ d_ab
+        d_theta, d_t = self.split(v)
+        d_ab = (self.k_ab @ d_theta).reshape(self.n_x, -1, order="F")
+        self.rvv_ab[...] = -2.0 * d_t @ d_ab
         return self.rvv.copy()
 
 
-def cost(theta: np.ndarray, t: np.ndarray, plan: CostPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked similarity residual ``r`` and its Jacobian ``J`` in [theta; vec(T)].
+def cost(z: np.ndarray, plan: CostPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked similarity residual ``r`` and its Jacobian ``J`` at ``z = [theta; vec(T)]``.
 
     r = [vec(A_bb T - T A); vec(B_bb - T B); vec(C_bb T - C)], so the
     least-squares objective is ``r @ r`` and its gradient ``2 J^T r``.  r is
-    zero exactly when ``(theta, t)`` solves the similarity equations; the
+    zero exactly when ``(theta, T)`` solves the similarity equations; the
     transform need not be invertible.  With K_A, K_B and K_C the row blocks
     of the parameter map, the theta columns of J are
     -[(I (x) T) K_A; (I (x) T) K_B; K_C] and the vec(T) columns are
     [I (x) A_bb - A^T (x) I; -B^T (x) I; I (x) C_bb].  ``plan`` is the
     :class:`CostPlan` of the black box and the structure.
     """
-    return plan(theta, t)
+    return plan(z)
 
 
 def grad_theta(t: np.ndarray, res: tuple, structure: AffineStructure) -> np.ndarray:
@@ -175,7 +180,7 @@ def solve_lsq(
     init: tuple[np.ndarray, np.ndarray] | None = None,
     config: OptimConfig | None = None,
 ) -> Solution:
-    """Minimize ``r @ r`` of :func:`cost` over [theta; vec(T)] by Levenberg-Marquardt.
+    """Minimize ``r @ r`` of :func:`cost` over ``z = [theta; vec(T)]`` by Levenberg-Marquardt.
 
     Each step is corrected by geodesic acceleration from the exact second
     derivative of :meth:`CostPlan.curvature` (see :func:`graybox.optim.lm`), so
@@ -196,20 +201,12 @@ def solve_lsq(
     cfg = config if config is not None else OptimConfig()
     check_dims(blackbox, structure)
     theta0, t0 = init if init is not None else default_init(blackbox, structure)
-    n_theta = structure.n_theta
-    n_x = blackbox.dims.n_x
     started = time.perf_counter()
-
-    def split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F")  # unvec, by reshape alone
-
     plan = CostPlan(blackbox, structure)
-
-    def rj(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return cost(*split(z), plan)  # by this name: bench/tracer.py wraps graybox.lsq.cost
-
-    result = lm(rj, np.concatenate([np.ravel(theta0), vec(t0)]), cfg, rvv=plan.curvature)
-    theta_hat, t_hat = split(result.x_best)
+    # through the module-level name: bench/tracer.py wraps graybox.lsq.cost
+    result = lm(lambda z: cost(z, plan), np.concatenate([np.ravel(theta0), vec(t0)]), cfg,
+                rvv=plan.curvature)
+    theta_hat, t_hat = plan.split(result.x_best)
     t_hat = t_hat.copy(order="C")  # read out on the array that is returned and written
     sol = _stage(theta_hat, t_hat, result, _read_out(blackbox, structure, theta_hat, t_hat),
                  started, n_evals=result.n_evals, iterations=result.iterations, steps=result.steps)

@@ -55,6 +55,20 @@ def evaluator_cases(rng: np.random.Generator):
         yield generate_instance(structure, theta, seed=n, cond_max=100.0).blackbox, structure
 
 
+def well_conditioned_stacked(dims: Dims, rng: np.random.Generator) -> np.ndarray:
+    """Random stacked vector whose transform block T has smin >= 5e-2 max(1, smax).
+
+    An absolute floor on the smallest singular value, not a condition number
+    alone: the truncation error of finite differences through the extraction
+    grows like 1/smin^3 and would swamp a 1e-6 budget.
+    """
+    while True:
+        v = rng.standard_normal(dims.n_unknowns)
+        sv = np.linalg.svd(unvec(v[: dims.n_x**2], dims.n_x, dims.n_x), compute_uv=False)
+        if sv[-1] >= 5e-2 * max(1.0, sv[0]):
+            return v
+
+
 def random_structure(dims: Dims, rng: np.random.Generator, n_theta: int | None = None) -> AffineStructure:
     """Dense random affine structure; parameters need not be identifiable."""
     if n_theta is None:
@@ -97,13 +111,12 @@ def stacked_solution(instance: Instance) -> np.ndarray:
     ])
 
 
-def lsq_fg(theta, t, blackbox, structure) -> tuple[float, np.ndarray, np.ndarray]:
-    """Least-squares objective ``r @ r`` of :func:`graybox.lsq.cost` and its gradient ``2 J^T r``.
+def lsq_fg(z, blackbox, structure) -> tuple[float, np.ndarray, np.ndarray]:
+    """Least-squares objective ``r @ r`` of :func:`graybox.lsq.cost` at ``z = [theta; vec(T)]``
+    and its gradient ``2 J^T r``.
 
     Returned as ``(f, g_theta, g_T)``, with ``g_T`` an n_x by n_x matrix.
     """
-    t = np.asarray(t, dtype=float)
-    r, jac = cost(np.asarray(theta, dtype=float), t, CostPlan(blackbox, structure))
-    g = 2.0 * (jac.T @ r)
-    n_theta = structure.n_theta
-    return float(r @ r), g[:n_theta], unvec(g[n_theta:], *t.shape)
+    plan = CostPlan(blackbox, structure)
+    r, jac = cost(np.asarray(z, dtype=float), plan)
+    return (float(r @ r), *plan.split(2.0 * (jac.T @ r)))

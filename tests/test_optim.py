@@ -393,17 +393,6 @@ def _warm(x, rng):
     return x + 0.05 * np.linalg.norm(x) * d / np.linalg.norm(d)
 
 
-def _lsq_problem(structure, blackbox):
-    """``(rj, rvv)`` of lm on ``CostPlan``'s residual at the stacked point [theta; vec(T)]."""
-    plan = CostPlan(blackbox, structure)
-    n_theta, n_x = structure.n_theta, structure.dims.n_x
-
-    def rj(z):
-        return plan(z[:n_theta], z[n_theta:].reshape(n_x, n_x, order="F"))
-
-    return rj, plan.curvature
-
-
 def _reference_problems():
     """(name, rj, x0, rvv) on every bundled structure and chain6, at cond 100: the
     null-space ``ReducedResidual`` from T = I and from a Gaussian T, and ``CostPlan``
@@ -420,19 +409,20 @@ def _reference_problems():
             rj = ReducedResidual(bb, structure_projector(structure))
             yield f"{name}-s{seed}-nullspace-eye", rj, vec(np.eye(n_x)), None
             yield f"{name}-s{seed}-nullspace-drawn", rj, vec(rng.standard_normal((n_x, n_x))), None
-            rj_lsq, rvv = _lsq_problem(structure, bb)
+            plan = CostPlan(bb, structure)
             theta0, t0 = default_init(bb, structure)
-            yield f"{name}-s{seed}-lsq-default", rj_lsq, np.concatenate([theta0, vec(t0)]), rvv
+            yield (f"{name}-s{seed}-lsq-default", plan, np.concatenate([theta0, vec(t0)]),
+                   plan.curvature)
             warm = [_warm(theta, rng), _warm(vec(instance.T), rng)]
-            yield f"{name}-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), rvv
+            yield f"{name}-s{seed}-lsq-warm", plan, np.concatenate(warm), plan.curvature
     # as bench/workloads.py draws it: theta, then T, from the generator [seed, 1]
     structure, theta = bundled_structure("chain8")
     seed = 654350477
     instance = generate_instance(structure, theta, seed=seed, cond_max=1e4)
     rng = np.random.default_rng([seed, 1])
     warm = [_warm(theta, rng), vec(_warm(instance.T, rng))]
-    rj_lsq, rvv = _lsq_problem(structure, instance.blackbox)
-    yield f"chain8-c10000-s{seed}-lsq-warm", rj_lsq, np.concatenate(warm), rvv
+    plan = CostPlan(instance.blackbox, structure)
+    yield f"chain8-c10000-s{seed}-lsq-warm", plan, np.concatenate(warm), plan.curvature
 
 
 def _assert_lm_matches_its_reference(rj, x0, rvv, solve):

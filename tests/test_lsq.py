@@ -219,6 +219,19 @@ def test_cost_plan_is_bit_identical_to_its_frozen_reference():
                 assert np.array_equal(r, r_ref) and np.array_equal(jac, j_ref)
 
 
+def test_split_cuts_theta_then_vec_t_into_views_of_the_point():
+    rng = np.random.default_rng(55)
+    for blackbox, structure in evaluator_cases(rng):
+        plan = CostPlan(blackbox, structure)
+        n_theta, n_x = structure.n_theta, structure.dims.n_x
+        theta, t = rng.standard_normal(n_theta), rng.standard_normal((n_x, n_x))
+        z = np.concatenate([theta, vec(t)])
+        theta_z, t_z = plan.split(z)
+        assert np.array_equal(theta_z, theta) and np.array_equal(t_z, t)
+        assert t_z.flags.f_contiguous
+        assert np.shares_memory(theta_z, z) and np.shares_memory(t_z, z)
+
+
 def test_jacobian_gradient_equals_closed_form_gradients():
     rng = np.random.default_rng(46)
     for dims in dims_grid():

@@ -12,9 +12,15 @@ its default tolerance accepts the report.
 with a non-finite number written as ``null``; ``python -m json.tool``
 pretty-prints them.  ``generate`` writes its files indented.
 
-``main(argv)`` may be called any number of times in one process: it builds
-its parsers once, on the first call, and carries no state from one call to
-the next.  It hands a known subcommand's arguments to that subcommand's
+``main(argv)`` may be called any number of times in one process, from any
+thread, and no call's output depends on an earlier call.  It builds its
+parsers once, on the first call.  What a solve derives from the structure
+alone or from a matrix order is built once per process too, and reused
+bit for bit: a structure file's parse, keyed on its bytes (``_structure``);
+the projector, keyed on K and kappa0 (``nullspace.structure_projector``); and
+the LAPACK workspaces, kept per thread and order (``optim._checkout``).  Each
+is bounded, and together they retain under 1 MB on the benchmark's
+workloads.  It hands a known subcommand's arguments to that subcommand's
 parser alone, keeping argparse's messages and exit codes, and it reads and
 checks each input file once.
 """
@@ -60,27 +66,37 @@ STRUCTURE_HELP = (f"structure JSON file or bundled name ({', '.join(sorted(BUNDL
                   "or chain<n> for the n-compartment chain)")
 
 
-def _load(path: str, what: str, parse):
-    """``parse`` of the JSON object in ``path``.
+def _read(path: str, what: str, parse):
+    """``parse`` of the bytes in ``path``.
 
     Whatever goes wrong while reading or parsing the document, a nesting too
     deep for the parser included, becomes one ``ValueError`` that names the
     file, so a malformed input exits 2.
     """
     try:
-        with open(path, "rb") as fh:  # decoded here: json.loads would take UTF-16 or a BOM
-            text = fh.read().decode("utf-8")
-        if "\r" in text:  # newlines as text mode reads them, so JSON errors count alike
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return parse(doc)
+        with open(path, "rb") as fh:
+            return parse(fh.read())
     except KeyError as exc:
         raise ValueError(f"{what} file {path or repr(path)}: missing key {exc}") from exc
     except (OSError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"{what} file {path or repr(path)}: "
                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def _document(data: bytes) -> dict:
+    """The JSON object in ``data``."""
+    text = data.decode("utf-8")  # decoded here: json.loads would take UTF-16 or a BOM
+    if "\r" in text:  # newlines as text mode reads them, so JSON errors count alike
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _load(path: str, what: str, parse):
+    """``parse`` of the JSON object in ``path``, with :func:`_read`'s errors."""
+    return _read(path, what, lambda data: parse(_document(data)))
 
 
 def _arrays(structure: AffineStructure, theta_key: str, t_key: str):
@@ -90,10 +106,30 @@ def _arrays(structure: AffineStructure, theta_key: str, t_key: str):
                         _as_matrix(doc[t_key], n_x, n_x, t_key))
 
 
+# structure documents kept by _structure, the least recently used dropped first
+STRUCTURE_CACHE = 16
+
+
+@functools.lru_cache(maxsize=STRUCTURE_CACHE)
+def _structure(data: bytes) -> AffineStructure:
+    """The structure in a document's bytes, parsed once per process and bytes.
+
+    A thread-safe LRU of ``STRUCTURE_CACHE`` structures, keyed on the file's
+    bytes, so an edited file is parsed again.  Only a parse that succeeds is
+    kept, so a malformed file fails alike on every call.  The kept ``K`` and
+    ``kappa0`` are read-only.  An entry holds the file's bytes and
+    8 rows (n_theta + 1) bytes of arrays, so the cache retains at most
+    ``STRUCTURE_CACHE`` times the largest.
+    """
+    structure = AffineStructure.from_dict(_document(data))
+    structure.K.flags.writeable = structure.kappa0.flags.writeable = False
+    return structure
+
+
 def _load_structure(spec: str) -> AffineStructure:
     if is_bundled(spec):
         return bundled_structure(spec)[0]
-    return _load(spec, "structure", AffineStructure.from_dict)
+    return _read(spec, "structure", _structure)
 
 
 def _load_truth(path: str | None, structure: AffineStructure) -> np.ndarray | None:

@@ -18,7 +18,9 @@ admissible structured set by Levenberg-Marquardt on that distance's
 residual vector and its Jacobian in vec(T), from T = s0 I at the black box's
 own scale (:func:`_start_scale`) and then from Gaussian draws.  A solve
 builds one :class:`ReducedResidual`, which forms the Jacobian's black-box
-block I (x) C_bb and its ``dgesv`` buffers for T^-1 once; at each point it
+block I (x) C_bb once and checks out a ``dgesv`` workspace for T^-1 from
+the thread's pool for the search; the projector is built once per process
+and structure (:func:`structure_projector`).  At each point the evaluator
 computes only T^-1, with ``np.linalg.inv``'s bits, certified outside the
 excluded region by a norm bound rather than an SVD wherever the bound
 suffices (:func:`_checked_inverse`), the realization
@@ -36,6 +38,7 @@ live in ``tests/oracles.py``, as the oracle of the closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -61,7 +64,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, _dense, lm
+from .optim import InfeasibleStartError, OptimConfig, _checkin, _checkout, _dense, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -177,7 +180,7 @@ def realization_vector(v: np.ndarray, dims: Dims) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StructureProjector:
-    """Least-squares machinery of an affine structure, built once per solve.
+    """Least-squares machinery of an affine structure, built once per process.
 
     ``residual_op`` maps a stacked vector to minus its component orthogonal to
     the structure's parameter range (so its squared norm of ``residual_op @
@@ -190,23 +193,43 @@ class StructureProjector:
     offset: np.ndarray
 
 
+# projectors kept by structure_projector, the least recently used dropped first
+PROJECTOR_CACHE = 32
+
+
 def structure_projector(structure: AffineStructure) -> StructureProjector:
     """SVD-based projector onto the range of the structure's parameter map.
 
     Rank-deficient parameter maps are allowed; singular values below
     max(rows, cols) * machine epsilon times the largest are treated as zero.
+    Anything with float arrays ``K`` and ``kappa0`` serves as ``structure``.
+    The result depends on their values alone, so it is built once per
+    process and value: a thread-safe LRU of ``PROJECTOR_CACHE`` projectors
+    keyed on K's shape and bytes and on kappa0's bytes, whose arrays are
+    read-only.  A projector holds 8 (rows^2 + rows n_theta + rows) bytes plus
+    its key, about 64 KB for the 80 rows of ``chain8``, so the cache retains
+    at most ``PROJECTOR_CACHE`` times the largest.
     """
-    k = structure.K
+    k, kappa0 = np.asarray(structure.K, dtype=float), np.asarray(structure.kappa0, dtype=float)
+    return _projector(k.shape, k.tobytes(), kappa0.tobytes())
+
+
+@functools.lru_cache(maxsize=PROJECTOR_CACHE)
+def _projector(shape: tuple[int, int], k_bytes: bytes, kappa0_bytes: bytes) -> StructureProjector:
+    """:func:`structure_projector` of the K and kappa0 with these bytes."""
+    k = np.frombuffer(k_bytes).reshape(shape)
     u, s, vh = np.linalg.svd(k, full_matrices=False)
     cutoff = max(k.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     u_r = u[:, :rank]
     residual_op = u_r @ u_r.T - np.eye(k.shape[0])
     theta_map = (vh[:rank].T / s[:rank]) @ u_r.T
+    for array in (residual_op, theta_map):
+        array.flags.writeable = False
     return StructureProjector(
         residual_op=residual_op,
         theta_map=theta_map,
-        offset=structure.kappa0.copy(),
+        offset=np.frombuffer(kappa0_bytes),  # a read-only view of the key's bytes
     )
 
 
@@ -308,7 +331,10 @@ class ReducedResidual:
     vec([A, B]) and vec(C_bb T) blocks as transposed views, and the
     ``inverse`` of an ``optim._dense_solver`` workspace of order n_x, which
     runs ``dgesv`` and gives ``np.linalg.inv``'s bits (and is
-    ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  A call
+    ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  The
+    workspace is checked out of this thread's pool (``optim._checkout``),
+    so the searches of one thread reuse one, and :meth:`release` hands it
+    back; an evaluator that is never released drops it.  A call
     reads T out of ``t_vec`` by an F-order reshape and then costs one
     inverse, with no SVD unless T is near the excluded region
     (:func:`_checked_inverse`),
@@ -343,7 +369,13 @@ class ReducedResidual:
         self.ab_rows = self.minus_ds[:n_ab].reshape(n_x + d.n_u, n_x, n_x, n_x)
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
-        self.inverse = _dense(n_x)[1]  # np.linalg.inv's bits, in this solve's dgesv workspace
+        workspace = _checkout(_dense, n_x)
+        self._lease = _dense, n_x, workspace
+        self.inverse = workspace[1]  # np.linalg.inv's bits, in dgesv, until release()
+
+    def release(self) -> None:
+        """Hand the workspace back to this thread's pool; the evaluator is not called after."""
+        _checkin(*self._lease)
 
     def _fill(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(T^-1, [A, B])`` at ``t``, with s written into ``self.stacked``.
@@ -467,6 +499,7 @@ def solve_nullspace(
             winner = theta, t, result, res
         if done:
             break
+    rj.release()
     if winner is None:
         raise InfeasibleStartError(f"all {n_starts} starts began at singular transform points")
     return _stage(*winner, started, nullspace_dim=n_x**2 + 1, starts=n_starts, start_scale=scale,

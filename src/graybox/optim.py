@@ -11,10 +11,12 @@ onto one is rejected like a step that raises the objective.  Every dense
 solve, of lm's damped systems and of the null-space evaluator's inverses
 of T, runs in a :func:`_dense_solver` workspace on the LAPACK bundled with
 numpy: ``dgesv``, with the bits of ``np.linalg.solve`` and
-``np.linalg.inv``.  With geodesic acceleration, lm factors each damped
-matrix once, by Cholesky ``dposv``, and reuses the factor through
-``dpotrs``, or runs ``dgesv`` twice where the matrix is not numerically
-positive definite.  Where that library is not found, every solve is
+``np.linalg.inv``.  Its owners check it out of a per-thread pool keyed on
+the factory and the order (:func:`_checkout`), one owner at a time, and
+hand it back when done, so solves in a row build none.  With geodesic
+acceleration, lm factors each damped matrix once, by Cholesky ``dposv``,
+and reuses the factor through ``dpotrs``, or runs ``dgesv`` twice where the
+matrix is not numerically positive definite.  Where that library is not found, every solve is
 ``np.linalg.solve`` or ``np.linalg.inv``.  An ``lm`` result counts its
 damped steps by outcome in ``steps``, the dict every report writes.
 
@@ -31,6 +33,7 @@ import glob
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -120,8 +123,12 @@ def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> C
     ``resolve_spd`` returns the right-hand side buffer, which the next call
     overwrites; the others return new arrays, ``inverse`` a C-ordered one.
     Each call copies its arguments into the buffers, which each closure
-    holds, so LAPACK reads and writes nothing else.  The arguments are
-    trusted: float64 matrices of order ``n``, and matching vectors.
+    holds, so LAPACK reads and writes nothing else, and a workspace gives the
+    same bits however often it has served before.  The identity is built by
+    the first ``inverse``, so a workspace that never inverts (``lm``'s) holds
+    16 n^2 + 8 (n + 5) bytes, and one that does 8 n^2 more.  The arguments
+    are trusted: float64 matrices of order ``n``, and matching vectors.
+    Callers take their workspaces from :func:`_checkout`, not from ``dense``.
     """
     def dense(n: int) -> tuple[Callable, Callable, Callable, Callable]:
         if lapack is None:
@@ -131,7 +138,7 @@ def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> C
         factors_t, rhs_t = floats
         factors, rhs = factors_t.T, rhs_t.T  # the copy of a, the right-hand sides: F-ordered
         column = rhs[:, 0]
-        identity = np.eye(n)
+        identity = None  # np.eye(n), once this workspace first inverts
         # N, NRHS, LDA = LDB, dgesv's INFO, dposv's INFO, then the n pivots
         ints = np.array([n, 1, max(n, 1), 0, 0] + [0] * n, dtype=index)
         # one .ctypes.data read per buffer: each read costs over a microsecond
@@ -154,6 +161,9 @@ def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> C
             return column.copy()
 
         def inverse(a: np.ndarray) -> np.ndarray:
+            nonlocal identity
+            if identity is None:
+                identity = np.eye(n)
             factors[...] = a
             rhs[...] = identity
             dgesv(*inverse_args)
@@ -184,6 +194,48 @@ def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> C
 _lapack = _bundled_lapack()
 # lm's damped solves, and the null-space evaluator's inverses of T
 _dense = _dense_solver(_lapack)
+
+# idle workspaces a thread keeps between their owners
+POOL_SIZE = 8
+
+
+class _Pool(threading.local):
+    """This thread's idle workspaces, ``[((dense, n), workspace)]``, the oldest returned first."""
+
+    def __init__(self) -> None:
+        self.idle = []
+
+
+_pool = _Pool()
+
+
+def _checkout(dense: Callable, n: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """A workspace ``dense(n)`` for one owner: the thread's latest idle one, else a new one.
+
+    A workspace is checked out by one owner at a time (an ``lm`` run, a
+    null-space search), which hands it back to :func:`_checkin` when it is
+    done, so runs in a row share one and a run nested in another's callback
+    gets its own: no owner sees the factor or the buffers of another.  The
+    key holds the factory ``dense`` itself, so a replaced ``_dense`` gets
+    workspaces of its own.  Each thread keeps its own idle workspaces, at
+    most ``POOL_SIZE`` of them, the least recently returned dropped first:
+    a thread retains at most ``POOL_SIZE`` times the largest workspace it
+    has used (see :func:`_dense_solver`), under 0.7 MB at the order 73 of
+    a ``chain8`` lsq polish.  An owner that raises drops its workspace.
+    """
+    key, idle = (dense, n), _pool.idle
+    for k in range(len(idle) - 1, -1, -1):
+        if idle[k][0] == key:
+            return idle.pop(k)[1]
+    return dense(n)
+
+
+def _checkin(dense: Callable, n: int, workspace: tuple) -> None:
+    """Return ``workspace``, checked out of :func:`_checkout` by ``(dense, n)``, to this thread."""
+    idle = _pool.idle
+    idle.append(((dense, n), workspace))
+    if len(idle) > POOL_SIZE:
+        del idle[0]
 
 
 class LineSearchError(RuntimeError):
@@ -445,8 +497,11 @@ def lm(
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
     singular system raises ``LinAlgError`` and gives the zero step.  Every
-    solve runs in one ``_dense_solver`` workspace per run: without ``rvv``
-    each damped system is one ``solve``, ``dgesv`` with
+    solve runs in one ``_dense_solver`` workspace of order ``x0.size``,
+    checked out of this thread's pool (:func:`_checkout`) after the first
+    evaluation and handed back at the end, so the runs of a multistart share
+    one, and an ``lm`` nested in ``rj`` or ``rvv`` gets its own.  Without
+    ``rvv`` each damped system is one ``solve``, ``dgesv`` with
     ``np.linalg.solve``'s bits; with ``rvv`` the step's two systems share
     one matrix, factored once by ``solve_spd`` (Cholesky, ``dposv``) for h
     and reused by ``resolve_spd`` (``dpotrs``) for the acceleration, or
@@ -526,7 +581,9 @@ def lm(
     rejected = None  # copy of that diagonal for the last step rejected at x
     steps = {"rejected": 0, "geodesic_rejected": 0, "skipped": 0}  # the accepted are in the trace
     # with rvv, both solves of a step share one Cholesky factorization of damped
-    lu_solve, _, *spd = _dense(x.size)
+    dense = _dense
+    workspace = _checkout(dense, x.size)
+    lu_solve, _, *spd = workspace
     solve, resolve = (lu_solve, None) if rvv is None else spd
     while True:
         if f == 0.0:
@@ -581,6 +638,7 @@ def lm(
         if f_prev - f <= cfg.f_tol * f_prev:
             status = "converged-ftol"
             break
+    _checkin(dense, x.size, workspace)
     # the max-norm of every kept gradient in one call; a max is exact in any order
     maxima = np.abs(np.array([g_k for _, _, g_k in accepted])).max(axis=1).tolist()
     trace = [(k, f_k, 2.0 * m) for (k, f_k, _), m in zip(accepted, maxima)]

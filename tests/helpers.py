@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from graybox import cli, nullspace, optim
 from graybox.lsq import CostPlan, cost
 from graybox.model import AffineStructure, Dims, Instance, generate_instance, unvec, vec
 from graybox.structures import chain
@@ -19,6 +20,14 @@ SINGULAR = {
     "ones9": np.ones((9, 9)),
     "rank1": np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
 }
+
+
+def clear_caches() -> None:
+    """Empty what solves keep for later ones: parsed structure files, projectors, and this
+    thread's idle LAPACK workspaces."""
+    cli._structure.cache_clear()
+    nullspace._projector.cache_clear()
+    optim._pool.idle.clear()
 
 
 def dims_grid() -> list[Dims]:

@@ -14,7 +14,6 @@ import numpy as np
 from graybox.cli import main as cli_main
 from graybox.lsq import solve_lsq
 from graybox.model import (
-    Dims,
     StateSpace,
     eval_structure,
     generate_instance,
@@ -31,7 +30,7 @@ from graybox.nullspace import (
     structure_projector,
 )
 from graybox.optim import fd_jacobian, lm, relative_errors
-from graybox.structures import bundled_structure, mass_spring_damper, scalar
+from graybox.structures import mass_spring_damper, scalar
 
 from helpers import (dims_grid, lsq_fg, random_structure, stacked_solution,
                      well_conditioned_stacked)

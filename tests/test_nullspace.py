@@ -35,9 +35,9 @@ from graybox.nullspace import (
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relative_errors
 from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
-from helpers import (CONVERGED, SINGULAR, dims_grid, evaluator_cases, rank_deficient_structure,
-                     random_structure, stacked_solution, transform_with_rcond,
-                     well_conditioned_stacked)
+from helpers import (CONVERGED, SINGULAR, clear_caches, dims_grid, evaluator_cases,
+                     rank_deficient_structure, random_structure, stacked_solution,
+                     transform_with_rcond, well_conditioned_stacked)
 from oracles import (BUNDLED, EmptyNullspaceError, build_constraint_matrix, closed_form_map,
                      nullspace_basis, stacked_readout, structure_distance)
 
@@ -775,8 +775,9 @@ def test_solve_extracts_each_point_once(monkeypatch):
 
 
 def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
-    # the projector's and the winner's rcond for cond_T: neither an evaluation
-    # nor a read-out at a well-conditioned T takes one
+    # a structure's first solve takes the projector's SVD and the winner's rcond for
+    # cond_T; a repeat finds the projector kept, and takes the rcond alone.  Neither an
+    # evaluation nor a read-out at a well-conditioned T takes one
     svds = []
     svd = np.linalg.svd
 
@@ -789,12 +790,16 @@ def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     counts = []
     for max_iters in (20, 500):
-        svds.clear()
-        sol = solve_nullspace(instance.blackbox, structure, OptimConfig(max_iters=max_iters))
-        counts.append((sum(o["n_evals"] for o in sol.diagnostics["start_outcomes"]), len(svds)))
+        clear_caches()
+        per_solve = []
+        for _ in range(2):
+            svds.clear()
+            sol = solve_nullspace(instance.blackbox, structure, OptimConfig(max_iters=max_iters))
+            per_solve.append(len(svds))
+        counts.append((sum(o["n_evals"] for o in sol.diagnostics["start_outcomes"]), per_solve))
     (few, svds_few), (many, svds_many) = counts
     assert many > 100 and many > 3 * few
-    assert svds_few == svds_many == 2
+    assert svds_few == svds_many == [2, 1]
 
 
 def test_solve_stops_at_first_start_that_recovers(monkeypatch):

@@ -18,11 +18,12 @@ parsers once, on the first call.  What a solve derives from the structure
 alone or from a matrix order is built once per process too, and reused
 bit for bit: a structure file's parse, keyed on its bytes (``_structure``);
 the projector, keyed on K and kappa0 (``nullspace.structure_projector``); and
-the LAPACK workspaces, kept per thread and order (``optim._checkout``).  Each
-is bounded, and together they retain under 1 MB on the benchmark's
-workloads.  It hands a known subcommand's arguments to that subcommand's
-parser alone, keeping argparse's messages and exit codes, and it reads and
-checks each input file once.
+the LAPACK workspaces, one per order and at most ``optim.POOL_SIZE`` per
+thread (``optim._dense``), each guarding the one factor it keeps, so a
+thread's solves share them.  Each is bounded, and together they retain
+under 1 MB on the benchmark's workloads.  It hands a known subcommand's
+arguments to that subcommand's parser alone, keeping argparse's messages
+and exit codes, and it reads and checks each input file once.
 """
 
 from __future__ import annotations

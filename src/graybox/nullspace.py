@@ -18,9 +18,9 @@ admissible structured set by Levenberg-Marquardt on that distance's
 residual vector and its Jacobian in vec(T), from T = s0 I at the black box's
 own scale (:func:`_start_scale`) and then from Gaussian draws.  A solve
 builds one :class:`ReducedResidual`, which forms the Jacobian's black-box
-block I (x) C_bb once and checks out a ``dgesv`` workspace for T^-1 from
-the thread's pool for the search; the projector is built once per process
-and structure (:func:`structure_projector`).  At each point the evaluator
+block I (x) C_bb once and inverts T in this thread's ``dgesv`` workspace of
+order n_x; the projector is built once per process and structure
+(:func:`structure_projector`).  At each point the evaluator
 computes only T^-1, with ``np.linalg.inv``'s bits, certified outside the
 excluded region by a norm bound rather than an SVD wherever the bound
 suffices (:func:`_checked_inverse`), the realization
@@ -64,7 +64,7 @@ from .model import (
     unvec,
     vec,
 )
-from .optim import InfeasibleStartError, OptimConfig, _checkin, _checkout, _dense, lm
+from .optim import InfeasibleStartError, OptimConfig, _dense, lm
 # bound here only because bench/tracer.py wraps graybox.nullspace.bfgs by name
 from .optim import bfgs  # noqa: F401
 
@@ -331,10 +331,10 @@ class ReducedResidual:
     vec([A, B]) and vec(C_bb T) blocks as transposed views, and the
     ``inverse`` of an ``optim._dense_solver`` workspace of order n_x, which
     runs ``dgesv`` and gives ``np.linalg.inv``'s bits (and is
-    ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  The
-    workspace is checked out of this thread's pool (``optim._checkout``),
-    so the searches of one thread reuse one, and :meth:`release` hands it
-    back; an evaluator that is never released drops it.  A call
+    ``np.linalg.inv`` where numpy's bundled LAPACK is not found).  It is
+    this thread's workspace of that order (``optim._dense``), so the
+    searches of one thread reuse one, and it may serve other callers between
+    two calls: ``inverse`` keeps nothing from one call to the next.  A call
     reads T out of ``t_vec`` by an F-order reshape and then costs one
     inverse, with no SVD unless T is near the excluded region
     (:func:`_checked_inverse`),
@@ -369,13 +369,7 @@ class ReducedResidual:
         self.ab_rows = self.minus_ds[:n_ab].reshape(n_x + d.n_u, n_x, n_x, n_x)
         # the entries [j, i, j, k] of the A rows, the diagonal blocks of I (x) T^-1 A_bb
         self.a_diag = np.einsum("jijk->jik", self.ab_rows[:n_x])
-        workspace = _checkout(_dense, n_x)
-        self._lease = _dense, n_x, workspace
-        self.inverse = workspace[1]  # np.linalg.inv's bits, in dgesv, until release()
-
-    def release(self) -> None:
-        """Hand the workspace back to this thread's pool; the evaluator is not called after."""
-        _checkin(*self._lease)
+        self.inverse = _dense(n_x)[1]  # np.linalg.inv's bits, in this thread's dgesv workspace
 
     def _fill(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(T^-1, [A, B])`` at ``t``, with s written into ``self.stacked``.
@@ -499,7 +493,6 @@ def solve_nullspace(
             winner = theta, t, result, res
         if done:
             break
-    rj.release()
     if winner is None:
         raise InfeasibleStartError(f"all {n_starts} starts began at singular transform points")
     return _stage(*winner, started, nullspace_dim=n_x**2 + 1, starts=n_starts, start_scale=scale,

@@ -11,14 +11,15 @@ onto one is rejected like a step that raises the objective.  Every dense
 solve, of lm's damped systems and of the null-space evaluator's inverses
 of T, runs in a :func:`_dense_solver` workspace on the LAPACK bundled with
 numpy: ``dgesv``, with the bits of ``np.linalg.solve`` and
-``np.linalg.inv``.  Its owners check it out of a per-thread pool keyed on
-the factory and the order (:func:`_checkout`), one owner at a time, and
-hand it back when done, so solves in a row build none.  With geodesic
-acceleration, lm factors each damped matrix once, by Cholesky ``dposv``,
-and reuses the factor through ``dpotrs``, or runs ``dgesv`` twice where the
-matrix is not numerically positive definite.  Where that library is not found, every solve is
-``np.linalg.solve`` or ``np.linalg.inv``.  An ``lm`` result counts its
-damped steps by outcome in ``steps``, the dict every report writes.
+``np.linalg.inv``.  Each thread keeps at most ``POOL_SIZE`` workspaces,
+one per order (:func:`_per_thread`), so solves in a row build none, and
+every caller shares them: a workspace guards the one Cholesky factor it
+keeps.  With geodesic acceleration, lm factors each damped matrix once, by
+Cholesky ``dposv``, and reuses the factor through ``dpotrs``, or runs
+``dgesv`` twice where the matrix is not numerically positive definite.
+Where that library is not found, every solve is ``np.linalg.solve`` or
+``np.linalg.inv``.  An ``lm`` result counts its damped steps by outcome in
+``steps``, the dict every report writes.
 
 Also hosts the one finite-difference oracle, :func:`fd_jacobian`, against
 which ``check-grad`` and the test suite compare every analytic derivative
@@ -29,11 +30,13 @@ its Jacobian.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import math
 import numbers
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -107,135 +110,122 @@ def _dense_solver(lapack: tuple[Callable, Callable, Callable, type] | None) -> C
     solves ``a X = I``, with the bits of ``np.linalg.solve`` and
     ``np.linalg.inv``; ``solve_spd(a, b)`` solves with a symmetric ``a``, and
     ``resolve_spd(a, b)`` then solves with the same ``a``, unchanged since.
-    Each raises ``np.linalg.LinAlgError`` on an exactly singular ``a``.
-    Without ``lapack`` the four are ``np.linalg.solve``, ``np.linalg.inv``
-    and ``np.linalg.solve`` twice.  With ``lapack`` from
-    :func:`_bundled_lapack` they share one workspace, built once per
-    ``dense`` call, since setting up ctypes arguments costs more than a small
-    solve: a float buffer for an F-ordered copy of ``a`` and the right-hand
-    sides, an index-width buffer, the identity, and raw pointers into both
-    buffers.  ``solve`` and ``inverse`` run ``dgesv``, the call numpy's own
-    make.  ``solve_spd`` runs ``dposv`` (Cholesky, lower triangle) and
-    ``resolve_spd`` ``dpotrs`` on the factor it left, which gives the bits
-    of factoring ``a`` again.  Where ``dpotrf`` finds ``a`` not numerically
-    positive definite, dposv's own INFO slot, apart from dgesv's, stays
-    nonzero, and ``solve_spd`` and then ``resolve_spd`` each run ``solve``.
-    ``resolve_spd`` returns the right-hand side buffer, which the next call
-    overwrites; the others return new arrays, ``inverse`` a C-ordered one.
-    Each call copies its arguments into the buffers, which each closure
-    holds, so LAPACK reads and writes nothing else, and a workspace gives the
-    same bits however often it has served before.  The identity is built by
-    the first ``inverse``, so a workspace that never inverts (``lm``'s) holds
-    16 n^2 + 8 (n + 5) bytes, and one that does 8 n^2 more.  The arguments
-    are trusted: float64 matrices of order ``n``, and matching vectors.
-    Callers take their workspaces from :func:`_checkout`, not from ``dense``.
+    Each returns a new array, ``inverse`` a C-ordered one, and raises
+    ``np.linalg.LinAlgError`` on an exactly singular ``a``.  Without
+    ``lapack`` the four are ``np.linalg.solve``, ``np.linalg.inv`` and
+    ``np.linalg.solve`` twice.  With ``lapack`` from :func:`_bundled_lapack`
+    they share one workspace, since setting up ctypes arguments costs more
+    than a small solve: an F-ordered copy of ``a``, a right-hand-side
+    vector, an index-width buffer and raw pointers into them, 8 n^2 + 8 (2 n
+    + 5) bytes, and from the first ``inverse`` on the identity and its n x n
+    right-hand sides, 16 n^2 more.  ``solve`` and ``inverse`` run ``dgesv``,
+    the call numpy's own make.  ``solve_spd`` runs ``dposv`` (Cholesky), or
+    ``solve`` where dposv's own INFO slot says ``a`` is not numerically
+    positive definite, and records ``a``, by a weak reference, as the matrix
+    whose factor it left.  ``solve`` and ``inverse`` clear the record, and
+    ``resolve_spd(a, b)`` reuses the factor (``dpotrs``, or ``solve`` after
+    a fallback) only while the record is ``a`` itself, and otherwise runs
+    ``solve_spd(a, b)``, with the same bits.  That factor is all a workspace
+    keeps between calls, so any callers may share one.  LAPACK reads and
+    writes the workspace's buffers alone.  The arguments are trusted:
+    float64 matrices of order ``n``, and matching vectors.
     """
     def dense(n: int) -> tuple[Callable, Callable, Callable, Callable]:
         if lapack is None:
             return np.linalg.solve, np.linalg.inv, np.linalg.solve, np.linalg.solve
         dposv, dpotrs, dgesv, index = lapack
-        floats = np.empty((2, n, n))
-        factors_t, rhs_t = floats
-        factors, rhs = factors_t.T, rhs_t.T  # the copy of a, the right-hand sides: F-ordered
-        column = rhs[:, 0]
-        identity = None  # np.eye(n), once this workspace first inverts
+        factors_t = np.empty((n, n))
+        factors = factors_t.T  # the copy of a, F-ordered
+        column = np.empty(n)  # the right-hand side of every call but inverse
+        kept = None  # a weak reference to the matrix whose factor solve_spd left, if any
         # N, NRHS, LDA = LDB, dgesv's INFO, dposv's INFO, then the n pivots
         ints = np.array([n, 1, max(n, 1), 0, 0] + [0] * n, dtype=index)
         # one .ctypes.data read per buffer: each read costs over a microsecond
         base, size = ints.ctypes.data, ints.itemsize
         order_p, one_p, lead_p, lu_info_p, spd_info_p, pivots_p = [
             ctypes.c_void_p(base + k * size) for k in range(6)]
-        base = floats.ctypes.data
-        factors_p, rhs_p = ctypes.c_void_p(base), ctypes.c_void_p(base + factors_t.nbytes)
-        solve_args = (order_p, one_p, factors_p, lead_p, pivots_p, rhs_p, lead_p, lu_info_p)
-        inverse_args = (order_p, order_p, *solve_args[2:])  # NRHS = N
-        spd_args = (ctypes.c_char_p(b"L"), order_p, one_p, factors_p, lead_p, rhs_p, lead_p,
+        factors_p, column_p = (ctypes.c_void_p(x.ctypes.data) for x in (factors_t, column))
+        solve_args = (order_p, one_p, factors_p, lead_p, pivots_p, column_p, lead_p, lu_info_p)
+        spd_args = (ctypes.c_char_p(b"L"), order_p, one_p, factors_p, lead_p, column_p, lead_p,
                     spd_info_p)
 
-        def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        @functools.cache
+        def inverse_buffers() -> tuple[np.ndarray, np.ndarray, tuple]:
+            """np.eye(n), inverse's right-hand sides and its dgesv arguments, built once."""
+            rhs = np.empty((n, n), order="F")
+            return np.eye(n), rhs, (order_p, order_p, factors_p, lead_p, pivots_p,  # NRHS = N
+                                    ctypes.c_void_p(rhs.ctypes.data), lead_p, lu_info_p)
+
+        def lu(a: np.ndarray, args: tuple) -> None:
+            nonlocal kept
+            kept = None
             factors[...] = a
-            column[...] = b
-            dgesv(*solve_args)
+            dgesv(*args)
             if ints[3]:  # INFO > 0: an exactly zero pivot
                 raise np.linalg.LinAlgError("Singular matrix")
+
+        def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            column[...] = b
+            lu(a, solve_args)
             return column.copy()
 
         def inverse(a: np.ndarray) -> np.ndarray:
-            nonlocal identity
-            if identity is None:
-                identity = np.eye(n)
-            factors[...] = a
+            identity, rhs, args = inverse_buffers()
             rhs[...] = identity
-            dgesv(*inverse_args)
-            if ints[3]:
-                raise np.linalg.LinAlgError("Singular matrix")
+            lu(a, args)
             return rhs.copy()
 
         def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            nonlocal kept
             factors_t[...] = a  # a = a^T: one contiguous copy of a C-ordered a
             column[...] = b
             dposv(*spd_args)
-            if ints[4] == 0:  # else INFO > 0: a leading minor is not positive definite
-                return column.copy()
-            return solve(a, b)
+            # else INFO > 0: a leading minor is not positive definite
+            x = column.copy() if ints[4] == 0 else solve(a, b)
+            kept = weakref.ref(a)
+            return x
 
         def resolve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if kept is None or kept() is not a:  # another call ran since: no factor of a
+                return solve_spd(a, b)
             if ints[4]:  # solve_spd fell back, and left no Cholesky factor of a
                 return solve(a, b)
             column[...] = b
             dpotrs(*spd_args)
-            return column
+            return column.copy()
 
         return solve, inverse, solve_spd, resolve_spd
 
     return dense
 
 
-_lapack = _bundled_lapack()
-# lm's damped solves, and the null-space evaluator's inverses of T
-_dense = _dense_solver(_lapack)
-
-# idle workspaces a thread keeps between their owners
+# workspaces each thread keeps, the least recently used dropped first
 POOL_SIZE = 8
 
 
-class _Pool(threading.local):
-    """This thread's idle workspaces, ``[((dense, n), workspace)]``, the oldest returned first."""
+def _per_thread(dense: Callable) -> Callable:
+    """``dense`` cached per thread: ``cached(n)`` is this thread's ``dense(n)``.
 
-    def __init__(self) -> None:
-        self.idle = []
-
-
-_pool = _Pool()
-
-
-def _checkout(dense: Callable, n: int) -> tuple[Callable, Callable, Callable, Callable]:
-    """A workspace ``dense(n)`` for one owner: the thread's latest idle one, else a new one.
-
-    A workspace is checked out by one owner at a time (an ``lm`` run, a
-    null-space search), which hands it back to :func:`_checkin` when it is
-    done, so runs in a row share one and a run nested in another's callback
-    gets its own: no owner sees the factor or the buffers of another.  The
-    key holds the factory ``dense`` itself, so a replaced ``_dense`` gets
-    workspaces of its own.  Each thread keeps its own idle workspaces, at
-    most ``POOL_SIZE`` of them, the least recently returned dropped first:
-    a thread retains at most ``POOL_SIZE`` times the largest workspace it
-    has used (see :func:`_dense_solver`), under 0.7 MB at the order 73 of
-    a ``chain8`` lsq polish.  An owner that raises drops its workspace.
+    A thread keeps at most ``POOL_SIZE`` workspaces, so it retains at most
+    ``POOL_SIZE`` times its largest, about 0.35 MB at the order 73 of a
+    ``chain8`` polish; ``cached.cache_clear()`` empties this thread's cache.
     """
-    key, idle = (dense, n), _pool.idle
-    for k in range(len(idle) - 1, -1, -1):
-        if idle[k][0] == key:
-            return idle.pop(k)[1]
-    return dense(n)
+    class Cache(threading.local):
+        def __init__(self) -> None:
+            self.get = functools.lru_cache(maxsize=POOL_SIZE)(dense)
+
+    cache = Cache()
+
+    def cached(n: int) -> tuple[Callable, Callable, Callable, Callable]:
+        return cache.get(n)
+
+    cached.cache_clear = lambda: cache.get.cache_clear()
+    return cached
 
 
-def _checkin(dense: Callable, n: int, workspace: tuple) -> None:
-    """Return ``workspace``, checked out of :func:`_checkout` by ``(dense, n)``, to this thread."""
-    idle = _pool.idle
-    idle.append(((dense, n), workspace))
-    if len(idle) > POOL_SIZE:
-        del idle[0]
+_lapack = _bundled_lapack()
+# lm's damped solves, and the null-space evaluator's inverses of T
+_dense = _per_thread(_dense_solver(_lapack))
 
 
 class LineSearchError(RuntimeError):
@@ -497,10 +487,8 @@ def lm(
 
     Each damped Gauss-Newton step solves (J'J + mu I) h = -J'r; an exactly
     singular system raises ``LinAlgError`` and gives the zero step.  Every
-    solve runs in one ``_dense_solver`` workspace of order ``x0.size``,
-    checked out of this thread's pool (:func:`_checkout`) after the first
-    evaluation and handed back at the end, so the runs of a multistart share
-    one, and an ``lm`` nested in ``rj`` or ``rvv`` gets its own.  Without
+    solve runs in this thread's ``_dense_solver`` workspace of order
+    ``x0.size``, which every run and caller of that order shares.  Without
     ``rvv`` each damped system is one ``solve``, ``dgesv`` with
     ``np.linalg.solve``'s bits; with ``rvv`` the step's two systems share
     one matrix, factored once by ``solve_spd`` (Cholesky, ``dposv``) for h
@@ -581,9 +569,7 @@ def lm(
     rejected = None  # copy of that diagonal for the last step rejected at x
     steps = {"rejected": 0, "geodesic_rejected": 0, "skipped": 0}  # the accepted are in the trace
     # with rvv, both solves of a step share one Cholesky factorization of damped
-    dense = _dense
-    workspace = _checkout(dense, x.size)
-    lu_solve, _, *spd = workspace
+    lu_solve, _, *spd = _dense(x.size)
     solve, resolve = (lu_solve, None) if rvv is None else spd
     while True:
         if f == 0.0:
@@ -638,7 +624,6 @@ def lm(
         if f_prev - f <= cfg.f_tol * f_prev:
             status = "converged-ftol"
             break
-    _checkin(dense, x.size, workspace)
     # the max-norm of every kept gradient in one call; a max is exact in any order
     maxima = np.abs(np.array([g_k for _, _, g_k in accepted])).max(axis=1).tolist()
     trace = [(k, f_k, 2.0 * m) for (k, f_k, _), m in zip(accepted, maxima)]

@@ -24,10 +24,10 @@ SINGULAR = {
 
 def clear_caches() -> None:
     """Empty what solves keep for later ones: parsed structure files, projectors, and this
-    thread's idle LAPACK workspaces."""
+    thread's LAPACK workspaces."""
     cli._structure.cache_clear()
     nullspace._projector.cache_clear()
-    optim._pool.idle.clear()
+    optim._dense.cache_clear()
 
 
 def dims_grid() -> list[Dims]:

@@ -11,10 +11,11 @@ code in one environment give the same records bit for bit.
     python tests/scan.py --out outcomes.json
     python tests/scan.py --against outcomes.json
 
-``--against FILE`` prints every instance whose record differs from FILE's,
-or that FILE lacks, and exits 1 if there is one.  A FILE that cannot be read
-or is not a JSON object, and an ``--out`` that is a directory or lies in
-none, exit 2 before any solve.  ``--workload`` and
+``--against FILE [FILE ...]`` prints every instance whose record differs
+from the one the FILEs hold, or that none of them holds, and exits 1 if
+there is one.  A FILE that cannot be read or is not a JSON object, a key
+that two FILEs hold with different records, and an ``--out`` that is a
+directory or lies in none, exit 2 before any solve.  ``--workload`` and
 ``--grid`` restrict the run.  The scan imports the ``graybox`` package of its
 own checkout.  Reports depend on the CPU's floating-point kernels, so run
 with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) and compare records made
@@ -131,14 +132,15 @@ def run(argv: list[str] | None = None) -> int:
     parser.add_argument("--grid", type=int, help="scan this grid index only")
     parser.add_argument("--out", help="write the records here (default: standard output, "
                                       "unless --against is given)")
-    parser.add_argument("--against", help="records to compare with")
+    parser.add_argument("--against", nargs="+", metavar="FILE",
+                        help="records to compare with, the union of every FILE's")
     args = parser.parse_args(argv)
     grids = [(workload, grid) for workload, indices in GRIDS.items()
              if args.workload in (None, workload)
              for grid in indices if args.grid in (None, grid)]
     if not grids:
         parser.error(f"no grid {args.grid} in {args.workload or 'any workload'}")
-    for flag, path in (("--out", args.out), ("--against", args.against)):
+    for flag, path in (("--out", args.out), *(("--against", a) for a in args.against or ())):
         if path == "":
             parser.error(f"{flag} '' names no file")
     # every path is checked, and the reference read, before the first solve
@@ -148,13 +150,17 @@ def run(argv: list[str] | None = None) -> int:
             parser.error(f"--out {out} is a directory")
         if not out.parent.is_dir():
             parser.error(f"--out {out}: {out.parent} is not a directory")
-    if args.against is not None:
+    reference = {}
+    for path in args.against or ():
         try:
-            reference = json.loads(Path(args.against).read_text())
+            held = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            parser.error(f"--against {args.against}: {exc}")
-        if not isinstance(reference, dict):
-            parser.error(f"--against {args.against} is not a JSON object")
+            parser.error(f"--against {path}: {exc}")
+        if not isinstance(held, dict):
+            parser.error(f"--against {path} is not a JSON object")
+        for key, record in held.items():
+            if reference.setdefault(key, record) != record:
+                parser.error(f"--against {path}: {key} has another record in an earlier file")
     records = scan(grids)
     if args.out is not None:
         out.write_text(dumps(records))
@@ -165,7 +171,7 @@ def run(argv: list[str] | None = None) -> int:
     lines = differences(records, reference)
     for line in lines:
         print(line)
-    print(f"{len(lines)} of {len(records)} instance(s) differ from {args.against}",
+    print(f"{len(lines)} of {len(records)} instance(s) differ from {' + '.join(args.against)}",
           file=sys.stderr)
     return 1 if lines else 0
 

@@ -133,7 +133,8 @@ def fields(result):
 
 def test_lm_nested_in_rvv_at_the_same_order_gives_the_unnested_bits():
     # the inner run falls between the outer's Cholesky solve and its dpotrs re-solve of
-    # each step: with one workspace between them, the outer would re-solve with the inner's factor
+    # each step, in the one workspace of this thread and order: the outer's resolve_spd
+    # must not re-solve with the inner's factor
     (outer, z0), (inner, z1) = polish_problem(3), polish_problem(4)
     assert z0.size == z1.size
     unnested = fields(lm(outer, z0, rvv=outer.curvature))
@@ -144,14 +145,15 @@ def test_lm_nested_in_rvv_at_the_same_order_gives_the_unnested_bits():
         nested_runs.append(fields(lm(inner, z1, rvv=inner.curvature)))
         return outer.curvature(v)
 
-    # the runs above left a workspace of this order idle, which only one run may take
+    # the runs above left this thread's workspace of this order, which both runs share
     assert fields(lm(outer, z0, rvv=nesting)) == unnested
     assert len(nested_runs) > 1 and all(run == inner_alone for run in nested_runs)
 
 
 def test_threads_give_the_serial_reports(tmp_path):
     # more threads than cores, switching as often as the interpreter allows, on cold
-    # caches that they fill together: the lru caches are shared, the pools per thread
+    # caches that they fill together: the parses and projectors are shared, the
+    # workspaces kept per thread
     cases = grid_cases("bundled", tmp_path) + grid_cases("polish", tmp_path)
     serial = [solved(case.argv) for case in cases]
     clear_caches()
@@ -181,17 +183,18 @@ def test_threads_give_the_serial_reports(tmp_path):
 @pytest.mark.parametrize("name", ["mass-spring", "compartment3"])
 def test_a_five_start_solve_builds_one_workspace_per_order_cold_and_none_warm(name,
                                                                              monkeypatch):
-    # lm runs at n_x^2 and the evaluator inverts at n_x, so at n_x > 1 each order has
-    # one owner at a time: the five starts share lm's workspace
+    # lm runs at n_x^2 and the evaluator inverts at n_x: the five starts share lm's
+    # workspace, and the thread's cache builds each order once
     built = []
-    dense = optim._dense
+    dense = optim._dense_solver(optim._lapack)
 
     def recording(n):
         built.append(n)
         return dense(n)
 
-    monkeypatch.setattr(optim, "_dense", recording)
-    monkeypatch.setattr(nullspace, "_dense", recording)
+    cached = optim._per_thread(recording)
+    monkeypatch.setattr(optim, "_dense", cached)
+    monkeypatch.setattr(nullspace, "_dense", cached)
     structure, theta = bundled_structure(name)
     blackbox = generate_instance(structure, theta, seed=5, cond_max=100.0).blackbox
     config = OptimConfig(max_iters=2)  # no start passes in two steps

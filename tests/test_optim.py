@@ -699,6 +699,44 @@ def test_dense_solver_keeps_every_buffer_its_pointers_point_into():
     assert all((c == -7).all() for c in clutter[:63])
 
 
+# a call of another caller between a solve_spd and its resolve_spd on a shared workspace
+INTERVENING = {
+    "solve": lambda workspace, a, c: workspace[0](a, c),
+    "inverse": lambda workspace, a, c: workspace[1](a),
+    "solve_spd": lambda workspace, a, c: workspace[2](a @ a.T, c),
+}
+
+
+@pytest.mark.skipif(BUNDLED is None, reason=NOT_BUNDLED)
+@pytest.mark.parametrize("definite", [True, False], ids=["positive-definite", "indefinite"])
+@pytest.mark.parametrize("call", INTERVENING.values(), ids=INTERVENING.keys())
+def test_resolve_spd_after_another_call_gives_the_bits_of_its_own_factor(call, definite):
+    rng = np.random.default_rng(64)
+    calls = []
+    dense = optim._dense_solver(logged_lapack(BUNDLED, calls))
+    for n in (1, 4, 9, 73):
+        m = rng.standard_normal((n, n))
+        if definite:
+            a1 = m @ m.T + 1e-3 * np.eye(n)
+        else:
+            a1 = m + m.T
+            a1 = a1 if np.linalg.eigvalsh(a1)[0] < 0.0 else -a1
+        a2, (b1, b2, c) = rng.standard_normal((n, n)), rng.standard_normal((3, n))
+        alone = dense(n)
+        alone[2](a1, b1)
+        calls.clear()
+        expected = alone[3](a1, b2)
+        # the factor solve_spd left serves resolve_spd; after a fallback, dgesv again
+        assert calls == (["dpotrs"] if definite else ["dgesv"])
+        shared = dense(n)
+        shared[2](a1, b1)
+        call(shared, a2, c)
+        calls.clear()
+        assert np.array_equal(shared[3](a1, b2), expected)
+        # another caller's call left no factor of a1: resolve_spd factors a1 again
+        assert calls == (["dposv"] if definite else ["dposv", "dgesv"])
+
+
 def test_dense_solver_without_lapack_is_np_linalg():
     assert optim._dense_solver(None)(3) == (np.linalg.solve, np.linalg.inv,
                                             np.linalg.solve, np.linalg.solve)

@@ -58,3 +58,35 @@ def test_scan_refuses_an_empty_path_before_solving(flag, name, message, tmp_path
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def test_scan_compares_against_the_union_of_several_files(tmp_path, capsys, monkeypatch):
+    records = {f"bundled/0/case{k}": {"code": 0, "recovered": True, "digest": str(k)}
+               for k in range(4)}
+    monkeypatch.setattr(scan, "scan", lambda grids: records)
+    keys = sorted(records)
+    halves = {}
+    for name, part in (("first", keys[:3]), ("second", keys[2:])):  # both hold keys[2]
+        halves[name] = tmp_path / f"{name}.json"
+        halves[name].write_text(json.dumps({key: records[key] for key in part}))
+    assert scan.run([*GRID, "--against", str(halves["first"]), str(halves["second"])]) == 0
+    capsys.readouterr()
+    assert scan.run([*GRID, "--against", str(halves["first"])]) == 1
+    assert capsys.readouterr().out == f"{keys[3]}: None -> {records[keys[3]]}\n"
+
+
+def test_scan_refuses_files_that_hold_one_key_with_different_records(tmp_path, capsys,
+                                                                    monkeypatch):
+    def no_scan(grids):
+        raise AssertionError("scanned although two files disagreed")
+
+    monkeypatch.setattr(scan, "scan", no_scan)
+    key, record = "bundled/0/case", {"code": 0, "recovered": True, "digest": "0" * 64}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({key: record}))
+    second.write_text(json.dumps({key: {**record, "code": 3}}))
+    with pytest.raises(SystemExit) as exit_info:
+        scan.run([*GRID, "--against", str(first), str(second)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--against {second}: {key} has another record" in err

@@ -16,11 +16,11 @@ pretty-prints them.  ``generate`` writes its files indented.
 thread, and no call's output depends on an earlier call.  It builds its
 parsers once, on the first call.  What a solve derives from the structure
 alone or from a matrix order is built once per process too, and reused
-bit for bit: a structure file's parse, keyed on its bytes (``_structure``);
-the projector, keyed on K and kappa0 (``nullspace.structure_projector``); and
-the LAPACK workspaces, one per order and at most ``optim.POOL_SIZE`` per
-thread (``optim._dense``), each guarding the one factor it keeps, so a
-thread's solves share them.  Each is bounded, and together they retain
+bit for bit: a structure file's parse, keyed on its bytes (``_structure``),
+which keeps its projector (``AffineStructure.projector``); and the LAPACK
+workspaces, one per order and at most ``optim.POOL_SIZE`` per thread
+(``optim._dense``), each guarding the one factor it keeps, so a thread's
+solves share them.  Each is bounded, and together they retain
 under 1 MB on the benchmark's workloads.  It hands a known subcommand's
 arguments to that subcommand's parser alone, keeping argparse's messages
 and exit codes, and it reads and checks each input file once.
@@ -117,14 +117,12 @@ def _structure(data: bytes) -> AffineStructure:
 
     A thread-safe LRU of ``STRUCTURE_CACHE`` structures, keyed on the file's
     bytes, so an edited file is parsed again.  Only a parse that succeeds is
-    kept, so a malformed file fails alike on every call.  The kept ``K`` and
-    ``kappa0`` are read-only.  An entry holds the file's bytes and
-    8 rows (n_theta + 1) bytes of arrays, so the cache retains at most
+    kept, so a malformed file fails alike on every call.  An entry holds the
+    file's bytes, 8 rows (n_theta + 1) bytes of arrays and, once a solve has
+    asked for it, the structure's projector, so the cache retains at most
     ``STRUCTURE_CACHE`` times the largest.
     """
-    structure = AffineStructure.from_dict(_document(data))
-    structure.K.flags.writeable = structure.kappa0.flags.writeable = False
-    return structure
+    return AffineStructure.from_dict(_document(data))
 
 
 def _load_structure(spec: str) -> AffineStructure:
@@ -329,7 +327,7 @@ def cmd_check_grad(args) -> int:
     check_dims(blackbox, structure)
     rng = np.random.default_rng(args.seed)
     # one evaluator per run, as a solve builds one; jacobians needs none
-    evaluator = (nullspace.ReducedResidual(blackbox, nullspace.structure_projector(structure))
+    evaluator = (nullspace.ReducedResidual(blackbox, structure.projector)
                  if args.which == "hbar" else None if args.which == "jacobians" else
                  functools.partial(lsq.cost, plan=lsq.CostPlan(blackbox, structure)))
 

@@ -22,10 +22,9 @@ import time
 import numpy as np
 
 from .model import (AffineStructure, Solution, StateSpace, _read_out, _stage, check_dims,
-                    kron_t, structured_matrices, vec)
+                    extract_theta, kron_t, structured_matrices, vec)
 # bound here only because bench/tracer.py wraps graybox.lsq.eval_structure by name
 from .model import eval_structure  # noqa: F401
-from .nullspace import extract_theta, structure_projector
 from .optim import OptimConfig, lm
 # bound here only because bench/tracer.py wraps graybox.lsq.bfgs by name
 from .optim import bfgs  # noqa: F401
@@ -170,7 +169,7 @@ def default_init(
     Exact when the black-box is already in structured coordinates; cheap and
     deterministic otherwise.
     """
-    theta0 = extract_theta(blackbox.stacked(), structure_projector(structure))
+    theta0 = extract_theta(blackbox.stacked(), structure.projector)
     return theta0, np.eye(blackbox.dims.n_x)
 
 

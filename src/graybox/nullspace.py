@@ -19,11 +19,11 @@ residual vector and its Jacobian in vec(T), from T = s0 I at the black box's
 own scale (:func:`_start_scale`) and then from Gaussian draws.  A solve
 builds one :class:`ReducedResidual`, which forms the Jacobian's black-box
 block I (x) C_bb once and inverts T in this thread's ``dgesv`` workspace of
-order n_x; the projector is built once per process and structure
-(:func:`structure_projector`).  At each point the evaluator
-computes only T^-1, with ``np.linalg.inv``'s bits, certified outside the
-excluded region by a norm bound rather than an SVD wherever the bound
-suffices (:func:`_checked_inverse`), the realization
+order n_x, with the structure's own projector (``AffineStructure.projector``;
+the projector's class and functions are ``model``'s, re-exported here).  At
+each point the evaluator computes only T^-1, with ``np.linalg.inv``'s bits,
+certified outside the excluded region by a norm bound rather than an SVD
+wherever the bound suffices (:func:`_checked_inverse`), the realization
 [A, B] = T^-1 [A_bb T, B_bb], and the two Kronecker blocks that depend on
 them, in place.  Each completed start is read out by the same evaluator's
 fill at its best point: one read-out, the arithmetic ``lm`` minimized.
@@ -38,10 +38,8 @@ live in ``tests/oracles.py``, as the oracle of the closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,14 +51,17 @@ from .model import (
     Dims,
     Solution,
     StateSpace,
+    StructureProjector,
     _passes,
     _read_out,
     _stage,
     _worst,
     block_slices,
     check_dims,
+    extract_theta,
     kron_t,
     rcond,
+    structure_projector,
     unvec,
     vec,
 )
@@ -176,66 +177,6 @@ def extract_realization(v: np.ndarray, dims: Dims) -> Realization:
 def realization_vector(v: np.ndarray, dims: Dims) -> np.ndarray:
     """Stacked entries [vec(A); vec(B); vec(C)] of the extracted realization."""
     return extract_realization(v, dims).stacked()
-
-
-@dataclass(frozen=True)
-class StructureProjector:
-    """Least-squares machinery of an affine structure, built once per process.
-
-    ``residual_op`` maps a stacked vector to minus its component orthogonal to
-    the structure's parameter range (so its squared norm of ``residual_op @
-    (offset - stacked)`` is the distance to the admissible set), and
-    ``theta_map`` is the pseudo-inverse used for parameter extraction.
-    """
-
-    residual_op: np.ndarray
-    theta_map: np.ndarray
-    offset: np.ndarray
-
-
-# projectors kept by structure_projector, the least recently used dropped first
-PROJECTOR_CACHE = 32
-
-
-def structure_projector(structure: AffineStructure) -> StructureProjector:
-    """SVD-based projector onto the range of the structure's parameter map.
-
-    Rank-deficient parameter maps are allowed; singular values below
-    max(rows, cols) * machine epsilon times the largest are treated as zero.
-    Anything with float arrays ``K`` and ``kappa0`` serves as ``structure``.
-    The result depends on their values alone, so it is built once per
-    process and value: a thread-safe LRU of ``PROJECTOR_CACHE`` projectors
-    keyed on K's shape and bytes and on kappa0's bytes, whose arrays are
-    read-only.  A projector holds 8 (rows^2 + rows n_theta + rows) bytes plus
-    its key, about 64 KB for the 80 rows of ``chain8``, so the cache retains
-    at most ``PROJECTOR_CACHE`` times the largest.
-    """
-    k, kappa0 = np.asarray(structure.K, dtype=float), np.asarray(structure.kappa0, dtype=float)
-    return _projector(k.shape, k.tobytes(), kappa0.tobytes())
-
-
-@functools.lru_cache(maxsize=PROJECTOR_CACHE)
-def _projector(shape: tuple[int, int], k_bytes: bytes, kappa0_bytes: bytes) -> StructureProjector:
-    """:func:`structure_projector` of the K and kappa0 with these bytes."""
-    k = np.frombuffer(k_bytes).reshape(shape)
-    u, s, vh = np.linalg.svd(k, full_matrices=False)
-    cutoff = max(k.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    u_r = u[:, :rank]
-    residual_op = u_r @ u_r.T - np.eye(k.shape[0])
-    theta_map = (vh[:rank].T / s[:rank]) @ u_r.T
-    for array in (residual_op, theta_map):
-        array.flags.writeable = False
-    return StructureProjector(
-        residual_op=residual_op,
-        theta_map=theta_map,
-        offset=np.frombuffer(kappa0_bytes),  # a read-only view of the key's bytes
-    )
-
-
-def extract_theta(stacked: np.ndarray, proj: StructureProjector) -> np.ndarray:
-    """Parameter vector minimizing the structured fit to a stacked realization."""
-    return proj.theta_map @ (np.asarray(stacked, dtype=float) - proj.offset)
 
 
 def realization_jacobians(
@@ -458,7 +399,7 @@ def solve_nullspace(
     check_dims(blackbox, structure)
     started = time.perf_counter()
     n_x = blackbox.dims.n_x
-    proj = structure_projector(structure)
+    proj = structure.projector
     rj = ReducedResidual(blackbox, proj)
 
     scale = _start_scale(blackbox, structure)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from graybox import cli, nullspace, optim
+from graybox import cli, optim
 from graybox.lsq import CostPlan, cost
 from graybox.model import AffineStructure, Dims, Instance, generate_instance, unvec, vec
 from graybox.structures import chain
@@ -23,10 +23,9 @@ SINGULAR = {
 
 
 def clear_caches() -> None:
-    """Empty what solves keep for later ones: parsed structure files, projectors, and this
-    thread's LAPACK workspaces."""
+    """Empty what solves keep for later ones: parsed structure files, each with its projector,
+    and this thread's LAPACK workspaces."""
     cli._structure.cache_clear()
-    nullspace._projector.cache_clear()
     optim._dense.cache_clear()
 
 

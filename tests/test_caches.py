@@ -1,4 +1,4 @@
-"""What solves keep for later ones: structure parses, projectors and LAPACK workspaces.
+"""What solves keep for later ones: structure parses with their projectors, and LAPACK workspaces.
 
 Each is reused bit for bit, so a report never depends on what was solved
 before it in the process, nor on another thread's solves.
@@ -106,15 +106,19 @@ def test_a_malformed_structure_file_fails_alike_on_every_call(tmp_path, capsys):
 def test_every_kept_array_is_read_only(tmp_path):
     clear_caches()
     structure = cli._load_structure(str(structure_file(tmp_path)))
-    proj = nullspace.structure_projector(structure)
+    proj = structure.projector
     arrays = [structure.K, structure.kappa0, proj.residual_op, proj.theta_map, proj.offset]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    # a projector is kept by value: equal arrays of any origin find it
+    # a structure keeps its own projector: an equal structure built anew builds another,
+    # with the same bits
+    assert structure.projector is proj
     copy = AffineStructure(kappa0=structure.kappa0.copy(), K=structure.K.copy(),
                            dims=structure.dims)
-    assert nullspace.structure_projector(copy) is proj
+    assert copy.projector is not proj
+    for name in ("residual_op", "theta_map", "offset"):
+        assert getattr(copy.projector, name).tobytes() == getattr(proj, name).tobytes()
 
 
 def polish_problem(seed):
@@ -152,7 +156,7 @@ def test_lm_nested_in_rvv_at_the_same_order_gives_the_unnested_bits():
 
 def test_threads_give_the_serial_reports(tmp_path):
     # more threads than cores, switching as often as the interpreter allows, on cold
-    # caches that they fill together: the parses and projectors are shared, the
+    # caches that they fill together: the parses and their projectors are shared, the
     # workspaces kept per thread
     cases = grid_cases("bundled", tmp_path) + grid_cases("polish", tmp_path)
     serial = [solved(case.argv) for case in cases]

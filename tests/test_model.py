@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -341,6 +342,28 @@ def test_structure_json_round_trip():
         assert np.array_equal(again.kappa0, structure.kappa0)
         assert np.array_equal(again.K, structure.K)
         assert again.dims == structure.dims
+
+
+def test_a_structure_is_immutable_and_independent_of_the_callers_arrays():
+    rng = np.random.default_rng(9)
+    dims = Dims(2, 1, 1)
+    kappa0, k = rng.standard_normal(dims.n_abc), rng.standard_normal((dims.n_abc, 3))
+    kept = kappa0.copy(), k.copy()
+    early, late = (AffineStructure(kappa0=kappa0, K=k, dims=dims) for _ in range(2))
+    for name in ("K", "kappa0"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(early, name, np.zeros_like(getattr(early, name)))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(early, name)[0] = 1.0
+    proj = early.projector
+    built = {name: getattr(proj, name).copy() for name in ("residual_op", "theta_map", "offset")}
+    kappa0 += 1.0
+    k *= 2.0
+    for structure in (early, late):  # late builds its projector after the caller's writes
+        assert np.array_equal(structure.kappa0, kept[0]) and np.array_equal(structure.K, kept[1])
+        for name, value in built.items():
+            assert np.array_equal(getattr(structure.projector, name), value)
+    assert early.projector is proj
 
 
 def test_structure_from_dict_validation():

@@ -35,7 +35,7 @@ from graybox.nullspace import (
 from graybox.optim import InfeasibleStartError, OptimConfig, fd_jacobian, relative_errors
 from graybox.structures import chain, compartment3, mass_spring_damper, scalar
 
-from helpers import (CONVERGED, SINGULAR, clear_caches, dims_grid, evaluator_cases,
+from helpers import (CONVERGED, SINGULAR, dims_grid, evaluator_cases,
                      rank_deficient_structure, random_structure, stacked_solution,
                      transform_with_rcond, well_conditioned_stacked)
 from oracles import (BUNDLED, EmptyNullspaceError, build_constraint_matrix, closed_form_map,
@@ -775,9 +775,9 @@ def test_solve_extracts_each_point_once(monkeypatch):
 
 
 def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
-    # a structure's first solve takes the projector's SVD and the winner's rcond for
-    # cond_T; a repeat finds the projector kept, and takes the rcond alone.  Neither an
-    # evaluation nor a read-out at a well-conditioned T takes one
+    # a structure's first solve takes its projector's SVD and the winner's rcond for
+    # cond_T; a repeat on the same structure finds the projector kept, and takes the rcond
+    # alone.  Neither an evaluation nor a read-out at a well-conditioned T takes one
     svds = []
     svd = np.linalg.svd
 
@@ -790,7 +790,7 @@ def test_solve_takes_two_svds_however_many_evaluations(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     counts = []
     for max_iters in (20, 500):
-        clear_caches()
+        structure, _ = compartment3()  # a new structure, which has built no projector
         per_solve = []
         for _ in range(2):
             svds.clear()

@@ -19,7 +19,7 @@ from graybox.optim import (
 )
 from graybox.structures import bundled_structure
 
-from helpers import CONVERGED, SINGULAR
+from helpers import CONVERGED, SINGULAR, perturbed
 from oracles import BUNDLED, lm_reference, lm_solver
 
 
@@ -387,12 +387,6 @@ def test_lm_counts_each_step_by_outcome(run, expected):
     assert sum(steps.values()) + (result.status == "converged-step") == result.iterations
 
 
-def _warm(x, rng):
-    """``x`` moved 5 % of its norm along a Gaussian direction, as a polish warm start."""
-    d = rng.standard_normal(x.shape)
-    return x + 0.05 * np.linalg.norm(x) * d / np.linalg.norm(d)
-
-
 def _reference_problems():
     """(name, rj, x0, rvv) on every bundled structure and chain6, at cond 100: the
     null-space ``ReducedResidual`` from T = I and from a Gaussian T, and ``CostPlan``
@@ -413,14 +407,14 @@ def _reference_problems():
             theta0, t0 = default_init(bb, structure)
             yield (f"{name}-s{seed}-lsq-default", plan, np.concatenate([theta0, vec(t0)]),
                    plan.curvature)
-            warm = [_warm(theta, rng), _warm(vec(instance.T), rng)]
+            warm = [perturbed(theta, rng), perturbed(vec(instance.T), rng)]
             yield f"{name}-s{seed}-lsq-warm", plan, np.concatenate(warm), plan.curvature
     # as bench/workloads.py draws it: theta, then T, from the generator [seed, 1]
     structure, theta = bundled_structure("chain8")
     seed = 654350477
     instance = generate_instance(structure, theta, seed=seed, cond_max=1e4)
     rng = np.random.default_rng([seed, 1])
-    warm = [_warm(theta, rng), vec(_warm(instance.T, rng))]
+    warm = [perturbed(theta, rng), vec(perturbed(instance.T, rng))]
     plan = CostPlan(instance.blackbox, structure)
     yield f"chain8-c10000-s{seed}-lsq-warm", plan, np.concatenate(warm), plan.curvature
 
